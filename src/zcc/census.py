@@ -23,6 +23,7 @@ routes is a genuine cross-check.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -245,7 +246,8 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
         args = [(spec.field, spec.d, spec.n, spec.poly, bounds[w], bounds[w + 1],
                  factor_seed)
                 for w in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        fork = multiprocessing.get_context("fork")  # workers inherit the caches
+        with ProcessPoolExecutor(max_workers=threads, mp_context=fork) as pool:
             parts = list(pool.map(_unordered_scan_star, args))
         count = sum(c for c, _t in parts)
         total = sum((t for _c, t in parts), Fraction(0))

@@ -247,10 +247,14 @@ def evaluate(P: CharPolynomial, c: CycleType) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+MAX_NESTING = 100  # parenthesis depth; each level costs a few stack frames
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise ValidationError(f"syntax error at position {self.pos}: {msg}")
@@ -294,10 +298,12 @@ class _Parser:
         return acc
 
     def unary(self) -> CharPolynomial:
-        if self.peek() == "-":
+        negate = False
+        while self.peek() == "-":
             self.pos += 1
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        base = self.power()
+        return -base if negate else base
 
     def power(self) -> CharPolynomial:
         base = self.atom()
@@ -310,8 +316,12 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         if ch == "X":
             self.pos += 1

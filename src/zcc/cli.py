@@ -24,12 +24,11 @@ from .census import (CensusSpec, DEFAULT_POINT_GUARD, burnside_count,
 from .charpoly import ONE, parse_charpoly
 from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
-from .ffield import make_field
-from .homology import complement_betti, complement_contributions
+from .ffield import make_field, prime_power
+from .homology import betti_from_contributions, complement_contributions
 from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
                        point_count_polynomial)
-from .stabkit import (_field_for, interpolate_in_q, lefschetz_report,
-                      normalized_coefficients)
+from .stabkit import interpolate_in_q, lefschetz_report, normalized_coefficients
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,17 +52,13 @@ def _parse_d(text: str) -> tuple:
 
 
 def _parse_q(text: str):
-    if "^" in text:
-        p_str, _, e_str = text.partition("^")
-        try:
-            return make_field(int(p_str), int(e_str))
-        except ValueError as exc:
-            raise ValidationError(f"bad field size {text!r}") from exc
     try:
-        q = int(text)
+        numbers = [int(x) for x in text.split("^", 1)]
     except ValueError as exc:
         raise ValidationError(f"bad field size {text!r}") from exc
-    return _field_for(q)
+    if len(numbers) == 2:
+        return make_field(*numbers)  # p^e
+    return make_field(*prime_power(numbers[0]))
 
 
 def _parse_int_list(text: str) -> list:
@@ -87,15 +82,17 @@ def _parse_samples(text: str) -> list:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
+    """Worker count from --threads or ZCC_THREADS, clamped to the usable cores."""
+    wanted = args.threads
     env = os.environ.get("ZCC_THREADS")
-    if env:
+    if wanted is None and env:
         try:
-            return max(1, int(env))
+            wanted = int(env)
         except ValueError as exc:
             raise ValidationError(f"bad ZCC_THREADS {env!r}") from exc
-    return 1
+    if wanted is None:
+        return 1
+    return max(1, min(wanted, len(os.sched_getaffinity(0))))
 
 
 def _guard(args) -> int:
@@ -127,8 +124,12 @@ def _emit(args, payload, csv_rows=None) -> None:
     else:
         text = render_json(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -197,8 +198,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_betti(args) -> int:
     lattice = build_lattice(_parse_d(args.d), args.n,
                             guard=10 ** 6 if args.unsafe_guard else 10)
-    betti = complement_betti(lattice, args.dimx)
     contribs = complement_contributions(lattice, args.dimx)
+    betti = betti_from_contributions(contribs)
     payload = {
         "d": list(lattice.d),
         "n": lattice.n,
@@ -237,6 +238,22 @@ def _cmd_interpolate(args) -> int:
     return 0
 
 
+def _read_config(path: str) -> tuple:
+    """(m, n, d_list, q_list, poly texts, truncation) from a JSON sweep file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            cfg = json.load(handle)
+        return (int(cfg.get("m", 2)), int(cfg.get("n", 1)),
+                [int(x) for x in cfg["d_list"]], [int(x) for x in cfg["q_list"]],
+                [str(s) for s in cfg.get("polys", ["1"])], cfg.get("truncation"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"config {path!r} has no key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"bad config {path!r}: {exc}") from exc
+
+
 def _cmd_report(args) -> int:
     if args.config:
         clashing = [name for value, name in
@@ -246,14 +263,7 @@ def _cmd_report(args) -> int:
         if clashing:
             raise ValidationError(
                 f"--config conflicts with {', '.join(clashing)}")
-        with open(args.config, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
-        m = int(cfg.get("m", 2))
-        n = int(cfg.get("n", 1))
-        d_list = [int(x) for x in cfg["d_list"]]
-        q_list = [int(x) for x in cfg["q_list"]]
-        poly_texts = [str(s) for s in cfg.get("polys", ["1"])]
-        truncation = cfg.get("truncation")
+        m, n, d_list, q_list, poly_texts, truncation = _read_config(args.config)
     else:
         for flag, name in ((args.m, "--m"), (args.n, "--n"),
                            (args.d_list, "--d-list"), (args.q_list, "--q-list")):
@@ -339,7 +349,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: ZCC_THREADS or 1)")
+                     help="worker count, at most the usable cores "
+                          "(default: ZCC_THREADS or 1)")
     sub.add_argument("--unsafe-guard", action="store_true",
                      help="lift desk-scale size guards (deliberate large runs)")
     sub.add_argument("--factor-seed", type=int, default=0,

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ValidationError
+from .polyarith import _gcd, _pow_mod, _sub
 
 DEFAULT_SIZE_GUARD = 1 << 20
 
@@ -37,70 +38,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Prime-field polynomial helpers for the modulus search.  Vectors are lists of
-# ints (low-to-high degree), trimmed, [] = zero.
-# ---------------------------------------------------------------------------
-
-def _pf_trim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _pf_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _pf_trim(a)
-    return a
-
-
-def _pf_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_rem(_pf_trim(out), mod, p)
-
-
-def _pf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pf_rem(a, b, p)
-    return a
-
-
-def _pf_frobenius_power(v, k, mod, p):
-    """v^(p^k) mod the given modulus, by k rounds of p-th powering."""
-    for _ in range(k):
-        acc = [1]
-        base = v
-        exp = p
-        while exp:
-            if exp & 1:
-                acc = _pf_mulmod(acc, base, mod, p)
-            base = _pf_mulmod(base, base, mod, p)
-            exp >>= 1
-        v = acc
-    return v
-
-
-def _pf_sub_x(v, p):
-    """v - x, trimmed."""
-    out = list(v)
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % p
-    return _pf_trim(out)
-
-
 def _prime_divisors(n):
     out = []
     r = 2
@@ -115,15 +52,16 @@ def _prime_divisors(n):
     return out
 
 
-def _pf_is_irreducible(f, p):
-    """Rabin test: x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1 for r | e."""
+def _is_irreducible(F: FieldSpec, f) -> bool:
+    """Rabin test over the prime field F: x^(p^e) = x mod f and
+    gcd(x^(p^(e/r)) - x, f) = 1 for every prime r | e."""
     e = len(f) - 1
     x = [0, 1]
-    if _pf_sub_x(_pf_frobenius_power(x, e, f, p), p):
+    if _sub(F, _pow_mod(F, x, F.p ** e, f), x):
         return False
     for r in _prime_divisors(e):
-        diff = _pf_sub_x(_pf_frobenius_power(x, e // r, f, p), p)
-        if len(_pf_gcd(f, diff, p)) - 1 > 0:
+        diff = _sub(F, _pow_mod(F, x, F.p ** (e // r), f), x)
+        if len(_gcd(F, f, diff)) > 1:
             return False
     return True
 
@@ -133,11 +71,12 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     """Non-leading coefficients of the least monic irreducible of degree e."""
     if e == 1:
         return (0,)
+    prime = FieldSpec(p, 1, (0,))
     for low in product(range(p), repeat=e):
         f = list(low) + [1]
         if f[0] == 0:
             continue  # divisible by x
-        if _pf_is_irreducible(f, p):
+        if _is_irreducible(prime, f):
             return low
     raise RuntimeError("no irreducible found (unreachable)")
 
@@ -252,9 +191,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self.pow_raw(a, self.q - 2)
 
-    def frobenius_raw(self, a: int) -> int:
-        return self.pow_raw(a, self.p)
-
     # -- element construction -------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
@@ -326,13 +262,30 @@ def make_field(p: int, e: int = 1, size_guard: int = DEFAULT_SIZE_GUARD) -> Fiel
     Repeated calls with equal inputs give identical specs.  The size guard
     keeps exhaustive self-tests fast; override deliberately for larger runs.
     """
+    if p > size_guard:
+        raise ValidationError("field too large")  # before trial division
     if not is_prime(p):
         raise ValidationError("not prime")
     if e < 1:
         raise ValidationError(f"extension degree must be >= 1, got {e}")
-    if p ** e > size_guard:
+    # p^e >= 2^e, so a long exponent is rejected before the power is formed
+    if e >= size_guard.bit_length() or p ** e > size_guard:
         raise ValidationError("field too large")
     return FieldSpec(p=p, e=e, modulus=_canonical_modulus(p, e))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e.  The field size guard is checked before any
+    trial division, so a huge q is rejected at once."""
+    if q > DEFAULT_SIZE_GUARD:
+        raise ValidationError("field too large")
+    primes = _prime_divisors(q)  # [] for q < 2
+    if len(primes) != 1:
+        raise ValidationError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p ** e < q:
+        e += 1
+    return p, e
 
 
 def arith(a: FieldElement, b: FieldElement | None, op: str, k: int | None = None) -> FieldElement:
@@ -353,11 +306,6 @@ def arith(a: FieldElement, b: FieldElement | None, op: str, k: int | None = None
 def enumerate_elements(field: FieldSpec) -> list[FieldElement]:
     """All q elements, ordered lexicographically on coordinate vectors."""
     return [FieldElement(field, c) for c in product(range(field.p), repeat=field.e)]
-
-
-def enumerate_raw(field: FieldSpec) -> list[int]:
-    """Raw encodings in the same deterministic order as enumerate_elements."""
-    return [field.encode(c) for c in product(range(field.p), repeat=field.e)]
 
 
 def parse_element(field: FieldSpec, text: str) -> FieldElement:

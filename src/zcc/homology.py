@@ -87,27 +87,17 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
     n = poset.size
     if n == 0:
         return SimplicialComplex(0, ())
-    above = poset.above
     below = poset.below_masks()
-
-    def successors(i: int) -> list:
-        # minimal elements strictly above i
-        out = []
-        mask = above[i]
-        j = 0
-        while mask:
-            if mask & 1 and not (above[i] & below[j]):
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
+    successors = [[] for _ in range(n)]  # minimal elements strictly above i
+    for i, j in poset.cover_pairs():
+        successors[i].append(j)
 
     chains_from: dict = {}
 
     def chains(i: int) -> list:
         if i in chains_from:
             return chains_from[i]
-        succ = successors(i)
+        succ = successors[i]
         if not succ:
             result = [(i,)]
         else:
@@ -239,12 +229,17 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
     return out
 
 
-def complement_betti(L: NEqualsLattice, dim_x: int = 1,
-                     guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Betti numbers of the ordered 0-cycle space over complex affine space."""
+def betti_from_contributions(contributions) -> BettiVector:
+    """Sum per-element contributions, plus H^0 = 1, into a Betti vector."""
     total: dict = {0: 1}
-    for _idx, _cd, contrib in complement_contributions(L, dim_x, guard):
+    for _idx, _cd, contrib in contributions:
         for i, r in contrib.items():
             total[i] = total.get(i, 0) + r
     top = max(total)
     return BettiVector.make(0, [total.get(i, 0) for i in range(top + 1)])
+
+
+def complement_betti(L: NEqualsLattice, dim_x: int = 1,
+                     guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
+    """Betti numbers of the ordered 0-cycle space over complex affine space."""
+    return betti_from_contributions(complement_contributions(L, dim_x, guard))

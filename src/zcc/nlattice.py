@@ -30,6 +30,14 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------------------
 # Generic finite posets (used for lattice intervals and order complexes)
 # ---------------------------------------------------------------------------
@@ -52,13 +60,15 @@ class FinitePoset:
     def below_masks(self) -> tuple:
         below = [0] * self.size
         for i, mask in enumerate(self.above):
-            j = 0
-            while mask:
-                if mask & 1:
-                    below[j] |= 1 << i
-                mask >>= 1
-                j += 1
+            for j in bits(mask):
+                below[j] |= 1 << i
         return tuple(below)
+
+    def cover_pairs(self) -> list:
+        """The sorted pairs (i, j) with i < j and nothing strictly between."""
+        below = self.below_masks()
+        return [(i, j) for i, mask in enumerate(self.above)
+                for j in bits(mask) if not mask & below[j]]
 
     @classmethod
     def from_less_pairs(cls, payloads, pairs) -> "FinitePoset":
@@ -73,13 +83,8 @@ class FinitePoset:
             for i in range(n):
                 mask = above[i]
                 extra = 0
-                j = 0
-                scan = mask
-                while scan:
-                    if scan & 1:
-                        extra |= above[j]
-                    scan >>= 1
-                    j += 1
+                for j in bits(mask):
+                    extra |= above[j]
                 if extra | mask != mask:
                     above[i] = mask | extra
                     changed = True
@@ -263,27 +268,7 @@ def build_lattice(d, n: int, guard: int = DEFAULT_SIZE_GUARD) -> NEqualsLattice:
             if ok:
                 above[i] |= 1 << j
 
-    below = [0] * size
-    for i in range(size):
-        mask = above[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                below[j] |= 1 << i
-            mask >>= 1
-            j += 1
-
-    covers = []
-    for i in range(size):
-        mask = above[i]
-        j = 0
-        while mask:
-            if mask & 1 and not (above[i] & below[j]):
-                covers.append((i, j))
-            mask >>= 1
-            j += 1
-    covers.sort()
-
+    covers = FinitePoset(tuple(found), tuple(above)).cover_pairs()
     return NEqualsLattice(d=d, n=n, elements=tuple(found),
                           above=tuple(above), covers=tuple(covers))
 
@@ -313,14 +298,8 @@ class MobiusTable:
             if k in memo:
                 return memo[k]
             # interval [i, k): elements >= i and < k
-            total = 0
             mask = (L.above[i] | (1 << i)) & _below_cache(L)[k]
-            x = 0
-            while mask:
-                if mask & 1:
-                    total += mu(x)
-                mask >>= 1
-                x += 1
+            total = sum(mu(x) for x in bits(mask))
             memo[k] = -total
             return -total
 
@@ -339,26 +318,10 @@ def mobius(L: NEqualsLattice) -> MobiusTable:
     values = [0] * size
     values[0] = 1  # bottom comes first in element order
     for j in range(1, size):
-        total = 0
-        mask = below[j]
-        x = 0
-        while mask:
-            if mask & 1:
-                total += values[x]
-            mask >>= 1
-            x += 1
-        values[j] = -total
+        values[j] = -sum(values[x] for x in bits(below[j]))
     # defining identity: the closed lower interval of every J > 0-hat sums to 0
     for j in range(1, size):
-        total = values[j]
-        mask = below[j]
-        x = 0
-        while mask:
-            if mask & 1:
-                total += values[x]
-            mask >>= 1
-            x += 1
-        if total != 0:
+        if values[j] + sum(values[x] for x in bits(below[j])) != 0:
             raise StructureError(f"Mobius recursion failed at element {j}")
     return MobiusTable(lattice=L, from_bottom=tuple(values))
 
@@ -433,11 +396,10 @@ def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1) -> tuple:
     if dim_x < 1:
         raise ValidationError("dim_x must be >= 1")
     mob = mobius(L)
+    # the top coefficient is mu(0-hat, 0-hat) = 1, so nothing needs trimming
     coeffs = [0] * (dim_x * L.ground_size + 1)
     for i, part in enumerate(L.elements):
         coeffs[dim_x * part.num_blocks] += mob.from_bottom[i]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return tuple(coeffs)
 
 
@@ -457,20 +419,12 @@ def lower_interval(L: NEqualsLattice, element) -> FinitePoset:
         if not 0 <= idx < L.size:
             raise ValidationError(f"element index {idx} out of range")
     below = _below_cache(L)[idx]
-    members = []
-    x = 0
-    mask = below
-    while mask:
-        if mask & 1 and x != 0:  # exclude the bottom
-            members.append(x)
-        mask >>= 1
-        x += 1
+    members = [x for x in bits(below) if x != 0]  # exclude the bottom
     pos = {orig: new for new, orig in enumerate(members)}
     above = []
     for orig in members:
         sub = 0
-        for other in members:
-            if L.above[orig] >> other & 1:
-                sub |= 1 << pos[other]
+        for other in bits(L.above[orig] & below):
+            sub |= 1 << pos[other]
         above.append(sub)
     return FinitePoset(tuple(L.elements[i] for i in members), tuple(above))

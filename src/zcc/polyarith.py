@@ -20,9 +20,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .ffield import FieldSpec, FieldElement
+
+if TYPE_CHECKING:  # ffield runs its modulus search on this module's kernel
+    from .ffield import FieldSpec
 
 # ---------------------------------------------------------------------------
 # Dense vector arithmetic (raw coefficient lists, low-to-high, trimmed)
@@ -169,15 +172,6 @@ class MonicPoly:
     @classmethod
     def x(cls, field: FieldSpec) -> "MonicPoly":
         return cls(field, (0,))
-
-    @classmethod
-    def from_elements(cls, field: FieldSpec, elems) -> "MonicPoly":
-        """Non-leading coefficients given as FieldElements or raw ints."""
-        raw = tuple(c.raw if isinstance(c, FieldElement) else int(c) for c in elems)
-        return cls(field, raw)
-
-    def coeff_elements(self) -> tuple[FieldElement, ...]:
-        return tuple(self.field.from_raw(c) for c in self.coeffs)
 
     def _check(self, other: "MonicPoly") -> None:
         if self.field != other.field:

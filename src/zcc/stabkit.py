@@ -18,7 +18,9 @@ from .census import (CensusSpec, WeightedCensus, coprime_pair_census,
                      enumerate_unordered)
 from .charpoly import CharPolynomial
 from .errors import InconsistencyError, ValidationError
-from .ffield import FieldSpec, make_field
+from .ffield import FieldSpec, make_field, prime_power
+from .nlattice import eval_int_poly
+from .polyarith import _trim as _trim_zeros
 
 TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
              "subexponential growth of the stable multiplicities together with "
@@ -41,10 +43,7 @@ class InterpolatedPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, q) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * q + c
-        return acc
+        return Fraction(eval_int_poly(self.coefficients, q))
 
 
 def _lagrange(points) -> list:
@@ -68,10 +67,7 @@ def _lagrange(points) -> list:
 
 
 def _trim(coeffs) -> tuple:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return tuple(_trim_zeros(list(coeffs))) or (Fraction(0),)
 
 
 def interpolate_in_q(samples, expected_degree: int | None = None) -> InterpolatedPolynomial:
@@ -299,9 +295,7 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     if used and max(used) > m:
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
-    fields = {}
-    for q in q_list:
-        fields[q] = _field_for(q)
+    fields = {q: make_field(*prime_power(q)) for q in q_list}
 
     points = []
     lhs_rows = []
@@ -358,17 +352,3 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         lhs=tuple(lhs_rows), series=series, series_note=note,
         residuals=residuals, tail_note=TAIL_NOTE)
 
-
-def _field_for(q: int) -> FieldSpec:
-    """F_q for a prime power q, factoring q = p^e."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if qq != 1:
-                raise ValidationError(f"{q} is not a prime power")
-            return make_field(p, e)
-    raise ValidationError(f"{q} is not a prime power")

@@ -1,8 +1,12 @@
+import argparse
 import json
+import os
+import time
 
 import pytest
 
-from zcc.cli import run
+from zcc import homology
+from zcc.cli import _threads, run
 
 
 def run_json(capsys, argv):
@@ -153,3 +157,70 @@ def test_threads_env(capsys, monkeypatch):
     assert payload["point_count"] == 18
     monkeypatch.setenv("ZCC_THREADS", "zzz")
     assert run(["count", "--d", "2", "--n", "2", "--q", "3"]) == 1
+
+
+def test_threads_clamped_to_usable_cores(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("ZCC_THREADS", raising=False)
+    assert _threads(argparse.Namespace(threads=10 ** 9)) == cores
+    assert _threads(argparse.Namespace(threads=0)) == 1
+    assert _threads(argparse.Namespace(threads=None)) == 1
+    monkeypatch.setenv("ZCC_THREADS", str(10 ** 9))
+    assert _threads(argparse.Namespace(threads=None)) == cores
+
+
+@pytest.mark.parametrize("q", ["1000000000039", "2^21", "3^1000000000"])
+def test_field_guard_before_factoring(capsys, q):
+    t0 = time.perf_counter()
+    assert run(["count", "--d", "1", "--n", "1", "--q", q]) == 1
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().err == "error: field too large\n"
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "sweep.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: ["report", "--config", str(tmp / "missing.json")],
+    lambda tmp: ["report", "--config", _config(tmp, "{not json")],
+    lambda tmp: ["report", "--config", _config(tmp, '{"q_list": [2, 3]}')],
+    lambda tmp: ["report", "--config", _config(tmp, '{"d_list": [1, 2]}')],
+    lambda tmp: ["report", "--config", _config(tmp, '[1, 2]')],
+    lambda tmp: ["count", "--d", "2", "--n", "2", "--q", "3",
+                 "--output", str(tmp / "no-such-dir" / "out.json")],
+    lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
+                 "--poly", "(" * 3000 + "X[1,1]" + ")" * 3000],
+], ids=["config-missing", "config-bad-json", "config-no-d-list",
+        "config-no-q-list", "config-not-object", "output-dir-missing",
+        "poly-deep-nesting"])
+def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
+    assert run(make_argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_poly_nesting_within_limit(capsys):
+    rc, payload = run_json(capsys, ["weighted", "--d", "2", "--n", "2", "--q", "3",
+                                    "--poly", "(" * 50 + "X[1,2]" + ")" * 50])
+    assert rc == 0
+    assert payload["total"] == "3"
+
+
+def test_betti_computes_each_interval_once(capsys, monkeypatch):
+    calls = []
+    original = homology.interval_homology
+
+    def counting(L, element, *rest):
+        calls.append(element)
+        return original(L, element, *rest)
+
+    monkeypatch.setattr(homology, "interval_homology", counting)
+    rc, payload = run_json(capsys, ["betti", "--d", "2,2", "--n", "1"])
+    assert rc == 0
+    assert payload["betti"] == [1, 4, 6, 3]
+    assert sorted(calls) == list(range(1, len(payload["contributions"]) + 1))

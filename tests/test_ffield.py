@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import ValidationError
-from zcc.ffield import (FieldElement, arith, enumerate_elements, format_element,
-                        make_field, parse_element)
+from zcc.ffield import (FieldElement, _canonical_modulus, arith,
+                        enumerate_elements, format_element, is_prime,
+                        make_field, parse_element, prime_power)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 4), (2, 4)]
 
@@ -28,6 +31,36 @@ def test_make_field_size_guard():
     with pytest.raises(ValidationError, match="field too large"):
         make_field(2, 21)
     make_field(2, 21, size_guard=1 << 22)  # guard is a knob
+
+
+def test_make_field_guard_runs_first():
+    with pytest.raises(ValidationError, match="field too large"):
+        make_field(10 ** 40 + 1)  # no trial division of a 40-digit p
+    with pytest.raises(ValidationError, match="field too large"):
+        make_field(3, 10 ** 9)  # no 3^(10^9)
+
+
+def test_canonical_modulus_table_pinned():
+    # every extension field with q <= 2^20 (242 of them); serialized elements
+    # depend on these moduli, so the digest must never move
+    table = [((p, e), _canonical_modulus(p, e))
+             for p in range(2, 1 << 10) if is_prime(p)
+             for e in range(2, 21) if p ** e <= 1 << 20]
+    assert len(table) == 242
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == "4fd123bd728a27195d2cf1120e4f4aa872f2d24b9c71b4aad00e2befdee379ad"
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(1 << 20) == (2, 20)
+    assert prime_power(1048573) == (1048573, 1)  # largest prime below 2^20
+    for q in (-4, 0, 1, 6, 12, (1 << 20) - 1):
+        with pytest.raises(ValidationError, match="not a prime power"):
+            prime_power(q)
+    with pytest.raises(ValidationError, match="field too large"):
+        prime_power(1000000000039)  # a prime: rejected before trial division
 
 
 def test_make_field_deterministic():

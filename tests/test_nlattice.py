@@ -1,10 +1,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcc.errors import GuardError, ValidationError
 from zcc.nlattice import (EdgeType, FinitePoset, LatticePartition, bell_number,
-                          build_lattice, classify_edges, eval_int_poly,
+                          bits, build_lattice, classify_edges, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
 
 # lattices used for structure checks: everything in scope at |d| <= 6
@@ -65,13 +66,10 @@ def test_covers_generate_order():
         while changed:
             changed = False
             for i in range(L.size):
-                mask, extra, j = reach[i], 0, 0
-                scan = mask
-                while scan:
-                    if scan & 1:
+                mask, extra = reach[i], 0
+                for j in range(L.size):
+                    if mask >> j & 1:
                         extra |= reach[j]
-                    scan >>= 1
-                    j += 1
                 if extra | mask != mask:
                     reach[i] |= extra
                     changed = True
@@ -90,14 +88,8 @@ def test_mobius_recursion_vanishes_everywhere():
         mob = mobius(L)  # raises internally if a closed-interval sum is nonzero
         below = L.below_masks()
         for j in range(1, L.size):
-            total = mob.from_bottom[j]
-            mask = below[j]
-            x = 0
-            while mask:
-                if mask & 1:
-                    total += mob.from_bottom[x]
-                mask >>= 1
-                x += 1
+            total = mob.from_bottom[j] + sum(
+                mob.from_bottom[x] for x in range(j) if below[j] >> x & 1)
             assert total == 0
 
 
@@ -180,3 +172,28 @@ def test_finite_poset_closure_and_antisymmetry():
     assert P.less(0, 2)
     with pytest.raises(ValidationError):
         FinitePoset.from_less_pairs("ab", [(0, 1), (1, 0)])
+
+
+@given(st.integers(0, 1 << 300))
+@settings(max_examples=200, deadline=None)
+def test_bits_matches_naive(mask):
+    assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@st.composite
+def random_posets(draw):
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))), max_size=20))
+    # orient every pair upward so the closure is antisymmetric
+    pairs = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
+    return FinitePoset.from_less_pairs(list(range(n)), pairs)
+
+
+@given(random_posets())
+@settings(max_examples=150, deadline=None)
+def test_cover_pairs_match_naive(P):
+    naive = [(i, j) for i in range(P.size) for j in range(P.size)
+             if P.less(i, j)
+             and not any(P.less(i, k) and P.less(k, j) for k in range(P.size))]
+    assert P.cover_pairs() == naive

@@ -25,6 +25,14 @@ def test_interpolate_examples():
         interpolate_in_q([(2, 2), (3, 6), (5, 21)], expected_degree=2)
 
 
+def test_interpolate_zero_polynomial():
+    p = interpolate_in_q([(2, 0), (3, 0), (5, 0)])
+    assert p.coefficients == (Fraction(0),) and p.degree == 0
+    assert p(7) == 0 and isinstance(p(7), Fraction)
+    p = interpolate_in_q([(2, 2), (3, 6), (5, 20)], expected_degree=2)
+    assert p(Fraction(1, 2)) == Fraction(-1, 4)
+
+
 def test_interpolate_validation():
     with pytest.raises(ValidationError, match="duplicate"):
         interpolate_in_q([(2, 2), (2, 3), (5, 4)], expected_degree=1)
