@@ -243,9 +243,11 @@ def _read_config(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cfg = json.load(handle)
+        truncation = cfg.get("truncation")
         return (int(cfg.get("m", 2)), int(cfg.get("n", 1)),
                 [int(x) for x in cfg["d_list"]], [int(x) for x in cfg["q_list"]],
-                [str(s) for s in cfg.get("polys", ["1"])], cfg.get("truncation"))
+                [str(s) for s in cfg.get("polys", ["1"])],
+                None if truncation is None else int(truncation))
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc.strerror}") from exc
     except KeyError as exc:
