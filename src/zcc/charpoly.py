@@ -30,6 +30,12 @@ DegreeVector = tuple  # m-tuple of nonnegative ints
 # tuple of ((k, j), exp) pairs; () is the constant monomial.
 Monomial = tuple
 
+# Size bounds checked before any multiplication: the total degree of a power
+# (a constant counts as degree 1, so its exponent is bounded too), and the
+# number of term-by-term products in one multiplication.
+MAX_DEGREE = 100
+MAX_TERM_PRODUCTS = 10 ** 6
+
 
 def validate_partition(lam) -> Partition:
     lam = tuple(int(x) for x in lam)
@@ -143,6 +149,10 @@ class CharPolynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if len(self.terms) * len(other.terms) > MAX_TERM_PRODUCTS:
+            raise ValidationError(
+                f"product of {len(self.terms)} and {len(other.terms)} terms "
+                f"exceeds {MAX_TERM_PRODUCTS} term products")
         out: dict = {}
         for mono1, c1 in self.terms:
             for mono2, c2 in other.terms:
@@ -158,9 +168,17 @@ class CharPolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValidationError("negative powers are not polynomials")
+        if k * max(1, self.total_degree()) > MAX_DEGREE:
+            raise ValidationError(
+                f"power ^{k} exceeds the degree bound {MAX_DEGREE}")
         acc = CharPolynomial.constant(1, self.m)
-        for _ in range(k):
-            acc = acc * self
+        base = self
+        while k:
+            if k & 1:
+                acc = acc * base
+            k >>= 1
+            if k:
+                base = base * base
         return acc
 
     # -- inspection -------------------------------------------------------------

@@ -24,7 +24,8 @@ from .census import (CensusSpec, DEFAULT_POINT_GUARD, burnside_count,
 from .charpoly import ONE, parse_charpoly
 from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
-from .ffield import make_field, prime_power
+from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
+                     prime_power)
 from .homology import betti_from_contributions, complement_contributions
 from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
                        point_count_polynomial)
@@ -51,14 +52,14 @@ def _parse_d(text: str) -> tuple:
     return d
 
 
-def _parse_q(text: str):
+def _parse_q(text: str, size_guard: int):
     try:
         numbers = [int(x) for x in text.split("^", 1)]
     except ValueError as exc:
         raise ValidationError(f"bad field size {text!r}") from exc
     if len(numbers) == 2:
-        return make_field(*numbers)  # p^e
-    return make_field(*prime_power(numbers[0]))
+        return make_field(*numbers, size_guard=size_guard)  # p^e
+    return make_field(*prime_power(numbers[0], size_guard), size_guard=size_guard)
 
 
 def _parse_int_list(text: str) -> list:
@@ -97,6 +98,10 @@ def _threads(args) -> int:
 
 def _guard(args) -> int:
     return 10 ** 18 if args.unsafe_guard else DEFAULT_POINT_GUARD
+
+
+def _field_guard(args) -> int:
+    return UNSAFE_FIELD_GUARD if args.unsafe_guard else DEFAULT_SIZE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def _census_csv(result) -> list:
 
 
 def _cmd_count(args) -> int:
-    field = _parse_q(args.q)
+    field = _parse_q(args.q, _field_guard(args))
     spec = CensusSpec(d=_parse_d(args.d), n=args.n, field=field, poly=ONE,
                       mode=args.mode)
     result = run_census(spec, guard=_guard(args), threads=_threads(args),
@@ -156,7 +161,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
-    field = _parse_q(args.q)
+    field = _parse_q(args.q, _field_guard(args))
     d = _parse_d(args.d)
     poly = parse_charpoly(args.poly, m=len(d))
     if args.mode == "ordered":

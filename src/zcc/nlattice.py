@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import GuardError, StructureError, ValidationError
 
@@ -238,35 +239,31 @@ def build_lattice(d, n: int, guard: int = DEFAULT_SIZE_GUARD) -> NEqualsLattice:
     rec(0)
     found.sort(key=lambda part: (total - part.num_blocks, part.blocks))
 
-    # refinement order via point -> block maps
+    # Refinement order by bitsets over the elements: together[a, b] marks
+    # the elements in which points a < b share a block.  I <= J iff every
+    # point of each block of I shares J's block with the block's first point,
+    # so above[i] is an AND of these sets; the only J with I <= J and as
+    # many blocks as I is I itself.
     index_of_point = {pt: i for i, pt in enumerate(ground)}
-    point_block = []
-    for part in found:
-        arr = [0] * total
-        for b, block in enumerate(part.blocks):
-            for pt in block:
-                arr[index_of_point[pt]] = b
-        point_block.append(arr)
+    point_blocks = [[[index_of_point[pt] for pt in block]
+                     for block in part.blocks if len(block) > 1]
+                    for part in found]
+    together: dict = {}
+    for j, blocks_j in enumerate(point_blocks):
+        bit = 1 << j
+        for block in blocks_j:
+            for pair in combinations(block, 2):
+                together[pair] = together.get(pair, 0) | bit
 
     size = len(found)
-    above = [0] * size
-    for i in range(size):
-        fine = found[i]
-        for j in range(size):
-            if i == j or found[j].num_blocks >= fine.num_blocks:
-                continue
-            coarse_map = point_block[j]
-            ok = True
-            for block in fine.blocks:
-                target = coarse_map[index_of_point[block[0]]]
-                for pt in block[1:]:
-                    if coarse_map[index_of_point[pt]] != target:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                above[i] |= 1 << j
+    everything = (1 << size) - 1
+    above = []
+    for i, blocks_i in enumerate(point_blocks):
+        mask = everything ^ (1 << i)
+        for first, *rest in blocks_i:
+            for pt in rest:
+                mask &= together[first, pt]
+        above.append(mask)
 
     covers = FinitePoset(tuple(found), tuple(above)).cover_pairs()
     return NEqualsLattice(d=d, n=n, elements=tuple(found),

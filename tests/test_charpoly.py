@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import StabilizationCapError, ValidationError
-from zcc.charpoly import (ONE, CharPolynomial, all_partitions,
+from zcc.charpoly import (MAX_DEGREE, MAX_TERM_PRODUCTS, ONE, CharPolynomial,
+                          all_partitions,
                           decompose_into_irreducibles, evaluate,
                           free_module_character, inner_product,
                           irreducible_character_value, irreducible_dimension,
@@ -41,6 +42,28 @@ def test_parse_errors_carry_position():
         parse_charpoly("X[1 1]")
     with pytest.raises(ValidationError, match="column index"):
         parse_charpoly("X[3,1]", m=2)
+
+
+def test_power_by_squaring_matches_repeated_product():
+    P = parse_charpoly("X[1,1] - 2*X[1,2] + 1/3")
+    acc = ONE
+    for k in range(12):
+        assert P ** k == acc
+        acc = acc * P
+
+
+def test_power_and_product_bounds():
+    assert (X11 + 1) ** MAX_DEGREE == parse_charpoly(f"(X[1,1]+1)^{MAX_DEGREE}")
+    for text in (f"(X[1,1]+1)^{MAX_DEGREE + 1}", "(X[1,1]^2)^51", "2^3000"):
+        with pytest.raises(ValidationError, match="degree bound"):
+            parse_charpoly(text)
+    # 1001 and 1000 terms: one product over MAX_TERM_PRODUCTS = 10^6
+    wide = sum((CharPolynomial.variable(1, j) for j in range(1, 1001)), ONE)
+    tall = sum((CharPolynomial.variable(2, j) for j in range(1, 1001)),
+               CharPolynomial.zero())
+    assert len(wide.terms) * len(tall.terms) > MAX_TERM_PRODUCTS
+    with pytest.raises(ValidationError, match="term products"):
+        wide * tall
 
 
 def test_evaluate_requires_columns():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import time
@@ -6,7 +7,8 @@ import time
 import pytest
 
 from zcc import homology
-from zcc.cli import _threads, run
+from zcc.cli import _parse_q, _threads, run
+from zcc.ffield import UNSAFE_FIELD_GUARD
 
 
 def run_json(capsys, argv):
@@ -177,6 +179,15 @@ def test_field_guard_before_factoring(capsys, q):
     assert capsys.readouterr().err == "error: field too large\n"
 
 
+def test_unsafe_guard_lifts_field_guard_to_a_bound(capsys):
+    assert _parse_q("2^21", UNSAFE_FIELD_GUARD).q == 1 << 21
+    assert _parse_q(str(1 << 21), UNSAFE_FIELD_GUARD).q == 1 << 21
+    for q in ("2^25", str(1 << 25)):
+        assert run(["count", "--d", "1", "--n", "1", "--q", q,
+                    "--unsafe-guard"]) == 1
+        assert capsys.readouterr().err == "error: field too large\n"
+
+
 def _config(tmp_path, text):
     path = tmp_path / "sweep.json"
     path.write_text(text)
@@ -195,10 +206,12 @@ def _config(tmp_path, text):
                  "--output", str(tmp / "no-such-dir" / "out.json")],
     lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
                  "--poly", "(" * 3000 + "X[1,1]" + ")" * 3000],
+    lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
+                 "--poly", "(X[1,1]+1)^3000"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
-        "poly-deep-nesting"])
+        "poly-deep-nesting", "poly-huge-power"])
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -227,3 +240,16 @@ def test_betti_computes_each_interval_once(capsys, monkeypatch):
     assert rc == 0
     assert payload["betti"] == [1, 4, 6, 3]
     assert sorted(calls) == list(range(1, len(payload["contributions"]) + 1))
+
+
+# sha256 of stdout as recorded for the benchmark's topology jobs
+@pytest.mark.parametrize("argv, digest", [
+    ("lattice --d 3,3,2 --n 1",
+     "4445db0ec51db7ce10e3a6e16b1deafedea4cc3879775039cbb1e48bf6e05e1d"),
+    ("betti --d 3,3 --n 1",
+     "a7eb8f0bdd920e5d25ddb077c70c11c3418bfc0d592b3ef66215f0e1674e0c70"),
+])
+def test_topology_stdout_pinned(capsys, argv, digest):
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import ValidationError
-from zcc.ffield import (FieldElement, _canonical_modulus, arith,
-                        enumerate_elements, format_element, is_prime,
+from zcc.ffield import (UNSAFE_FIELD_GUARD, FieldElement, _canonical_modulus,
+                        arith, enumerate_elements, format_element, is_prime,
                         make_field, parse_element, prime_power)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 4), (2, 4)]
@@ -61,6 +61,9 @@ def test_prime_power():
             prime_power(q)
     with pytest.raises(ValidationError, match="field too large"):
         prime_power(1000000000039)  # a prime: rejected before trial division
+    assert prime_power(1 << 21, size_guard=UNSAFE_FIELD_GUARD) == (2, 21)
+    with pytest.raises(ValidationError, match="field too large"):
+        prime_power(1 << 21)
 
 
 def test_make_field_deterministic():

@@ -4,13 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcc.errors import GuardError, ValidationError
+from zcc import homology
+from zcc.errors import GuardError, StructureError, ValidationError
 from zcc.homology import (BettiVector, SimplicialComplex, complement_betti,
                           complement_contributions, exact_rank,
                           interval_homology, order_complex,
                           reduced_homology_ranks)
-from zcc.nlattice import (FinitePoset, build_lattice, lower_interval,
-                          point_count_polynomial)
+from zcc.nlattice import (FinitePoset, MobiusTable, build_lattice,
+                          lower_interval, mobius, point_count_polynomial)
 
 
 # -- independent oracle: brute-force faces + sympy ranks ----------------------
@@ -115,6 +116,21 @@ def test_exact_rank_small():
     assert exact_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
 
 
+@given(st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from([(-1, 1), (-3, -2, 2, 3), (-3, -2, -1, 1, 2, 3)]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_rank_matches_sympy(nrows, ncols, values, data):
+    # entries from {+-2, +-3} leave no unit pivot, so the Fraction fallback runs
+    from sympy import Matrix
+    rows = []
+    for _ in range(nrows):
+        cols = data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        rows.append({c: data.draw(st.sampled_from(values)) for c in sorted(cols)})
+    dense = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+    assert exact_rank(rows) == dense.rank()
+
+
 # -- anchors and assembly --------------------------------------------------------
 
 
@@ -174,6 +190,27 @@ def test_characteristic_polynomial_identity_hyperplane_case():
         from_poly = [coeffs[total - i] if total - i < len(coeffs) else 0
                      for i in range(total + 1)]
         assert signed == from_poly, dv
+
+
+def test_hall_theorem_checked_on_every_interval(monkeypatch):
+    # complement_contributions compares each interval's reduced Euler
+    # characteristic with mu(0-hat, I); a wrong Mobius table must be caught
+    def wrong_mobius(L):
+        table = mobius(L)
+        return MobiusTable(table.lattice, tuple(-v for v in table.from_bottom))
+
+    monkeypatch.setattr(homology, "mobius", wrong_mobius)
+    with pytest.raises(StructureError, match="Euler characteristic"):
+        complement_contributions(build_lattice((3, 3), 1), 1)
+
+
+def test_wrong_rank_is_caught(monkeypatch):
+    # the Euler characteristic does not depend on the boundary ranks, so an
+    # inflated rank is caught by the negative Betti number it leaves behind
+    original = homology.exact_rank
+    monkeypatch.setattr(homology, "exact_rank", lambda rows: original(rows) + 1)
+    with pytest.raises(StructureError, match="negative Betti"):
+        complement_contributions(build_lattice((3, 3), 1), 1)
 
 
 def test_contributions_degrees_positive():

@@ -76,6 +76,18 @@ def test_covers_generate_order():
         assert tuple(reach) == L.above
 
 
+def test_above_matches_naive_refinement():
+    # I < J iff I != J and every block of I lies inside one block of J
+    for dv, n in GRID + [((3, 3, 2), 1)]:
+        L = build_lattice(dv, n)
+        for i in range(L.size):
+            fine = [set(block) for block in L.elements[i].blocks]
+            for j in range(L.size):
+                coarse = [set(block) for block in L.elements[j].blocks]
+                refines = all(any(b <= c for c in coarse) for b in fine)
+                assert bool(L.above[i] >> j & 1) == (i != j and refines), (dv, n, i, j)
+
+
 def test_mobius_examples():
     assert mobius(build_lattice((2,), 2)).from_bottom == (1, -1)
     assert mobius(build_lattice((3,), 2)).from_bottom[-1] == 2
