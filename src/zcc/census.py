@@ -24,6 +24,7 @@ routes is a genuine cross-check.
 from __future__ import annotations
 
 import multiprocessing
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,11 +33,18 @@ from functools import lru_cache
 from itertools import product
 
 from .charpoly import CharPolynomial, evaluate, partitions_of
-from .errors import GuardError, ValidationError
+from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field
-from .polyarith import (MonicPoly, factorize, gcd, radical_n, _mul, _trim)
+from .nlattice import eval_int_poly
+from .polyarith import (MonicPoly, factorize, format_poly, gcd, radical_n, _mul,
+                        _trim)
 
 DEFAULT_POINT_GUARD = 10 ** 8
+UNSAFE_POINT_GUARD = 10 ** 10
+# A record and its radical set take about 1 kB, so the default keeps the
+# record tables under 256 MiB and the unsafe one near 1 GiB.
+DEFAULT_RECORD_GUARD = 1 << 18
+UNSAFE_RECORD_GUARD = 1 << 20
 BURNSIDE_DEGREE_GUARD = 8
 
 
@@ -125,21 +133,119 @@ class PolyRecord:
         return frozenset(key for key, m in self.factors if m >= n)
 
 
+def necklace_count(q: int, j: int) -> int:
+    """M_j(q), the number of monic irreducibles of degree j >= 1 over F_q.
+
+    Gauss's formula q^j = sum_{e | j} e M_e(q), solved for M_j; this is the
+    Moebius inversion (1/j) sum_{e | j} mu(j/e) q^e.
+    """
+    return (q ** j - sum(e * necklace_count(q, e)
+                         for e in range(1, j) if j % e == 0)) // j
+
+
+def _factored_monics(field: FieldSpec, degree: int, irreducibles: tuple):
+    """Every product of the given irreducible keys of the given total degree.
+
+    `irreducibles` holds (degree, coeffs) keys in increasing order.  Yields
+    (full vector, factors) with factors the ascending ((degree, coeffs),
+    multiplicity) pairs; each multiset is walked once, its product built by
+    one multiplication from its prefix.
+    """
+    fulls = [list(coeffs) + [1] for _j, coeffs in irreducibles]
+
+    def walk(start, left, vec, factors):
+        if not left:
+            yield vec, factors
+            return
+        for i in range(start, len(irreducibles)):
+            key = irreducibles[i]
+            j = key[0]
+            if j > left:
+                return
+            power = vec
+            for m in range(1, left // j + 1):
+                power = _mul(field, power, fulls[i])
+                yield from walk(i + 1, left - m * j, power, factors + ((key, m),))
+
+    yield from walk(0, degree, [1], ())
+
+
+def _factor_table(field: FieldSpec, degree: int) -> list:
+    """The factors of every monic polynomial of the given degree, in
+    product(range(q), repeat=degree) order, built as the products of the
+    irreducibles of lower degree; None marks the irreducibles of this degree.
+
+    Checked: no two products coincide, and there are M_degree(q) Nones.
+    """
+    q = field.q
+    lower = tuple(key for j in range(1, degree) for key in _irreducibles(field, j))
+    table = [None] * q ** degree
+    for vec, factors in _factored_monics(field, degree, lower):
+        # the slot in product(range(q), repeat=degree) order: the non-leading
+        # coefficients are base-q digits, the constant term the most significant
+        slot = eval_int_poly(vec[-2::-1], q)
+        if table[slot] is not None:
+            raise InconsistencyError(
+                f"two factorizations give the monic polynomial in slot {slot}")
+        table[slot] = factors
+    found = table.count(None)
+    expected = necklace_count(q, degree) if degree else 0  # 1 is a unit
+    if found != expected:
+        raise InconsistencyError(
+            f"found {found} irreducibles of degree {degree} over F_{q}, "
+            f"not M_{degree}(q) = {expected}")
+    return table
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(field: FieldSpec, degree: int) -> tuple:
+    """The monic irreducibles of the given degree as ascending (degree,
+    coeffs) keys: the monics that are no product of lower-degree ones."""
+    return tuple((degree, coeffs) for coeffs, factors in
+                 zip(product(range(field.q), repeat=degree),
+                     _factor_table(field, degree)) if factors is None)
+
+
+def _check_record_guard(field: FieldSpec, degrees, guard: int) -> None:
+    """Refuse, before any record is built, record tables for the given
+    degrees (one table per distinct degree) holding more than `guard`
+    records in all."""
+    records = sum(field.q ** dk for dk in set(degrees))
+    if records > guard:
+        raise GuardError(f"{records} polynomial records exceed guard {guard}")
+
+
+def _spot_slot(seed: int, size: int) -> int:
+    """The record of a table of `size` that poly_records checks by factoring."""
+    return random.Random(seed).randrange(size)
+
+
 @lru_cache(maxsize=None)
 def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
-    """Factorization records for every monic polynomial of the given degree.
+    """Factorization records for every monic polynomial of the given degree,
+    in product(range(q), repeat=degree) order of the coefficients.
 
-    `seed` mixes into the derandomized equal-degree splitting; it never
-    changes the records (the factor multiset is unique), only the internal
-    splitting order, and exists for reproducibility experiments.
+    The records are built by multiplying out every multiset of irreducibles
+    of total degree `degree`, not by factoring.  Run-time checks: no two
+    products coincide, each degree j has M_j(q) irreducibles (so every
+    polynomial gets exactly one record), and the record that `seed` picks
+    equals its factorization by `factorize`.  The seed never changes the
+    records, only which one is checked.
     """
-    out = []
-    for coeffs in product(range(field.q), repeat=degree):
-        fact = factorize(MonicPoly(field, coeffs), seed=seed)
-        keys = tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors))
-        sig = tuple(sorted((g.degree, m) for g, m in fact.factors))
-        out.append(PolyRecord(coeffs, keys, sig))
-    return tuple(out)
+    records = []
+    for coeffs, factors in zip(product(range(field.q), repeat=degree),
+                               _factor_table(field, degree)):
+        if factors is None:
+            factors = (((degree, coeffs), 1),)
+        sig = tuple(sorted((key[0], m) for key, m in factors))
+        records.append(PolyRecord(coeffs, factors, sig))
+    rec = records[_spot_slot(seed, len(records))]
+    fact = factorize(MonicPoly(field, rec.coeffs), seed=seed)
+    if tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)) != rec.factors:
+        raise InconsistencyError(
+            f"record {format_poly(MonicPoly(field, rec.coeffs))} disagrees with "
+            "its factorization")
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +335,8 @@ def _unordered_scan(field, d, n, P, start, stop, seed=0):
 
 
 def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-                        threads: int = 1, factor_seed: int = 0) -> WeightedCensus:
+                        threads: int = 1, factor_seed: int = 0,
+                        record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
     """Iterate all m-tuples of monic polynomials of degrees d over F_q."""
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
@@ -237,6 +344,7 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     if q ** sum(spec.d) > guard:
         raise GuardError(
             f"q^|d| = {q ** sum(spec.d)} exceeds guard {guard}; try burnside mode")
+    _check_record_guard(spec.field, spec.d, record_guard)
     t0 = time.perf_counter()
     first = q ** spec.d[0]
     if threads > 1 and first >= 2 * threads:
@@ -461,7 +569,8 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Weight
 
 
 def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
-                        P: CharPolynomial, factor_seed: int = 0) -> WeightedCensus:
+                        P: CharPolynomial, factor_seed: int = 0,
+                        record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
     """Exact unordered census for m = 2, n = 1 with a single-column statistic.
 
     Counts pairs of monic polynomials with no common irreducible factor by
@@ -476,6 +585,7 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
         raise ValidationError("fast path requires a single-column statistic")
     col = (used.pop() - 1) if used else 0
     other = 1 - col
+    _check_record_guard(field, (d[col],), record_guard)
     t0 = time.perf_counter()
     q = field.q
     d_other = d[other]
@@ -512,9 +622,10 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
 
 
 def run_census(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-               threads: int = 1, factor_seed: int = 0) -> WeightedCensus:
+               threads: int = 1, factor_seed: int = 0,
+               record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
     if spec.mode == "ordered":
         return enumerate_ordered(spec, guard)
     if spec.mode == "unordered":
-        return enumerate_unordered(spec, guard, threads, factor_seed)
+        return enumerate_unordered(spec, guard, threads, factor_seed, record_guard)
     return burnside_count(spec, guard)

@@ -266,6 +266,7 @@ def evaluate(P: CharPolynomial, c: CycleType) -> Fraction:
 
 
 MAX_NESTING = 100  # parenthesis depth; each level costs a few stack frames
+MAX_DIGITS = 1000  # integer literal length, well inside int()'s own limit
 
 
 class _Parser:
@@ -293,10 +294,12 @@ class _Parser:
     def number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"number longer than {MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def expr(self) -> CharPolynomial:
@@ -349,7 +352,7 @@ class _Parser:
             j = self.number()
             self.take("]")
             return CharPolynomial.variable(k, j)
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.number()
             if self.peek() == "/":
                 self.pos += 1

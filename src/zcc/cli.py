@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .census import (CensusSpec, DEFAULT_POINT_GUARD, burnside_count,
+from .census import (CensusSpec, DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
+                     UNSAFE_POINT_GUARD, UNSAFE_RECORD_GUARD, burnside_count,
                      enumerate_ordered, enumerate_unordered, run_census)
 from .charpoly import ONE, parse_charpoly
 from .errors import (GuardError, InconsistencyError, StabilizationCapError,
@@ -97,7 +98,11 @@ def _threads(args) -> int:
 
 
 def _guard(args) -> int:
-    return 10 ** 18 if args.unsafe_guard else DEFAULT_POINT_GUARD
+    return UNSAFE_POINT_GUARD if args.unsafe_guard else DEFAULT_POINT_GUARD
+
+
+def _record_guard(args) -> int:
+    return UNSAFE_RECORD_GUARD if args.unsafe_guard else DEFAULT_RECORD_GUARD
 
 
 def _field_guard(args) -> int:
@@ -155,7 +160,8 @@ def _cmd_count(args) -> int:
     spec = CensusSpec(d=_parse_d(args.d), n=args.n, field=field, poly=ONE,
                       mode=args.mode)
     result = run_census(spec, guard=_guard(args), threads=_threads(args),
-                        factor_seed=args.factor_seed)
+                        factor_seed=args.factor_seed,
+                        record_guard=_record_guard(args))
     _emit(args, result.to_json_dict(), _census_csv(result))
     return 0
 
@@ -168,7 +174,8 @@ def _cmd_weighted(args) -> int:
         raise ValidationError("ordered census is unweighted; use `count`")
     spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
     result = run_census(spec, guard=_guard(args), threads=_threads(args),
-                        factor_seed=args.factor_seed)
+                        factor_seed=args.factor_seed,
+                        record_guard=_record_guard(args))
     _emit(args, result.to_json_dict(), _census_csv(result))
     return 0
 
@@ -286,7 +293,8 @@ def _cmd_report(args) -> int:
         poly = parse_charpoly(text, m=m)
         rep = lefschetz_report(d_list, n, m, poly, q_list,
                                truncation=truncation, guard=_guard(args),
-                               threads=_threads(args))
+                               threads=_threads(args), factor_seed=args.factor_seed,
+                               record_guard=_record_guard(args))
         reports[text] = rep.to_json_dict()
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
@@ -319,6 +327,7 @@ def _cmd_verify(args) -> int:
         sys.stderr.write(f"{line} {kind} {params}: {lhs} vs {rhs}\n")
 
     guard = _guard(args)
+    record_guard = _record_guard(args)
     threads = _threads(args)
     for q in VERIFY_GRID["q_values"]:
         field = make_field(q)
@@ -335,7 +344,8 @@ def _cmd_verify(args) -> int:
                 for text in VERIFY_GRID["polys"]:
                     poly = parse_charpoly(text, m=len(d))
                     unordered = enumerate_unordered(
-                        CensusSpec(d, n, field, poly, "unordered"), guard, threads)
+                        CensusSpec(d, n, field, poly, "unordered"), guard, threads,
+                        args.factor_seed, record_guard)
                     burnside = burnside_count(
                         CensusSpec(d, n, field, poly, "burnside"), guard)
                     add("unordered=burnside", params + f" P={text}",
@@ -361,8 +371,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--unsafe-guard", action="store_true",
                      help="lift desk-scale size guards (deliberate large runs)")
     sub.add_argument("--factor-seed", type=int, default=0,
-                     help="extra seed mixed into derandomized factorization "
-                          "(results are seed-invariant)")
+                     help="picks the polynomial record that is checked by "
+                          "factoring (results are seed-invariant)")
 
 
 def build_parser() -> _Parser:

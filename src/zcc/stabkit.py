@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import (CensusSpec, WeightedCensus, coprime_pair_census,
-                     enumerate_unordered)
-from .charpoly import CharPolynomial
+from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD, CensusSpec,
+                     WeightedCensus, coprime_pair_census, enumerate_unordered)
+from .charpoly import ONE, CharPolynomial, inner_product
 from .errors import InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
 from .nlattice import eval_int_poly
@@ -70,15 +70,16 @@ def _trim(coeffs) -> tuple:
     return tuple(_trim_zeros(list(coeffs))) or (Fraction(0),)
 
 
-def interpolate_in_q(samples, expected_degree: int | None = None) -> InterpolatedPolynomial:
+def interpolate_in_q(samples, expected_degree: int | None = None,
+                     leading: Fraction = Fraction(1)) -> InterpolatedPolynomial:
     """Interpolate exact census samples into a polynomial in q.
 
     With N >= expected_degree + 2 samples: plain Lagrange on the first
     D+1 (by increasing q), with every remaining sample checked exactly.
-    With exactly N = D+1 samples the interpolant is assumed to have unit
-    leading coefficient (true of every point-count polynomial here: the top
-    cell contributes q^topdim), leaving one slack sample as the consistency
-    check.  Any violated check raises "not polynomial of expected degree".
+    With exactly N = D+1 samples the coefficient of q^D is taken to be
+    `leading` (1 for every unweighted point count: the top cell contributes
+    q^topdim), leaving one slack sample as the consistency check.  Any
+    violated check raises "not polynomial of expected degree".
     """
     pts = [(int(q), Fraction(v)) for q, v in samples]
     if len({q for q, _v in pts}) != len(pts):
@@ -95,15 +96,11 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> Interpolate
     if len(pts) >= D + 2:
         fit_pts, check_pts = pts[:D + 1], pts[D + 1:]
         coeffs = _trim(_lagrange(fit_pts))
-    elif len(pts) == D + 1:
-        if D == 0:
-            coeffs = (Fraction(1),)
-            check_pts = pts
-        else:
-            fit_pts = [(q, v - Fraction(q) ** D) for q, v in pts[:D]]
-            low = _lagrange(fit_pts)
-            coeffs = _trim(list(low) + [Fraction(0)] * (D - len(low)) + [Fraction(1)])
-            check_pts = pts[D:]
+    elif len(pts) == D + 1:  # D >= 1, as there are at least 2 samples
+        fit_pts = [(q, v - leading * Fraction(q) ** D) for q, v in pts[:D]]
+        low = _lagrange(fit_pts)
+        coeffs = _trim(list(low) + [Fraction(0)] * (D - len(low)) + [leading])
+        check_pts = pts[D:]
     else:
         raise ValidationError(
             f"need at least {D + 1} samples for expected degree {D}")
@@ -265,21 +262,24 @@ class StabilityReport:
 
 
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
-                  guard, threads) -> WeightedCensus:
+                  guard, threads, factor_seed, record_guard) -> WeightedCensus:
     single_column = len(poly.columns_used()) <= 1
     if n == 1 and len(d) == 2 and single_column:
-        return coprime_pair_census(d, n, field, poly)
+        return coprime_pair_census(d, n, field, poly, factor_seed, record_guard)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
-    return enumerate_unordered(spec, guard=guard, threads=threads)
+    return enumerate_unordered(spec, guard, threads, factor_seed, record_guard)
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      truncation: int | None = None, dim_x: int = 1,
-                     guard: int = 10 ** 8, threads: int = 1) -> StabilityReport:
+                     guard: int = DEFAULT_POINT_GUARD, threads: int = 1,
+                     factor_seed: int = 0,
+                     record_guard: int = DEFAULT_RECORD_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
     Per degree: exact unordered totals at each q, an interpolated polynomial
-    (expected degree m*t*dim_x), and normalized coefficients.  Stabilization
+    (expected degree m*t*dim_x, leading coefficient <P, 1>_{S_d}, the
+    average of P over S_d), and normalized coefficients.  Stabilization
     is detected coefficient-wise across the sweep.  For n = 1, m = 2 the
     truncated series with the stable coefficients is evaluated and exact
     residuals against each left side are reported; otherwise the series side
@@ -308,9 +308,11 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                 f"degree {t} needs at least {needed} primes in q_list")
         samples = []
         for q in q_list:
-            cen = _census_total(d, n, fields[q], poly, guard, threads)
+            cen = _census_total(d, n, fields[q], poly, guard, threads,
+                                factor_seed, record_guard)
             samples.append((q, cen.total))
-        poly_q = interpolate_in_q(samples, expected_degree=topdim)
+        poly_q = interpolate_in_q(samples, expected_degree=topdim,
+                                  leading=inner_product(poly, ONE, d))
         normalized = normalized_coefficients(poly_q, topdim)
         points.append(SweepPoint(d=d, topdim=topdim, samples=tuple(samples),
                                  coefficients=poly_q.coefficients,

@@ -1,15 +1,19 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from zcc import census
 from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
                         coprime_pair_census, enumerate_ordered,
-                        enumerate_unordered, is_member, run_census)
+                        enumerate_unordered, is_member, necklace_count,
+                        poly_records, run_census)
 from zcc.charpoly import ONE, parse_charpoly
-from zcc.errors import GuardError, ValidationError
+from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
 from zcc.nlattice import build_lattice, eval_int_poly, point_count_polynomial
-from zcc.polyarith import parse_poly
+from zcc.polyarith import MonicPoly, factorize, parse_poly
+from zcc.stabkit import lefschetz_report
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -153,6 +157,13 @@ def test_squarefree_specialization():
 def test_guards():
     with pytest.raises(GuardError, match="burnside"):
         enumerate_unordered(spec((10,), 2, F5, ONE, "unordered"), guard=1000)
+    # the record guard counts one table per distinct degree: 5^4 + 5^1
+    with pytest.raises(GuardError, match="630 polynomial records"):
+        enumerate_unordered(spec((4, 4, 1), 1, F5, ONE, "unordered"), record_guard=629)
+    with pytest.raises(GuardError, match="625 polynomial records"):
+        coprime_pair_census((4, 4), 1, F5, X11, record_guard=624)
+    with pytest.raises(GuardError, match="polynomial records"):
+        lefschetz_report([1, 4], 2, 1, ONE, [2, 3, 5, 7, 11], record_guard=624)
     with pytest.raises(GuardError):
         enumerate_ordered(spec((10,), 2, F5, ONE, "ordered"), guard=1000)
     with pytest.raises(GuardError):
@@ -171,10 +182,12 @@ def test_mode_validation():
 def test_threads_and_seed_invariance():
     base = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"))
     threaded = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"), threads=2)
-    seeded = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"),
-                                 factor_seed=9001)
     assert (base.total, base.point_count) == (threaded.total, threaded.point_count)
-    assert (base.total, base.point_count) == (seeded.total, seeded.point_count)
+    for seed in (1, 7, 9001, 2 ** 31 - 1):
+        seeded = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"),
+                                     factor_seed=seed)
+        assert (base.total, base.point_count) == (seeded.total, seeded.point_count)
+        assert poly_records(F3, 2, seed) == poly_records(F3, 2)
 
 
 def test_coprime_fast_path_matches_enumeration():
@@ -200,3 +213,103 @@ def test_run_census_dispatch_and_json():
     assert d["point_count"] == 6
     assert d["total"] == "6"
     assert "elapsed" not in d
+
+
+# -- record tables ------------------------------------------------------------
+
+RECORD_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
+                 make_field(7), make_field(2, 3), make_field(3, 2)]
+
+
+def factored_records(field, degree):
+    """The records by factoring every monic polynomial: the reference."""
+    out = []
+    for coeffs in product(range(field.q), repeat=degree):
+        fact = factorize(MonicPoly(field, coeffs))
+        keys = tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors))
+        sig = tuple(sorted((g.degree, m) for g, m in fact.factors))
+        out.append(census.PolyRecord(coeffs, keys, sig))
+    return tuple(out)
+
+
+def mobius_number(n):
+    result, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS, ids=lambda F: f"F{F.q}")
+def test_records_match_factorization(field):
+    degree = 0
+    while field.q ** degree <= 5000:
+        assert poly_records(field, degree) == factored_records(field, degree)
+        degree += 1
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS, ids=lambda F: f"F{F.q}")
+def test_irreducible_counts_are_necklace_counts(field):
+    q = field.q
+    for j in range(1, 6):
+        moebius = sum(mobius_number(j // e) * q ** e
+                      for e in range(1, j + 1) if j % e == 0) // j
+        assert necklace_count(q, j) == moebius
+        if q ** j <= 5000:
+            assert len(census._irreducibles(field, j)) == moebius
+
+
+@pytest.fixture
+def fresh_tables():
+    tables = (census.poly_records, census._irreducibles)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dropped_irreducible_is_caught(fresh_tables, monkeypatch, degree):
+    sieve = census._irreducibles
+
+    def dropping(field, j):
+        found = sieve(field, j)
+        return found[:-1] if j == degree else found
+
+    monkeypatch.setattr(census, "_irreducibles", dropping)
+    with pytest.raises(InconsistencyError, match=f"not M_{degree + 1}"):
+        poly_records(F3, degree + 1)
+
+
+def test_corrupt_record_is_caught(fresh_tables, monkeypatch):
+    walk = census._factored_monics
+
+    def corrupting(field, degree, irreducibles):
+        for vec, factors in walk(field, degree, irreducibles):
+            if vec == [1, 3, 3, 1]:  # (x+1)^3, slot 1*25 + 3*5 + 3
+                factors = factors + (((3, (1, 1, 1)), 1),)
+            yield vec, factors
+
+    monkeypatch.setattr(census, "_factored_monics", corrupting)
+    seed = next(s for s in range(10 ** 4) if census._spot_slot(s, 5 ** 3) == 43)
+    with pytest.raises(InconsistencyError, match="disagrees with its factorization"):
+        poly_records(F5, 3, seed)
+
+
+def test_wrong_product_is_caught(fresh_tables, monkeypatch):
+    walk = census._factored_monics
+
+    def shifting(field, degree, irreducibles):
+        for vec, factors in walk(field, degree, irreducibles):
+            if vec == [1, 1, 1, 1]:  # (x+1)^3 lands on x^3's slot
+                vec = [0, 0, 0, 1]
+            yield vec, factors
+
+    monkeypatch.setattr(census, "_factored_monics", shifting)
+    with pytest.raises(InconsistencyError, match="two factorizations"):
+        poly_records(F2, 3)

@@ -152,6 +152,17 @@ def test_report_inline_flags(capsys):
     assert run(["report", "--m", "1", "--n", "2"]) == 1  # missing lists
 
 
+def test_report_weighted_leading_coefficient(capsys):
+    # five samples for the degree-4 polynomial of d = (2, 2): the leading
+    # coefficient is <2, 1>_{S_d} = 2, not 1
+    rc, payload = run_json(capsys, [
+        "report", "--m", "2", "--n", "1", "--d-list", "1,2",
+        "--q-list", "2,3,5,7,11", "--polys", "2"])
+    assert rc == 0
+    assert payload["reports"]["2"]["points"][1]["coefficients"] == [
+        "0", "0", "0", "-2", "2"]
+
+
 def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("ZCC_THREADS", "2")
     rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1", "--q", "3"])
@@ -188,6 +199,21 @@ def test_unsafe_guard_lifts_field_guard_to_a_bound(capsys):
         assert capsys.readouterr().err == "error: field too large\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "count --d 8 --n 2 --q 9",
+    "count --d 1 --n 1 --q 2^21 --unsafe-guard",
+])
+def test_record_guard_before_any_record(capsys, argv):
+    t0 = time.perf_counter()
+    assert run(argv.split()) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "polynomial records exceed guard" in lines[0]
+
+
 def _config(tmp_path, text):
     path = tmp_path / "sweep.json"
     path.write_text(text)
@@ -208,10 +234,15 @@ def _config(tmp_path, text):
                  "--poly", "(" * 3000 + "X[1,1]" + ")" * 3000],
     lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
                  "--poly", "(X[1,1]+1)^3000"],
+    lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
+                 "--poly", "X[1,1]^" + "9" * 5000],
+    lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
+                 "--poly", "X[1,1]^\u00b2"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
-        "poly-deep-nesting", "poly-huge-power"])
+        "poly-deep-nesting", "poly-huge-power", "poly-long-literal",
+        "poly-superscript-digit"])
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
