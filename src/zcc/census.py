@@ -3,13 +3,17 @@
 Three independent routes are provided and must agree:
 
 * enumerate_unordered walks all m-tuples of monic polynomials of the given
-  degrees, keeps the members (no geometric point of multiplicity >= n in
-  every coordinate), and weights each member by the class-function value of
-  its Frobenius coset.
+  degrees and keeps the members (no geometric point of multiplicity >= n in
+  every coordinate), tallied per tuple of per-column factor signatures.
 * enumerate_ordered walks raw coordinate tuples of the ordered space (always
   unweighted) and cross-checks the lattice point-count polynomial.
 * burnside_count averages Frobenius-twisted fixed-point counts over the
-  conjugacy classes of S_d, evaluating the statistic at the class itself.
+  conjugacy classes of S_d.
+
+The member histogram and the fixed-point table carry no statistic.  A
+statistic P is applied afterwards, once per signature tuple (unordered and
+coprime routes) or once per class (Burnside), as a dot product with the
+counts.
 
 Weighting note: a point whose divisor has a repeated irreducible factor has a
 nontrivial stabilizer H, and the statistic's value there is the average of P
@@ -17,8 +21,8 @@ over the coset sigma_y H.  Concretely, each factor of degree j appearing e
 times contributes parts j*lambda where lambda runs over partitions of e with
 the 1/z_lambda class measure, independently across factors and columns; for
 squarefree coordinates this collapses to evaluating P at the plain cycle
-type.  burnside_count never uses this reduction, so the agreement of the two
-routes is a genuine cross-check.
+type.  burnside_count never uses this reduction: it evaluates P at the
+class itself, so the agreement of the two routes is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 
 from .charpoly import CharPolynomial, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
@@ -46,6 +51,7 @@ UNSAFE_POINT_GUARD = 10 ** 10
 DEFAULT_RECORD_GUARD = 1 << 18
 UNSAFE_RECORD_GUARD = 1 << 20
 BURNSIDE_DEGREE_GUARD = 8
+_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -233,12 +239,13 @@ def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
     records, only which one is checked.
     """
     records = []
+    signatures: dict = {}  # one shared tuple per signature
     for coeffs, factors in zip(product(range(field.q), repeat=degree),
                                _factor_table(field, degree)):
         if factors is None:
             factors = (((degree, coeffs), 1),)
         sig = tuple(sorted((key[0], m) for key, m in factors))
-        records.append(PolyRecord(coeffs, factors, sig))
+        records.append(PolyRecord(coeffs, factors, signatures.setdefault(sig, sig)))
     rec = records[_spot_slot(seed, len(records))]
     fact = factorize(MonicPoly(field, rec.coeffs), seed=seed)
     if tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)) != rec.factors:
@@ -257,22 +264,13 @@ def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
 def averaged_class_value(P: CharPolynomial, signatures: tuple) -> Fraction:
     """Average of P over the Frobenius coset of a point with these per-column
     factor signatures (each signature is a tuple of (degree, multiplicity))."""
-    slots = []  # (column, degree, list of (parts, weight))
-    fixed = [[] for _ in signatures]
-    for k, sig in enumerate(signatures):
-        for j, e in sig:
-            if e == 1:
-                fixed[k].append(j)
-            else:
-                opts = [(tuple(j * part for part in lam), Fraction(1, z))
-                        for lam, z in partitions_of(e)]
-                slots.append((k, opts))
-    if not slots:
-        ctype = tuple(tuple(sorted(col, reverse=True)) for col in fixed)
-        return evaluate(P, ctype)
+    # per factor: (column, the (parts, weight) options of its e-fold power)
+    slots = [(k, [(tuple(j * part for part in lam), Fraction(1, z))
+                  for lam, z in partitions_of(e)])
+             for k, sig in enumerate(signatures) for j, e in sig]
     total = Fraction(0)
     for combo in product(*(opts for _k, opts in slots)):
-        cols = [list(parts) for parts in fixed]
+        cols = [[] for _ in signatures]
         w = Fraction(1)
         for (k, _opts), (parts, weight) in zip(slots, combo):
             cols[k].extend(parts)
@@ -287,50 +285,53 @@ def averaged_class_value(P: CharPolynomial, signatures: tuple) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _unordered_scan(field, d, n, P, start, stop, seed=0):
-    """Scan a contiguous shard of first-coordinate indices; exact partial sums."""
-    records = [poly_records(field, dk, seed) for dk in d]
-    radsets = [[rec.radical_keys(n) for rec in col] for col in records]
-    weigh = not P.is_one()
-    count = 0
-    total = Fraction(0)
-    if len(d) == 1:
-        col, rads = records[0], radsets[0]
-        for i in range(start, stop):
-            if not rads[i]:
-                count += 1
-                if weigh:
-                    total += averaged_class_value(P, (col[i].signature,))
-    elif len(d) == 2:
-        col0, col1 = records
-        rad0, rad1 = radsets
-        for i in range(start, stop):
-            r0 = rad0[i]
-            sig0 = col0[i].signature
-            for jdx, r1 in enumerate(rad1):
-                if r0.isdisjoint(r1):
-                    count += 1
-                    if weigh:
-                        total += averaged_class_value(P, (sig0, col1[jdx].signature))
-    else:
-        ranges = [range(len(col)) for col in records[1:]]
-        for i in range(start, stop):
-            for rest in product(*ranges):
-                idxs = (i,) + rest
-                sets = [radsets[k][idx] for k, idx in enumerate(idxs)]
-                common = sets[0]
-                for s in sets[1:]:
-                    common = common & s
-                    if not common:
-                        break
-                if not common:
-                    count += 1
-                    if weigh:
-                        total += averaged_class_value(
-                            P, tuple(records[k][idx].signature
-                                     for k, idx in enumerate(idxs)))
-    if not weigh:
-        total = Fraction(count)
+def _column_groups(records, n: int) -> dict:
+    """The records grouped by signature, then by n-fold radical set:
+    signature -> {radical set: multiplicity}."""
+    by_sig: dict = {}
+    for rec in records:
+        by_sig.setdefault(rec.signature, []).append(rec.radical_keys(n))
+    return {sig: Counter(rads) for sig, rads in by_sig.items()}
+
+
+def _member_histogram(field, d, n, start, stop, seed=0) -> Counter:
+    """Per-column signature tuple -> number of member tuples whose first
+    coordinate lies in the shard [start, stop) of its record table.
+
+    The columns are folded in one at a time.  A state maps the signatures
+    so far to {radical set they have in common: tuple count}; a tuple is a
+    member when that set ends empty, and an intersection is only built when
+    a later column still needs it.
+    """
+    state = {(sig,): rads for sig, rads in
+             _column_groups(poly_records(field, d[0], seed)[start:stop], n).items()}
+    for k in range(1, len(d)):
+        last = k == len(d) - 1
+        column = _column_groups(poly_records(field, d[k], seed), n)
+        folded = {}
+        for sigs, commons in state.items():
+            for sig, rads in column.items():
+                out = folded[sigs + (sig,)] = Counter()
+                for common, count in commons.items():
+                    free = 0
+                    for rad, mult in rads.items():
+                        if common.isdisjoint(rad):
+                            free += mult
+                        elif not last:
+                            out[common & rad] += count * mult
+                    if free:
+                        out[_EMPTY] += count * free
+        state = folded
+    return Counter({sigs: commons[_EMPTY] for sigs, commons in state.items()
+                    if commons.get(_EMPTY)})
+
+
+def _weigh(P: CharPolynomial, histogram) -> tuple:
+    """(member count, exact sum of P over the members) of a histogram of
+    per-column signature tuples: P is applied once per signature tuple."""
+    count = sum(histogram.values())
+    total = sum((c * averaged_class_value(P, sigs) for sigs, c in histogram.items()),
+                Fraction(0))
     return count, total
 
 
@@ -351,23 +352,17 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
         for dk in spec.d:
             poly_records(spec.field, dk, factor_seed)  # warm caches before forking
         bounds = [(first * w) // threads for w in range(threads + 1)]
-        args = [(spec.field, spec.d, spec.n, spec.poly, bounds[w], bounds[w + 1],
-                 factor_seed)
-                for w in range(threads)]
         fork = multiprocessing.get_context("fork")  # workers inherit the caches
         with ProcessPoolExecutor(max_workers=threads, mp_context=fork) as pool:
-            parts = list(pool.map(_unordered_scan_star, args))
-        count = sum(c for c, _t in parts)
-        total = sum((t for _c, t in parts), Fraction(0))
+            histogram = sum(pool.map(_member_histogram, repeat(spec.field),
+                                     repeat(spec.d), repeat(spec.n), bounds[:-1],
+                                     bounds[1:], repeat(factor_seed)), Counter())
     else:
-        count, total = _unordered_scan(spec.field, spec.d, spec.n, spec.poly,
-                                       0, first, factor_seed)
+        histogram = _member_histogram(spec.field, spec.d, spec.n, 0, first,
+                                      factor_seed)
+    count, total = _weigh(spec.poly, histogram)
     return WeightedCensus(spec, total, count, "unordered-enumeration",
                           time.perf_counter() - t0)
-
-
-def _unordered_scan_star(args):
-    return _unordered_scan(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +500,41 @@ def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
+    """(cycle type, 1/z, fixed member count) per conjugacy class sigma of
+    S_d1 x ... x S_dm, the count taken over the tuples fixed by sigma o Frob_q.
+
+    Those tuples are parameterized by one free element of F_{q^j} per
+    j-cycle; the cycle's coordinates carry the element's Frobenius iterates,
+    so its orbit contributes multiplicity j/deg(x) at each root of its
+    minimal polynomial.  Membership is tested on that divisor data.
+    """
+    m = len(d)
+    classes = []
+    for combo in product(*(partitions_of(dk) for dk in d)):
+        class_weight = Fraction(1)
+        for _lam, z in combo:
+            class_weight /= z
+        cycles = [(k, j) for k, (lam, _z) in enumerate(combo) for j in lam]
+        fixed = 0
+        for choice in product(*(_twisted_choice_table(field, j) for _k, j in cycles)):
+            mults = [dict() for _ in range(m)]
+            for (k, _j), (key, mult) in zip(cycles, choice):
+                col = mults[k]
+                col[key] = col.get(key, 0) + mult
+            if not any(c >= n and all(col.get(key, 0) >= n for col in mults)
+                       for key, c in min(mults, key=len).items()):
+                fixed += 1
+        classes.append((tuple(lam for lam, _z in combo), class_weight, fixed))
+    return tuple(classes)
+
+
 def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> WeightedCensus:
     """Weighted count via Frobenius-twisted fixed points, class by class.
 
-    For a class sigma, the fixed tuples of sigma o Frob_q are parameterized
-    by one free element of F_{q^j} per j-cycle; the cycle's coordinates carry
-    the element's Frobenius iterates, so its orbit contributes multiplicity
-    j/deg(x) at each root of its minimal polynomial.  Membership is tested
-    on that divisor data; the statistic is evaluated at sigma's cycle type.
+    The fixed-point table carries no statistic; the statistic is evaluated
+    at each class's cycle type and paired with it.
     """
     if spec.mode != "burnside":
         raise ValidationError("spec mode must be 'burnside'")
@@ -524,39 +546,10 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Weight
     if q ** total_deg > guard:
         raise GuardError(f"q^cycles = {q ** total_deg} exceeds guard {guard}")
     t0 = time.perf_counter()
-    F = spec.field
-    n = spec.n
-    m = len(spec.d)
-
-    def table(j: int):
-        return _twisted_choice_table(F, j)
-
-    total = Fraction(0)
-    count = Fraction(0)
-    columns = [partitions_of(dk) for dk in spec.d]
-    for combo in product(*columns):
-        class_weight = Fraction(1)
-        for _lam, z in combo:
-            class_weight /= z
-        ctype = tuple(lam for lam, _z in combo)
-        value = evaluate(spec.poly, ctype) if not spec.poly.is_one() else Fraction(1)
-        cycles = [(k, j) for k, (lam, _z) in enumerate(combo) for j in lam]
-        fixed = 0
-        for choice in product(*(table(j) for _k, j in cycles)):
-            mults = [dict() for _ in range(m)]
-            for (k, _j), (key, mult) in zip(cycles, choice):
-                col = mults[k]
-                col[key] = col.get(key, 0) + mult
-            smallest = min(mults, key=len) if m > 1 else mults[0]
-            bad = False
-            for key, c in smallest.items():
-                if c >= n and all(col.get(key, 0) >= n for col in mults):
-                    bad = True
-                    break
-            if not bad:
-                fixed += 1
-        total += class_weight * value * fixed
-        count += class_weight * fixed
+    classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
+    count = sum((w * fixed for _ctype, w, fixed in classes), Fraction(0))
+    total = sum((w * evaluate(spec.poly, ctype) * fixed
+                 for ctype, w, fixed in classes), Fraction(0))
     if count.denominator != 1:
         raise ValidationError("burnside point count is not an integer")
     return WeightedCensus(spec, total, int(count), "burnside-frobenius",
@@ -589,16 +582,10 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     t0 = time.perf_counter()
     q = field.q
     d_other = d[other]
-    weigh = not P.is_one()
     # remap a column-`col` statistic to column 1 for single-column evaluation
-    if weigh and col == 1:
-        remapped = CharPolynomial(
-            1, tuple((tuple(((1, j), e) for (_k, j), e in mono), c)
-                     for mono, c in P.terms))
-    else:
-        remapped = P
-    count = 0
-    total = Fraction(0)
+    remapped = P if col == 0 else CharPolynomial(
+        1, tuple((tuple(((1, j), e) for (_k, j), e in mono), c) for mono, c in P.terms))
+    histogram = Counter()
     for rec in poly_records(field, d[col], factor_seed):
         degs = [deg for (deg, _c), _m in rec.factors]
         coprime = 0
@@ -611,11 +598,8 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
                     sign = -sign
             if s <= d_other:
                 coprime += sign * q ** (d_other - s)
-        count += coprime
-        if weigh:
-            total += coprime * averaged_class_value(remapped, (rec.signature,))
-    if not weigh:
-        total = Fraction(count)
+        histogram[(rec.signature,)] += coprime
+    count, total = _weigh(remapped, histogram)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=P, mode="unordered")
     return WeightedCensus(spec, total, count, "coprime-inclusion-exclusion",
                           time.perf_counter() - t0)

@@ -279,11 +279,11 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
 
     Per degree: exact unordered totals at each q, an interpolated polynomial
     (expected degree m*t*dim_x, leading coefficient <P, 1>_{S_d}, the
-    average of P over S_d), and normalized coefficients.  Stabilization
-    is detected coefficient-wise across the sweep.  For n = 1, m = 2 the
-    truncated series with the stable coefficients is evaluated and exact
-    residuals against each left side are reported; otherwise the series side
-    is marked not computed.
+    average of P over S_d, or 0 when m = n = 1), and normalized
+    coefficients.  Stabilization is detected coefficient-wise across the
+    sweep.  For n = 1, m = 2 the truncated series with the stable
+    coefficients is evaluated and exact residuals against each left side are
+    reported; otherwise the series side is marked not computed.
     """
     d_values = [int(t) for t in d_values]
     q_list = sorted({int(q) for q in q_list})
@@ -311,8 +311,9 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
             cen = _census_total(d, n, fields[q], poly, guard, threads,
                                 factor_seed, record_guard)
             samples.append((q, cen.total))
-        poly_q = interpolate_in_q(samples, expected_degree=topdim,
-                                  leading=inner_product(poly, ONE, d))
+        # m = n = 1: every root is a common point, so the space is empty
+        leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)
+        poly_q = interpolate_in_q(samples, expected_degree=topdim, leading=leading)
         normalized = normalized_coefficients(poly_q, topdim)
         points.append(SweepPoint(d=d, topdim=topdim, samples=tuple(samples),
                                  coefficients=poly_q.coefficients,

@@ -117,6 +117,27 @@ def test_oracle_triangle_small_grid():
                     u = enumerate_unordered(spec(dv, n, F, P, "unordered"))
                     b = burnside_count(spec(dv, n, F, P, "burnside"))
                     assert (u.total, u.point_count) == (b.total, b.point_count)
+    # three and four columns, on prime and extension fields, both thread counts
+    stats = [ONE, X11, parse_charpoly("X[1,1]*X[3,1] - X[2,2]")]
+    for F in (F2, F3, make_field(2, 2)):
+        for dv in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1, 1),
+                   (2, 1, 1, 1), (2, 2, 2)]:
+            for n in (1, 2):
+                for P in stats:
+                    b = burnside_count(spec(dv, n, F, P, "burnside"))
+                    for threads in (1, 2):
+                        u = enumerate_unordered(spec(dv, n, F, P, "unordered"),
+                                                threads=threads)
+                        assert (u.total, u.point_count) == (b.total, b.point_count), (
+                            F.q, dv, n, str(P), threads)
+
+
+def test_burnside_table_shared_across_statistics():
+    census._burnside_fixed.cache_clear()
+    for P in (ONE, X11):
+        burnside_count(spec((2, 1, 1), 1, F3, P, "burnside"))
+    info = census._burnside_fixed.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_degenerate_corner_all_zero():

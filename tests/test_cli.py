@@ -163,6 +163,24 @@ def test_report_weighted_leading_coefficient(capsys):
         "0", "0", "0", "-2", "2"]
 
 
+def test_report_empty_space_leading_coefficient(capsys):
+    # for m = n = 1 every root is a common point, so the census is 0: with
+    # exactly D + 1 samples the leading coefficient is 0, not <P, 1> = 1
+    payloads = []
+    for q_list in ("2,3,5", "2,3,5,7"):
+        rc, payload = run_json(capsys, [
+            "report", "--m", "1", "--n", "1", "--d-list", "1,2",
+            "--q-list", q_list])
+        assert rc == 0
+        payloads.append(payload)
+    for payload in payloads:
+        for point in payload["reports"]["1"]["points"]:
+            assert set(point["coefficients"]) == {"0"}
+            assert set(point["normalized"]) == {"0"}
+    assert ([pt["coefficients"] for pt in payloads[0]["reports"]["1"]["points"]]
+            == [pt["coefficients"] for pt in payloads[1]["reports"]["1"]["points"]])
+
+
 def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("ZCC_THREADS", "2")
     rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1", "--q", "3"])
@@ -212,6 +230,16 @@ def test_record_guard_before_any_record(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "polynomial records exceed guard" in lines[0]
+
+
+@pytest.mark.parametrize("argv", ["betti --d 4,4 --n 1", "betti --d 3,3,3 --n 1"])
+def test_face_guard_before_any_homology(capsys, argv):
+    t0 = time.perf_counter()
+    assert run(argv.split()) == 2
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: face count exceeds guard 100000\n"
 
 
 def _config(tmp_path, text):

@@ -8,10 +8,12 @@ from zcc import homology
 from zcc.errors import GuardError, StructureError, ValidationError
 from zcc.homology import (BettiVector, SimplicialComplex, complement_betti,
                           complement_contributions, exact_rank,
-                          interval_homology, order_complex,
-                          reduced_homology_ranks)
+                          interval_face_counts, interval_homology,
+                          order_complex, reduced_homology_ranks)
 from zcc.nlattice import (FinitePoset, MobiusTable, build_lattice,
                           lower_interval, mobius, point_count_polynomial)
+
+from test_nlattice import GRID
 
 
 # -- independent oracle: brute-force faces + sympy ranks ----------------------
@@ -79,6 +81,28 @@ def test_face_guard():
     big = SimplicialComplex.from_facets(20, [tuple(range(20))])
     with pytest.raises(GuardError):
         reduced_homology_ranks(big, guard=100)
+
+
+def test_interval_face_counts_match_faces():
+    for dv, n in GRID:
+        L = build_lattice(dv, n)
+        counts = interval_face_counts(L)
+        for i in range(1, L.size):
+            faces = homology._all_faces(order_complex(lower_interval(L, i)), 10 ** 9)
+            assert counts[i] == sum(len(f) for f in faces.values()), (dv, n, i)
+
+
+def test_face_guard_runs_before_any_homology(monkeypatch):
+    def no_homology(*_args, **_kwargs):
+        raise AssertionError("interval homology ran before the face guard")
+
+    monkeypatch.setattr(homology, "interval_homology", no_homology)
+    L = build_lattice((3, 3), 1)
+    largest = max(interval_face_counts(L))
+    with pytest.raises(GuardError, match=f"face count exceeds guard {largest - 1}"):
+        complement_contributions(L, guard=largest - 1)
+    with pytest.raises(GuardError, match="face count exceeds guard"):
+        complement_contributions(build_lattice((3, 3, 3), 1))
 
 
 def test_order_complex_examples():
