@@ -1,17 +1,18 @@
 """Exact weighted point counts of 0-cycle spaces over F_q.
 
-Three independent routes are provided and must agree:
+Three routes are provided and must agree: enumerate_unordered walks the
+monic polynomials of each degree, tallied per tuple of per-column factor
+signatures; enumerate_ordered walks the raw coordinate tuples of each column
+of the ordered space (always unweighted) and cross-checks the lattice
+point-count polynomial; burnside_count averages Frobenius-twisted fixed-point
+counts over the conjugacy classes of S_d.
 
-* enumerate_unordered walks all m-tuples of monic polynomials of the given
-  degrees and keeps the members (no geometric point of multiplicity >= n in
-  every coordinate), tallied per tuple of per-column factor signatures.
-* enumerate_ordered walks raw coordinate tuples of the ordered space (always
-  unweighted) and cross-checks the lattice point-count polynomial.
-* burnside_count averages Frobenius-twisted fixed-point counts over the
-  conjugacy classes of S_d.
-
-The member histogram and the fixed-point table carry no statistic.  A
-statistic P is applied afterwards, once per signature tuple (unordered and
+Membership factors over the columns: a tuple is excluded exactly when some
+geometric point has multiplicity >= n in every coordinate.  So each route
+tabulates every column by its n-fold key set (irreducible factors, values or
+minimal polynomials) and counts the members with one column fold, `_fold`;
+no route walks the q^|d| tuples of the whole space.  The tables carry no
+statistic: P is applied afterwards, once per signature tuple (unordered and
 coprime routes) or once per class (Burnside), as a dot product with the
 counts.
 
@@ -36,8 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
+from math import prod
 
-from .charpoly import CharPolynomial, evaluate, partitions_of
+from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field
 from .nlattice import eval_int_poly
@@ -294,36 +296,55 @@ def _column_groups(records, n: int) -> dict:
     return {sig: Counter(rads) for sig, rads in by_sig.items()}
 
 
-def _member_histogram(field, d, n, start, stop, seed=0) -> Counter:
-    """Per-column signature tuple -> number of member tuples whose first
-    coordinate lies in the shard [start, stop) of its record table.
+def _fold(columns) -> Counter:
+    """Label tuple -> number of member tuples, for columns given as {label:
+    Counter(key set -> multiplicity)}; a tuple takes one key set per column
+    and is a member when its key sets have an empty intersection.
 
-    The columns are folded in one at a time.  A state maps the signatures
-    so far to {radical set they have in common: tuple count}; a tuple is a
-    member when that set ends empty, and an intersection is only built when
-    a later column still needs it.
+    The columns are folded in one at a time.  A state maps the labels so far
+    to {key set they have in common: tuple count}; `isdisjoint` is tested
+    first, and an intersection is only built when a later column still needs
+    it.  Checked: the members and the tuples dropped in the last column make
+    up every tuple.
     """
-    state = {(sig,): rads for sig, rads in
-             _column_groups(poly_records(field, d[0], seed)[start:stop], n).items()}
-    for k in range(1, len(d)):
-        last = k == len(d) - 1
-        column = _column_groups(poly_records(field, d[k], seed), n)
+    state = {(label,): keys for label, keys in columns[0].items()}
+    dropped = 0
+    if len(columns) == 1:  # never folded: its nonempty key sets are the drops
+        dropped = sum(c for keys in state.values() for key, c in keys.items() if key)
+    for k in range(1, len(columns)):
+        last = k == len(columns) - 1
         folded = {}
-        for sigs, commons in state.items():
-            for sig, rads in column.items():
-                out = folded[sigs + (sig,)] = Counter()
+        for labels, commons in state.items():
+            for label, keys in columns[k].items():
+                out = folded[labels + (label,)] = Counter()
                 for common, count in commons.items():
-                    free = 0
-                    for rad, mult in rads.items():
-                        if common.isdisjoint(rad):
+                    free = blocked = 0
+                    for key, mult in keys.items():
+                        if common.isdisjoint(key):
                             free += mult
-                        elif not last:
-                            out[common & rad] += count * mult
+                        elif last:
+                            blocked += mult
+                        else:
+                            out[common & key] += count * mult
                     if free:
                         out[_EMPTY] += count * free
+                    dropped += count * blocked
         state = folded
-    return Counter({sigs: commons[_EMPTY] for sigs, commons in state.items()
-                    if commons.get(_EMPTY)})
+    members = Counter({labels: commons[_EMPTY] for labels, commons in state.items()
+                       if commons.get(_EMPTY)})
+    tuples = prod(sum(sum(keys.values()) for keys in column.values()) for column in columns)
+    if (kept := sum(members.values())) + dropped != tuples:
+        raise InconsistencyError(
+            f"column fold kept {kept} members and dropped {dropped} of {tuples} tuples")
+    return members
+
+
+def _member_histogram(field, d, n, start, stop, seed=0) -> Counter:
+    """Per-column signature tuple -> number of member tuples whose first
+    coordinate lies in the shard [start, stop) of its record table."""
+    groups = {dk: _column_groups(poly_records(field, dk, seed), n) for dk in set(d[1:])}
+    return _fold([_column_groups(poly_records(field, d[0], seed)[start:stop], n)] +
+                 [groups[dk] for dk in d[1:]])
 
 
 def _weigh(P: CharPolynomial, histogram) -> tuple:
@@ -381,25 +402,15 @@ def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Wei
     if q ** total_deg > guard:
         raise GuardError(f"q^|d| = {q ** total_deg} exceeds guard {guard}")
     t0 = time.perf_counter()
-    n = spec.n
-    count = 0
-    m = len(spec.d)
-    for tup in product(range(q), repeat=total_deg):
-        cols = []
-        pos = 0
-        for dk in spec.d:
-            cols.append(tup[pos:pos + dk])
-            pos += dk
-        first_counts: dict = {}
-        for v in cols[0]:
-            first_counts[v] = first_counts.get(v, 0) + 1
-        bad = False
-        for v, c in first_counts.items():
-            if c >= n and all(cols[k].count(v) >= n for k in range(1, m)):
-                bad = True
-                break
-        if not bad:
-            count += 1
+    columns = []
+    for dk in spec.d:
+        # tally a column's tuples by sorted values, then by n-fold value set
+        column = Counter()
+        tuples = product(range(q), repeat=dk)
+        for values, mult in Counter(map(tuple, map(sorted, tuples))).items():
+            column[frozenset(v for v in values if values.count(v) >= spec.n)] += mult
+        columns.append({None: column})
+    count = sum(_fold(columns).values())
     return WeightedCensus(spec, Fraction(count), count, "ordered-enumeration",
                           time.perf_counter() - t0)
 
@@ -433,25 +444,17 @@ def _solve_mod_p(columns, target, p):
     ncols = len(columns)
     mat = [[columns[c][r] % p for c in range(ncols)] + [target[r] % p]
            for r in range(rows)]
-    piv_rows = []
-    col = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(len(piv_rows), rows):
-            if mat[r][col]:
-                sel = r
-                break
+    for col in range(ncols):  # every column gets a pivot, in row col
+        sel = next((r for r in range(col, rows) if mat[r][col]), None)
         if sel is None:
             raise ValidationError("embedding matrix is singular")
-        r0 = len(piv_rows)
-        mat[r0], mat[sel] = mat[sel], mat[r0]
-        inv = pow(mat[r0][col], p - 2, p)
-        mat[r0] = [(x * inv) % p for x in mat[r0]]
+        mat[col], mat[sel] = mat[sel], mat[col]
+        inv = pow(mat[col][col], p - 2, p)
+        mat[col] = [(x * inv) % p for x in mat[col]]
         for r in range(rows):
-            if r != r0 and mat[r][col]:
+            if r != col and mat[r][col]:
                 f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[r0])]
-        piv_rows.append(r0)
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
     for r in range(ncols, rows):
         if mat[r][ncols]:
             raise ValidationError("coefficient is not in the subfield")
@@ -501,6 +504,21 @@ def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _twisted_column(field: FieldSpec, lam: tuple, n: int) -> Counter:
+    """Key set -> number of choices, for one column whose coordinates a
+    permutation of cycle type lam permutes: the choices take one element of
+    F_{q^j} per j-cycle, and the key set holds the minimal polynomials of
+    multiplicity >= n in the divisor the choice defines."""
+    column = Counter()
+    for choice in product(*(_twisted_choice_table(field, j) for j in lam)):
+        mults: dict = {}
+        for key, mult in choice:
+            mults[key] = mults.get(key, 0) + mult
+        column[frozenset(key for key, c in mults.items() if c >= n)] += 1
+    return column
+
+
+@lru_cache(maxsize=None)
 def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
     """(cycle type, 1/z, fixed member count) per conjugacy class sigma of
     S_d1 x ... x S_dm, the count taken over the tuples fixed by sigma o Frob_q.
@@ -508,26 +526,12 @@ def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
     Those tuples are parameterized by one free element of F_{q^j} per
     j-cycle; the cycle's coordinates carry the element's Frobenius iterates,
     so its orbit contributes multiplicity j/deg(x) at each root of its
-    minimal polynomial.  Membership is tested on that divisor data.
+    minimal polynomial.  Membership is tested on that divisor data, column
+    by column: a class's column k depends only on its cycle type there.
     """
-    m = len(d)
-    classes = []
-    for combo in product(*(partitions_of(dk) for dk in d)):
-        class_weight = Fraction(1)
-        for _lam, z in combo:
-            class_weight /= z
-        cycles = [(k, j) for k, (lam, _z) in enumerate(combo) for j in lam]
-        fixed = 0
-        for choice in product(*(_twisted_choice_table(field, j) for _k, j in cycles)):
-            mults = [dict() for _ in range(m)]
-            for (k, _j), (key, mult) in zip(cycles, choice):
-                col = mults[k]
-                col[key] = col.get(key, 0) + mult
-            if not any(c >= n and all(col.get(key, 0) >= n for col in mults)
-                       for key, c in min(mults, key=len).items()):
-                fixed += 1
-        classes.append((tuple(lam for lam, _z in combo), class_weight, fixed))
-    return tuple(classes)
+    return tuple((ctype, weight, sum(_fold([{None: _twisted_column(field, lam, n)}
+                                            for lam in ctype]).values()))
+                 for ctype, weight in cycle_types_of(d))
 
 
 def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> WeightedCensus:

@@ -185,7 +185,7 @@ def _cmd_lattice(args) -> int:
                             guard=10 ** 6 if args.unsafe_guard else 10)
     mob = mobius(lattice)
     edges = classify_edges(lattice)
-    coeffs = point_count_polynomial(lattice, args.dimx)
+    coeffs = point_count_polynomial(lattice, args.dimx, mob)
     payload = {
         "d": list(lattice.d),
         "n": lattice.n,

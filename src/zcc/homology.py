@@ -251,6 +251,8 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
     Every interval is checked against Philip Hall's theorem: the reduced
     Euler characteristic of (0-hat, I) equals mu(0-hat, I).
     """
+    if dim_x < 1:
+        raise ValidationError("dim_x must be >= 1")
     if max(interval_face_counts(L)) > guard:
         raise GuardError(f"face count exceeds guard {guard}")
     mu = mobius(L).from_bottom

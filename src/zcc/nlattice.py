@@ -384,15 +384,18 @@ def classify_edges(L: NEqualsLattice) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1) -> tuple:
-    """N(q) = sum_I mu(0,I) q^(dim_x * #blocks(I)), low-to-high coefficients.
+def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1,
+                           mob: MobiusTable | None = None) -> tuple:
+    """N(q) = sum_I mu(0,I) q^(dim_x * #blocks(I)), low-to-high coefficients,
+    from `mob`, L's Mobius table, when the caller has it.
 
     For every prime power q this is the number of F_q-points of the ordered
     0-cycle space over affine dim_x-space.
     """
     if dim_x < 1:
         raise ValidationError("dim_x must be >= 1")
-    mob = mobius(L)
+    if mob is None:
+        mob = mobius(L)
     # the top coefficient is mu(0-hat, 0-hat) = 1, so nothing needs trimming
     coeffs = [0] * (dim_x * L.ground_size + 1)
     for i, part in enumerate(L.elements):

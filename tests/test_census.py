@@ -1,14 +1,17 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcc import census
 from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
                         coprime_pair_census, enumerate_ordered,
                         enumerate_unordered, is_member, necklace_count,
                         poly_records, run_census)
-from zcc.charpoly import ONE, parse_charpoly
+from zcc.charpoly import ONE, parse_charpoly, partitions_of
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
 from zcc.nlattice import build_lattice, eval_int_poly, point_count_polynomial
@@ -130,6 +133,80 @@ def test_oracle_triangle_small_grid():
                                                 threads=threads)
                         assert (u.total, u.point_count) == (b.total, b.point_count), (
                             F.q, dv, n, str(P), threads)
+
+
+# -- the column fold against tuple walks ------------------------------------------
+
+
+def ordered_walk(d, n, field):
+    """The ordered count by walking every raw coordinate tuple: the reference."""
+    count = 0
+    for tup in product(range(field.q), repeat=sum(d)):
+        cols = []
+        pos = 0
+        for dk in d:
+            cols.append(tup[pos:pos + dk])
+            pos += dk
+        if not any(cols[0].count(v) >= n and all(col.count(v) >= n for col in cols)
+                   for v in set(cols[0])):
+            count += 1
+    return count
+
+
+def burnside_walk(field, d, n):
+    """(cycle type, 1/z, fixed count) per class by walking every choice
+    tuple of the class's cycles: the reference."""
+    classes = []
+    for combo in product(*(partitions_of(dk) for dk in d)):
+        weight = Fraction(1)
+        for _lam, z in combo:
+            weight /= z
+        cycles = [(k, j) for k, (lam, _z) in enumerate(combo) for j in lam]
+        fixed = 0
+        for choice in product(*(census._twisted_choice_table(field, j)
+                                for _k, j in cycles)):
+            mults = [dict() for _ in d]
+            for (k, _j), (key, mult) in zip(cycles, choice):
+                mults[k][key] = mults[k].get(key, 0) + mult
+            if not any(c >= n and all(col.get(key, 0) >= n for col in mults)
+                       for key, c in mults[0].items()):
+                fixed += 1
+        classes.append((tuple(lam for lam, _z in combo), weight, fixed))
+    return tuple(classes)
+
+
+WALK_DEGREES = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 2), (1, 1, 1),
+                (2, 1, 1), (0, 2, 1)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, make_field(2, 2)], ids=lambda F: f"F{F.q}")
+def test_fold_routes_match_tuple_walks(field):
+    for dv in WALK_DEGREES:
+        for n in (1, 2, 3):
+            ordered = enumerate_ordered(spec(dv, n, field, ONE, "ordered"))
+            assert ordered.point_count == ordered_walk(dv, n, field), (field.q, dv, n)
+            assert census._burnside_fixed(field, dv, n) == burnside_walk(field, dv, n), (
+                field.q, dv, n)
+
+
+KEY_SETS = st.frozensets(st.integers(0, 3), max_size=3)
+COLUMNS = st.dictionaries(
+    st.sampled_from("ab"), st.dictionaries(KEY_SETS, st.integers(1, 3), max_size=4),
+    min_size=1, max_size=2).map(lambda col: {label: Counter(keys)
+                                             for label, keys in col.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COLUMNS, min_size=1, max_size=4))
+def test_fold_matches_product_walk(columns):
+    expected = Counter()
+    rows = [[(label, key, mult) for label, keys in col.items()
+             for key, mult in keys.items()] for col in columns]
+    for combo in product(*rows):
+        if not frozenset.intersection(*(key for _label, key, _mult in combo)):
+            expected[tuple(label for label, _key, _mult in combo)] += prod(
+                mult for _label, _key, mult in combo)
+    assert census._fold(columns) == expected
 
 
 def test_burnside_table_shared_across_statistics():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from zcc import homology
+from zcc import cli, homology, nlattice
 from zcc.cli import _parse_q, _threads, run
 from zcc.ffield import UNSAFE_FIELD_GUARD
 
@@ -266,11 +266,13 @@ def _config(tmp_path, text):
                  "--poly", "X[1,1]^" + "9" * 5000],
     lambda tmp: ["weighted", "--d", "2", "--n", "2", "--q", "3",
                  "--poly", "X[1,1]^\u00b2"],
+    lambda tmp: ["betti", "--d", "2,2", "--n", "1", "--dimx", "0"],
+    lambda tmp: ["betti", "--d", "2,2", "--n", "1", "--dimx", "-1"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
         "poly-deep-nesting", "poly-huge-power", "poly-long-literal",
-        "poly-superscript-digit"])
+        "poly-superscript-digit", "betti-dimx-zero", "betti-dimx-negative"])
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -299,6 +301,22 @@ def test_betti_computes_each_interval_once(capsys, monkeypatch):
     assert rc == 0
     assert payload["betti"] == [1, 4, 6, 3]
     assert sorted(calls) == list(range(1, len(payload["contributions"]) + 1))
+
+
+def test_lattice_computes_mobius_once(capsys, monkeypatch):
+    calls = []
+    original = nlattice.mobius
+
+    def counting(L):
+        calls.append(L)
+        return original(L)
+
+    monkeypatch.setattr(nlattice, "mobius", counting)
+    monkeypatch.setattr(cli, "mobius", counting)
+    rc, payload = run_json(capsys, ["lattice", "--d", "2,2", "--n", "1"])
+    assert rc == 0
+    assert payload["point_count_coefficients"] == [0, -3, 6, -4, 1]
+    assert len(calls) == 1
 
 
 # sha256 of stdout as recorded for the benchmark's topology jobs

@@ -105,6 +105,16 @@ def test_face_guard_runs_before_any_homology(monkeypatch):
         complement_contributions(build_lattice((3, 3, 3), 1))
 
 
+def test_bad_dim_x_refused_before_any_work(monkeypatch):
+    def no_faces(*_args, **_kwargs):
+        raise AssertionError("face counts ran before the dim_x check")
+
+    monkeypatch.setattr(homology, "interval_face_counts", no_faces)
+    for dim_x in (0, -1):
+        with pytest.raises(ValidationError, match="dim_x must be >= 1"):
+            complement_contributions(build_lattice((2, 2), 1), dim_x)
+
+
 def test_order_complex_examples():
     assert order_complex(FinitePoset.antichain(())).facets == ()
     assert order_complex(FinitePoset.antichain("abc")).facets == ((0,), (1,), (2,))
