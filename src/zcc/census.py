@@ -28,11 +28,9 @@ class itself, so the agreement of the two routes is a genuine cross-check.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -296,16 +294,28 @@ def _column_groups(records, n: int) -> dict:
     return {sig: Counter(rads) for sig, rads in by_sig.items()}
 
 
+def _point_index(keys) -> dict:
+    """Point -> the (key set, multiplicity) pairs of the key sets holding it,
+    for one column label's Counter(key set -> multiplicity)."""
+    index: dict = {}
+    for key, mult in keys.items():
+        for point in key:
+            index.setdefault(point, []).append((key, mult))
+    return index
+
+
 def _fold(columns) -> Counter:
     """Label tuple -> number of member tuples, for columns given as {label:
     Counter(key set -> multiplicity)}; a tuple takes one key set per column
     and is a member when its key sets have an empty intersection.
 
     The columns are folded in one at a time.  A state maps the labels so far
-    to {key set they have in common: tuple count}; `isdisjoint` is tested
-    first, and an intersection is only built when a later column still needs
-    it.  Checked: the members and the tuples dropped in the last column make
-    up every tuple.
+    to {key set they have in common: tuple count}.  Each label's key sets are
+    indexed by point, so a common set meets only the key sets that share a
+    point with it; the rest, the column total less those, are disjoint from
+    it.  An intersection is only built when a later column still needs it.
+    Checked: each index holds every key set once per point, and the members
+    and the tuples dropped in the last column make up every tuple.
     """
     state = {(label,): keys for label, keys in columns[0].items()}
     dropped = 0
@@ -313,22 +323,28 @@ def _fold(columns) -> Counter:
         dropped = sum(c for keys in state.values() for key, c in keys.items() if key)
     for k in range(1, len(columns)):
         last = k == len(columns) - 1
+        tables = {}  # label -> (number of choices, point index)
+        for label, keys in columns[k].items():
+            index = _point_index(keys)
+            if sum(map(len, index.values())) != sum(map(len, keys)):
+                raise InconsistencyError(
+                    f"point index of column {k} misses key sets")
+            tables[label] = (sum(keys.values()), index)
         folded = {}
         for labels, commons in state.items():
-            for label, keys in columns[k].items():
+            for label, (choices, index) in tables.items():
                 out = folded[labels + (label,)] = Counter()
                 for common, count in commons.items():
-                    free = blocked = 0
-                    for key, mult in keys.items():
-                        if common.isdisjoint(key):
-                            free += mult
-                        elif last:
-                            blocked += mult
-                        else:
+                    hits = {key: mult for point in common
+                            for key, mult in index.get(point, ())}
+                    blocked = sum(hits.values())
+                    if last:
+                        dropped += count * blocked
+                    else:
+                        for key, mult in hits.items():
                             out[common & key] += count * mult
-                    if free:
-                        out[_EMPTY] += count * free
-                    dropped += count * blocked
+                    if choices > blocked:
+                        out[_EMPTY] += count * (choices - blocked)
         state = folded
     members = Counter({labels: commons[_EMPTY] for labels, commons in state.items()
                        if commons.get(_EMPTY)})
@@ -370,6 +386,8 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     t0 = time.perf_counter()
     first = q ** spec.d[0]
     if threads > 1 and first >= 2 * threads:
+        import multiprocessing  # only a pooled run pays for these imports
+        from concurrent.futures import ProcessPoolExecutor
         for dk in spec.d:
             poly_records(spec.field, dk, factor_seed)  # warm caches before forking
         bounds = [(first * w) // threads for w in range(threads + 1)]
@@ -465,6 +483,8 @@ def _solve_mod_p(columns, target, p):
 def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
     """For each x in F_{q^j}: the key of its minimal polynomial over F_q and
     the multiplicity j/deg(x) its Frobenius orbit contributes to the divisor.
+    The minimal polynomial is built once per orbit and fills the slot of
+    every member.
 
     Keys are (degree, non-leading coefficients) in the standalone F_q model,
     so they are comparable across different cycle lengths j.
@@ -486,8 +506,10 @@ def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
             return base.encode(sol)
 
     q = base.q
-    out = []
+    out = [None] * ext.q
     for x in range(ext.q):
+        if out[x] is not None:
+            continue
         orbit = [x]
         y = ext.pow_raw(x, q)
         while y != x:
@@ -498,8 +520,9 @@ def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
         vec = [1]
         for y in orbit:
             vec = _mul(ext, vec, [ext.neg_raw(y), 1])
-        key = tuple(back(c) for c in _trim(list(vec))[:-1])
-        out.append(((e, key), j // e))
+        entry = ((e, tuple(back(c) for c in _trim(list(vec))[:-1])), j // e)
+        for y in orbit:
+            out[y] = entry
     return tuple(out)
 
 

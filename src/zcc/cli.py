@@ -19,18 +19,17 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .census import (CensusSpec, DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
-                     UNSAFE_POINT_GUARD, UNSAFE_RECORD_GUARD, burnside_count,
-                     enumerate_ordered, enumerate_unordered, run_census)
 from .charpoly import ONE, parse_charpoly
 from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
 from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
                      prime_power)
-from .homology import betti_from_contributions, complement_contributions
 from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
                        point_count_polynomial)
-from .stabkit import interpolate_in_q, lefschetz_report, normalized_coefficients
+
+# The census, homology and stabkit layers (and census's process pool) are
+# imported by the subcommands that run them, so a command pays at start-up
+# only for its own layers.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,11 +97,20 @@ def _threads(args) -> int:
 
 
 def _guard(args) -> int:
+    from .census import DEFAULT_POINT_GUARD, UNSAFE_POINT_GUARD
     return UNSAFE_POINT_GUARD if args.unsafe_guard else DEFAULT_POINT_GUARD
 
 
 def _record_guard(args) -> int:
+    from .census import DEFAULT_RECORD_GUARD, UNSAFE_RECORD_GUARD
     return UNSAFE_RECORD_GUARD if args.unsafe_guard else DEFAULT_RECORD_GUARD
+
+
+def _dim_x(args) -> int:
+    """--dimx, refused before any lattice is built when it is below 1."""
+    if args.dimx < 1:
+        raise ValidationError("dim_x must be >= 1")
+    return args.dimx
 
 
 def _field_guard(args) -> int:
@@ -156,6 +164,7 @@ def _census_csv(result) -> list:
 
 
 def _cmd_count(args) -> int:
+    from .census import CensusSpec, run_census
     field = _parse_q(args.q, _field_guard(args))
     spec = CensusSpec(d=_parse_d(args.d), n=args.n, field=field, poly=ONE,
                       mode=args.mode)
@@ -167,6 +176,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_weighted(args) -> int:
+    from .census import CensusSpec, run_census
     field = _parse_q(args.q, _field_guard(args))
     d = _parse_d(args.d)
     poly = parse_charpoly(args.poly, m=len(d))
@@ -181,11 +191,12 @@ def _cmd_weighted(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    dim_x = _dim_x(args)
     lattice = build_lattice(_parse_d(args.d), args.n,
                             guard=10 ** 6 if args.unsafe_guard else 10)
     mob = mobius(lattice)
     edges = classify_edges(lattice)
-    coeffs = point_count_polynomial(lattice, args.dimx, mob)
+    coeffs = point_count_polynomial(lattice, dim_x, mob)
     payload = {
         "d": list(lattice.d),
         "n": lattice.n,
@@ -208,14 +219,16 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    from .homology import betti_from_contributions, complement_contributions
+    dim_x = _dim_x(args)
     lattice = build_lattice(_parse_d(args.d), args.n,
                             guard=10 ** 6 if args.unsafe_guard else 10)
-    contribs = complement_contributions(lattice, args.dimx)
+    contribs = complement_contributions(lattice, dim_x)
     betti = betti_from_contributions(contribs)
     payload = {
         "d": list(lattice.d),
         "n": lattice.n,
-        "dim_x": args.dimx,
+        "dim_x": dim_x,
         "betti": betti.as_list(),
         "contributions": [
             {
@@ -234,6 +247,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    from .stabkit import interpolate_in_q, normalized_coefficients
     samples = _parse_samples(args.samples)
     poly = interpolate_in_q(samples, expected_degree=args.expected_degree)
     payload = {
@@ -269,6 +283,7 @@ def _read_config(path: str) -> tuple:
 
 
 def _cmd_report(args) -> int:
+    from .stabkit import lefschetz_report
     if args.config:
         clashing = [name for value, name in
                     ((args.m, "--m"), (args.n, "--n"), (args.d_list, "--d-list"),
@@ -313,6 +328,8 @@ VERIFY_GRID = {
 
 
 def _cmd_verify(args) -> int:
+    from .census import (CensusSpec, burnside_count, enumerate_ordered,
+                         enumerate_unordered)
     checks = []
     all_pass = True
 

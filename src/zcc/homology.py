@@ -93,7 +93,7 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
         return SimplicialComplex(0, ())
     below = poset.below_masks()
     successors = [[] for _ in range(n)]  # minimal elements strictly above i
-    for i, j in poset.cover_pairs():
+    for i, j in poset.cover_pairs(below):
         successors[i].append(j)
 
     chains_from: dict = {}
@@ -236,7 +236,7 @@ def interval_face_counts(L: NEqualsLattice) -> list:
     """Per element I, the face count of the order complex of (0-hat, I), that
     is its number of nonempty chains: the sum over 0-hat < J < I of 1 + the
     count of J, a chain being counted by its top J (-1 at the bottom)."""
-    below = L.below_masks()
+    below = L.below
     faces = [-1] * L.size  # so the bottom drops out of every sum
     for i in range(1, L.size):
         faces[i] = sum(faces[j] + 1 for j in bits(below[i]))

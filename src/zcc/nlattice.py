@@ -65,9 +65,11 @@ class FinitePoset:
                 below[j] |= 1 << i
         return tuple(below)
 
-    def cover_pairs(self) -> list:
-        """The sorted pairs (i, j) with i < j and nothing strictly between."""
-        below = self.below_masks()
+    def cover_pairs(self, below: tuple | None = None) -> list:
+        """The sorted pairs (i, j) with i < j and nothing strictly between,
+        from `below`, the poset's below masks, when the caller has them."""
+        if below is None:
+            below = self.below_masks()
         return [(i, j) for i, mask in enumerate(self.above)
                 for j in bits(mask) if not mask & below[j]]
 
@@ -141,6 +143,7 @@ class NEqualsLattice:
     n: int
     elements: tuple          # LatticePartition, bottom first, by rank
     above: tuple             # above[i] = bitmask of {j : elements[i] < elements[j]}
+    below: tuple             # below[j] = bitmask of {i : elements[i] < elements[j]}
     covers: tuple            # (lower index, upper index) pairs
 
     @property
@@ -163,9 +166,6 @@ class NEqualsLattice:
             return self.elements.index(part)
         except ValueError:
             raise ValidationError(f"partition {part} is not a lattice element")
-
-    def below_masks(self) -> tuple:
-        return FinitePoset(self.elements, self.above).below_masks()
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,10 @@ def build_lattice(d, n: int, guard: int = DEFAULT_SIZE_GUARD) -> NEqualsLattice:
                 mask &= together[first, pt]
         above.append(mask)
 
-    covers = FinitePoset(tuple(found), tuple(above)).cover_pairs()
-    return NEqualsLattice(d=d, n=n, elements=tuple(found),
-                          above=tuple(above), covers=tuple(covers))
+    poset = FinitePoset(tuple(found), tuple(above))
+    below = poset.below_masks()  # the only time they are built for this lattice
+    return NEqualsLattice(d=d, n=n, elements=poset.payloads, above=poset.above,
+                          below=below, covers=tuple(poset.cover_pairs(below)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ class MobiusTable:
             if k in memo:
                 return memo[k]
             # interval [i, k): elements >= i and < k
-            mask = (L.above[i] | (1 << i)) & _below_cache(L)[k]
+            mask = (L.above[i] | (1 << i)) & L.below[k]
             total = sum(mu(x) for x in bits(mask))
             memo[k] = -total
             return -total
@@ -303,15 +304,10 @@ class MobiusTable:
         return mu(j)
 
 
-@lru_cache(maxsize=None)
-def _below_cache(L: NEqualsLattice) -> tuple:
-    return L.below_masks()
-
-
 def mobius(L: NEqualsLattice) -> MobiusTable:
     """mu(0-hat, I) for every element, with the defining sums re-verified."""
     size = L.size
-    below = _below_cache(L)
+    below = L.below
     values = [0] * size
     values[0] = 1  # bottom comes first in element order
     for j in range(1, size):
@@ -418,7 +414,7 @@ def lower_interval(L: NEqualsLattice, element) -> FinitePoset:
         idx = int(element)
         if not 0 <= idx < L.size:
             raise ValidationError(f"element index {idx} out of range")
-    below = _below_cache(L)[idx]
+    below = L.below[idx]
     members = [x for x in bits(below) if x != 0]  # exclude the bottom
     pos = {orig: new for new, orig in enumerate(members)}
     above = []

@@ -15,7 +15,7 @@ from zcc.charpoly import ONE, parse_charpoly, partitions_of
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
 from zcc.nlattice import build_lattice, eval_int_poly, point_count_polynomial
-from zcc.polyarith import MonicPoly, factorize, parse_poly
+from zcc.polyarith import MonicPoly, _mul, _trim, factorize, parse_poly
 from zcc.stabkit import lefschetz_report
 
 F2 = make_field(2)
@@ -207,6 +207,44 @@ def test_fold_matches_product_walk(columns):
             expected[tuple(label for label, _key, _mult in combo)] += prod(
                 mult for _label, _key, mult in combo)
     assert census._fold(columns) == expected
+
+
+def twisted_choice_walk(base, j):
+    """The choice table built element by element, one minimal polynomial
+    per element of F_{q^j}: the reference for the per-orbit table."""
+    if j == 1:
+        return tuple(((1, (base.neg_raw(x),)), 1) for x in range(base.q))
+    ext = make_field(base.p, base.e * j)
+    if base.e == 1:
+        def back(raw):
+            assert raw < base.p
+            return raw
+    else:
+        _powers, columns = census._subfield_embedding(base, ext)
+
+        def back(raw):
+            return base.encode(census._solve_mod_p(columns, ext.decode(raw), base.p))
+
+    out = []
+    for x in range(ext.q):
+        orbit = [x]
+        y = ext.pow_raw(x, base.q)
+        while y != x:
+            orbit.append(y)
+            y = ext.pow_raw(y, base.q)
+        vec = [1]
+        for y in orbit:
+            vec = _mul(ext, vec, [ext.neg_raw(y), 1])
+        key = tuple(back(c) for c in _trim(list(vec))[:-1])
+        out.append(((len(orbit), key), j // len(orbit)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [F2, F3, make_field(2, 2), make_field(3, 2)],
+                         ids=lambda F: f"F{F.q}")
+def test_twisted_table_per_orbit_matches_element_walk(field):
+    for j in (1, 2, 3):
+        assert census._twisted_choice_table(field, j) == twisted_choice_walk(field, j)
 
 
 def test_burnside_table_shared_across_statistics():

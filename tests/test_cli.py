@@ -2,11 +2,14 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from zcc import cli, homology, nlattice
+import zcc
+from zcc import census, cli, homology, nlattice
 from zcc.cli import _parse_q, _threads, run
 from zcc.ffield import UNSAFE_FIELD_GUARD
 
@@ -279,6 +282,97 @@ def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["lattice", "betti"])
+def test_dimx_checked_before_the_lattice_is_built(capsys, monkeypatch, command):
+    def no_lattice(*_args, **_kwargs):
+        raise AssertionError("the lattice was built before the --dimx check")
+
+    monkeypatch.setattr(cli, "build_lattice", no_lattice)
+    assert run([command, "--d", "4,4", "--n", "1", "--dimx", "0"]) == 1
+    assert capsys.readouterr().err == "error: dim_x must be >= 1\n"
+
+
+def test_dropped_key_set_in_fold_index_exits_2(capsys, monkeypatch):
+    index = census._point_index
+
+    def dropping(keys):
+        out = index(keys)
+        next(iter(out.values())).pop()
+        return out
+
+    monkeypatch.setattr(census, "_point_index", dropping)
+    assert run(["count", "--d", "2,2", "--n", "1", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: point index of column 1 misses key sets")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--d", "3,2", "--n", "1"],
+    ["betti", "--d", "3,2", "--n", "1"],
+])
+def test_below_masks_built_once_per_lattice(capsys, monkeypatch, argv):
+    sizes = []
+    original = nlattice.FinitePoset.below_masks
+
+    def counting(poset):
+        sizes.append(poset.size)
+        return original(poset)
+
+    monkeypatch.setattr(nlattice.FinitePoset, "below_masks", counting)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert sizes.count(max(sizes)) == 1  # the whole lattice; intervals are smaller
+
+
+WATCHED = ("zcc.census", "zcc.homology", "zcc.stabkit", "multiprocessing",
+           "concurrent.futures")
+POOL = {"multiprocessing", "concurrent.futures"}
+# Runs one command in a fresh interpreter and prints its exit code and the
+# WATCHED modules it loaded.
+_LOADED_SCRIPT = f"""
+import contextlib, io, json, sys
+from zcc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.run(sys.argv[1:])
+    except SystemExit as exc:  # --version exits from argparse
+        code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) & set({WATCHED!r}))]))
+"""
+
+
+def _modules_loaded_by(argv) -> set:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    env.pop("ZCC_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    code, loaded = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return set(loaded)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("--version", {"zcc.census", "zcc.stabkit"} | POOL),
+    ("lattice --d 2,2 --n 1", {"zcc.census", "zcc.stabkit"} | POOL),
+    ("betti --d 2,2 --n 1", {"zcc.census", "zcc.stabkit"} | POOL),
+    ("count --d 2,2 --n 1 --q 3", {"zcc.homology", "zcc.stabkit"} | POOL),
+    ("count --d 2,2 --n 1 --q 3 --mode burnside", {"zcc.homology", "zcc.stabkit"} | POOL),
+    ("weighted --d 2,2 --n 1 --q 3 --poly X[1,1]", {"zcc.homology", "zcc.stabkit"} | POOL),
+    ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11", {"zcc.homology"} | POOL),
+], ids=["version", "lattice", "betti", "count", "count-burnside", "weighted",
+        "report"])
+def test_startup_imports_only_the_layers_a_command_runs(argv, absent):
+    assert not _modules_loaded_by(argv.split()) & absent
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
+def test_threads_still_fork_the_pool():
+    loaded = _modules_loaded_by("count --d 2,2,2 --n 1 --q 11 --threads 2".split())
+    assert POOL <= loaded and "zcc.homology" not in loaded
 
 
 def test_poly_nesting_within_limit(capsys):

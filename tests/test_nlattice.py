@@ -98,7 +98,7 @@ def test_mobius_recursion_vanishes_everywhere():
     for dv, n in GRID:
         L = build_lattice(dv, n)
         mob = mobius(L)  # raises internally if a closed-interval sum is nonzero
-        below = L.below_masks()
+        below = L.below
         for j in range(1, L.size):
             total = mob.from_bottom[j] + sum(
                 mob.from_bottom[x] for x in range(j) if below[j] >> x & 1)
