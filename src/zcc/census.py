@@ -14,7 +14,8 @@ minimal polynomials) and counts the members with one column fold, `_fold`;
 no route walks the q^|d| tuples of the whole space.  The tables carry no
 statistic: P is applied afterwards, once per signature tuple (unordered and
 coprime routes) or once per class (Burnside), as a dot product with the
-counts.
+counts.  Every route runs in the calling process: the fold is a small share
+of a census next to building the record tables, so there is no worker pool.
 
 Weighting note: a point whose divisor has a repeated irreducible factor has a
 nontrivial stabilizer H, and the statistic's value there is the average of P
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
@@ -355,12 +356,11 @@ def _fold(columns) -> Counter:
     return members
 
 
-def _member_histogram(field, d, n, start, stop, seed=0) -> Counter:
-    """Per-column signature tuple -> number of member tuples whose first
-    coordinate lies in the shard [start, stop) of its record table."""
-    groups = {dk: _column_groups(poly_records(field, dk, seed), n) for dk in set(d[1:])}
-    return _fold([_column_groups(poly_records(field, d[0], seed)[start:stop], n)] +
-                 [groups[dk] for dk in d[1:]])
+def _member_histogram(field, d, n, seed=0) -> Counter:
+    """Per-column signature tuple -> number of member tuples; columns of
+    equal degree share one grouping of their record table."""
+    groups = {dk: _column_groups(poly_records(field, dk, seed), n) for dk in set(d)}
+    return _fold([groups[dk] for dk in d])
 
 
 def _weigh(P: CharPolynomial, histogram) -> tuple:
@@ -375,7 +375,10 @@ def _weigh(P: CharPolynomial, histogram) -> tuple:
 def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
                         threads: int = 1, factor_seed: int = 0,
                         record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
-    """Iterate all m-tuples of monic polynomials of degrees d over F_q."""
+    """Iterate all m-tuples of monic polynomials of degrees d over F_q.
+
+    `threads` is accepted and ignored: every census runs in this process.
+    """
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
     q = spec.field.q
@@ -384,21 +387,7 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
             f"q^|d| = {q ** sum(spec.d)} exceeds guard {guard}; try burnside mode")
     _check_record_guard(spec.field, spec.d, record_guard)
     t0 = time.perf_counter()
-    first = q ** spec.d[0]
-    if threads > 1 and first >= 2 * threads:
-        import multiprocessing  # only a pooled run pays for these imports
-        from concurrent.futures import ProcessPoolExecutor
-        for dk in spec.d:
-            poly_records(spec.field, dk, factor_seed)  # warm caches before forking
-        bounds = [(first * w) // threads for w in range(threads + 1)]
-        fork = multiprocessing.get_context("fork")  # workers inherit the caches
-        with ProcessPoolExecutor(max_workers=threads, mp_context=fork) as pool:
-            histogram = sum(pool.map(_member_histogram, repeat(spec.field),
-                                     repeat(spec.d), repeat(spec.n), bounds[:-1],
-                                     bounds[1:], repeat(factor_seed)), Counter())
-    else:
-        histogram = _member_histogram(spec.field, spec.d, spec.n, 0, first,
-                                      factor_seed)
+    histogram = _member_histogram(spec.field, spec.d, spec.n, factor_seed)
     count, total = _weigh(spec.poly, histogram)
     return WeightedCensus(spec, total, count, "unordered-enumeration",
                           time.perf_counter() - t0)
@@ -439,9 +428,10 @@ def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Wei
 
 
 @lru_cache(maxsize=None)
-def _subfield_embedding(base: FieldSpec, ext: FieldSpec):
-    """The canonical embedding F_q -> F_{q^j}: the power-basis generator of
-    `base` maps to the lexicographically least root of base's modulus."""
+def _subfield_embedding(base: FieldSpec, ext: FieldSpec) -> tuple:
+    """The canonical embedding F_q -> F_{q^j} as the images of base's power
+    basis: its generator maps to the lexicographically least root of base's
+    modulus."""
     modulus = MonicPoly(ext, tuple(int(c) for c in base.modulus))
     roots = []
     for g, _m in factorize(modulus).factors:
@@ -452,31 +442,7 @@ def _subfield_embedding(base: FieldSpec, ext: FieldSpec):
     powers = [1]
     for _ in range(base.e - 1):
         powers.append(ext.mul_raw(powers[-1], root))
-    columns = [ext.decode(w) for w in powers]  # F_p vectors, length ext.e
-    return tuple(powers), tuple(columns)
-
-
-def _solve_mod_p(columns, target, p):
-    """Solve sum_i v_i * columns[i] = target over F_p (unique solution)."""
-    rows = len(columns[0])
-    ncols = len(columns)
-    mat = [[columns[c][r] % p for c in range(ncols)] + [target[r] % p]
-           for r in range(rows)]
-    for col in range(ncols):  # every column gets a pivot, in row col
-        sel = next((r for r in range(col, rows) if mat[r][col]), None)
-        if sel is None:
-            raise ValidationError("embedding matrix is singular")
-        mat[col], mat[sel] = mat[sel], mat[col]
-        inv = pow(mat[col][col], p - 2, p)
-        mat[col] = [(x * inv) % p for x in mat[col]]
-        for r in range(rows):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
-    for r in range(ncols, rows):
-        if mat[r][ncols]:
-            raise ValidationError("coefficient is not in the subfield")
-    return tuple(mat[i][ncols] for i in range(ncols))
+    return tuple(powers)
 
 
 @lru_cache(maxsize=None)
@@ -493,17 +459,18 @@ def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
         # minimal polynomial of x is T - x
         return tuple(((1, (base.neg_raw(x),)), 1) for x in range(base.q))
     ext = make_field(base.p, base.e * j)
-    if base.e == 1:
-        def back(raw):
-            if raw >= base.p:
-                raise ValidationError("coefficient is not in the prime field")
-            return raw
-    else:
-        _powers, columns = _subfield_embedding(base, ext)
+    powers = _subfield_embedding(base, ext)
+    embedded = {}  # the image in F_{q^j} of each element of F_q -> the element
+    for x in range(base.q):
+        image = 0
+        for c, w in zip(base.decode(x), powers):
+            image = ext.add_raw(image, ext.mul_raw(c, w))
+        embedded[image] = x
 
-        def back(raw):
-            sol = _solve_mod_p(columns, ext.decode(raw), base.p)
-            return base.encode(sol)
+    def back(raw):
+        if raw not in embedded:
+            raise ValidationError("coefficient is not in the subfield")
+        return embedded[raw]
 
     q = base.q
     out = [None] * ext.q
@@ -633,10 +600,11 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
 
 
 def run_census(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-               threads: int = 1, factor_seed: int = 0,
+               factor_seed: int = 0,
                record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
     if spec.mode == "ordered":
         return enumerate_ordered(spec, guard)
     if spec.mode == "unordered":
-        return enumerate_unordered(spec, guard, threads, factor_seed, record_guard)
+        return enumerate_unordered(spec, guard, factor_seed=factor_seed,
+                                   record_guard=record_guard)
     return burnside_count(spec, guard)

@@ -27,9 +27,8 @@ from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
 from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
                        point_count_polynomial)
 
-# The census, homology and stabkit layers (and census's process pool) are
-# imported by the subcommands that run them, so a command pays at start-up
-# only for its own layers.
+# The census, homology and stabkit layers are imported by the subcommands that
+# run them, so a command pays at start-up only for its own layers.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,20 +79,6 @@ def _parse_samples(text: str) -> list:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad sample {item!r}") from exc
     return out
-
-
-def _threads(args) -> int:
-    """Worker count from --threads or ZCC_THREADS, clamped to the usable cores."""
-    wanted = args.threads
-    env = os.environ.get("ZCC_THREADS")
-    if wanted is None and env:
-        try:
-            wanted = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"bad ZCC_THREADS {env!r}") from exc
-    if wanted is None:
-        return 1
-    return max(1, min(wanted, len(os.sched_getaffinity(0))))
 
 
 def _guard(args) -> int:
@@ -163,28 +148,14 @@ def _census_csv(result) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_count(args) -> int:
-    from .census import CensusSpec, run_census
-    field = _parse_q(args.q, _field_guard(args))
-    spec = CensusSpec(d=_parse_d(args.d), n=args.n, field=field, poly=ONE,
-                      mode=args.mode)
-    result = run_census(spec, guard=_guard(args), threads=_threads(args),
-                        factor_seed=args.factor_seed,
-                        record_guard=_record_guard(args))
-    _emit(args, result.to_json_dict(), _census_csv(result))
-    return 0
-
-
-def _cmd_weighted(args) -> int:
+def _cmd_census(args) -> int:
+    """count (the statistic 1) and weighted (the statistic --poly)."""
     from .census import CensusSpec, run_census
     field = _parse_q(args.q, _field_guard(args))
     d = _parse_d(args.d)
-    poly = parse_charpoly(args.poly, m=len(d))
-    if args.mode == "ordered":
-        raise ValidationError("ordered census is unweighted; use `count`")
+    poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
     spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
-    result = run_census(spec, guard=_guard(args), threads=_threads(args),
-                        factor_seed=args.factor_seed,
+    result = run_census(spec, guard=_guard(args), factor_seed=args.factor_seed,
                         record_guard=_record_guard(args))
     _emit(args, result.to_json_dict(), _census_csv(result))
     return 0
@@ -303,12 +274,16 @@ def _cmd_report(args) -> int:
         q_list = _parse_int_list(args.q_list)
         poly_texts = (args.polys or "1").split(";")
         truncation = args.truncation
+    if m < 1:
+        raise ValidationError("m must be >= 1")
+    if truncation is not None and truncation < 0:
+        raise ValidationError("truncation must be >= 0")
     reports = {}
     for text in poly_texts:
         poly = parse_charpoly(text, m=m)
         rep = lefschetz_report(d_list, n, m, poly, q_list,
                                truncation=truncation, guard=_guard(args),
-                               threads=_threads(args), factor_seed=args.factor_seed,
+                               factor_seed=args.factor_seed,
                                record_guard=_record_guard(args))
         reports[text] = rep.to_json_dict()
     rows = [["poly", "d", "c_i..."]]
@@ -345,7 +320,6 @@ def _cmd_verify(args) -> int:
 
     guard = _guard(args)
     record_guard = _record_guard(args)
-    threads = _threads(args)
     for q in VERIFY_GRID["q_values"]:
         field = make_field(q)
         for d in VERIFY_GRID["d_vectors"]:
@@ -361,8 +335,8 @@ def _cmd_verify(args) -> int:
                 for text in VERIFY_GRID["polys"]:
                     poly = parse_charpoly(text, m=len(d))
                     unordered = enumerate_unordered(
-                        CensusSpec(d, n, field, poly, "unordered"), guard, threads,
-                        args.factor_seed, record_guard)
+                        CensusSpec(d, n, field, poly, "unordered"), guard,
+                        factor_seed=args.factor_seed, record_guard=record_guard)
                     burnside = burnside_count(
                         CensusSpec(d, n, field, poly, "burnside"), guard)
                     add("unordered=burnside", params + f" P={text}",
@@ -382,9 +356,12 @@ def _cmd_verify(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count, at most the usable cores "
-                          "(default: ZCC_THREADS or 1)")
+    # A string default is parsed like the flag, so a non-integer ZCC_THREADS
+    # is refused although the value is never used; an empty one is unset.
+    sub.add_argument("--threads", type=int,
+                     default=os.environ.get("ZCC_THREADS") or None,
+                     help="ignored: censuses run in one process "
+                          "(default: ZCC_THREADS)")
     sub.add_argument("--unsafe-guard", action="store_true",
                      help="lift desk-scale size guards (deliberate large runs)")
     sub.add_argument("--factor-seed", type=int, default=0,
@@ -404,7 +381,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("ordered", "unordered", "burnside"),
                    default="unordered")
     _add_common(p)
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_census, poly=None)
 
     p = subs.add_parser("weighted", help="census weighted by a statistic")
     p.add_argument("--d", required=True)
@@ -414,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("unordered", "burnside"),
                    default="unordered")
     _add_common(p)
-    p.set_defaults(func=_cmd_weighted)
+    p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("lattice", help="export the n-equals partition lattice")
     p.add_argument("--d", required=True)

@@ -262,18 +262,18 @@ class StabilityReport:
 
 
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
-                  guard, threads, factor_seed, record_guard) -> WeightedCensus:
+                  guard, factor_seed, record_guard) -> WeightedCensus:
     single_column = len(poly.columns_used()) <= 1
     if n == 1 and len(d) == 2 and single_column:
         return coprime_pair_census(d, n, field, poly, factor_seed, record_guard)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
-    return enumerate_unordered(spec, guard, threads, factor_seed, record_guard)
+    return enumerate_unordered(spec, guard, factor_seed=factor_seed,
+                               record_guard=record_guard)
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      truncation: int | None = None, dim_x: int = 1,
-                     guard: int = DEFAULT_POINT_GUARD, threads: int = 1,
-                     factor_seed: int = 0,
+                     guard: int = DEFAULT_POINT_GUARD, factor_seed: int = 0,
                      record_guard: int = DEFAULT_RECORD_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
@@ -291,6 +291,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError("sweep needs at least 2 degree values")
     if m < 1:
         raise ValidationError("m must be >= 1")
+    if truncation is not None and truncation < 0:
+        raise ValidationError("truncation must be >= 0")
     used = poly.columns_used()
     if used and max(used) > m:
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
@@ -308,8 +310,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                 f"degree {t} needs at least {needed} primes in q_list")
         samples = []
         for q in q_list:
-            cen = _census_total(d, n, fields[q], poly, guard, threads,
-                                factor_seed, record_guard)
+            cen = _census_total(d, n, fields[q], poly, guard, factor_seed,
+                                record_guard)
             samples.append((q, cen.total))
         # m = n = 1: every root is a common point, so the space is empty
         leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)

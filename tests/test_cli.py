@@ -1,7 +1,8 @@
-import argparse
+import ast
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import zcc
 from zcc import census, cli, homology, nlattice
-from zcc.cli import _parse_q, _threads, run
+from zcc.cli import _parse_q, run
 from zcc.ffield import UNSAFE_FIELD_GUARD
 
 
@@ -193,14 +194,12 @@ def test_threads_env(capsys, monkeypatch):
     assert run(["count", "--d", "2", "--n", "2", "--q", "3"]) == 1
 
 
-def test_threads_clamped_to_usable_cores(monkeypatch):
-    cores = len(os.sched_getaffinity(0))
-    monkeypatch.delenv("ZCC_THREADS", raising=False)
-    assert _threads(argparse.Namespace(threads=10 ** 9)) == cores
-    assert _threads(argparse.Namespace(threads=0)) == 1
-    assert _threads(argparse.Namespace(threads=None)) == 1
-    monkeypatch.setenv("ZCC_THREADS", str(10 ** 9))
-    assert _threads(argparse.Namespace(threads=None)) == cores
+def test_threads_env_empty_or_overridden_is_not_parsed(capsys, monkeypatch):
+    for env, flags in (("", []), ("zzz", ["--threads", "2"])):
+        monkeypatch.setenv("ZCC_THREADS", env)
+        rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1", "--q", "3",
+                                        *flags])
+        assert rc == 0 and payload["point_count"] == 18
 
 
 @pytest.mark.parametrize("q", ["1000000000039", "2^21", "3^1000000000"])
@@ -271,17 +270,45 @@ def _config(tmp_path, text):
                  "--poly", "X[1,1]^\u00b2"],
     lambda tmp: ["betti", "--d", "2,2", "--n", "1", "--dimx", "0"],
     lambda tmp: ["betti", "--d", "2,2", "--n", "1", "--dimx", "-1"],
+    lambda tmp: ["report", "--m", "0", "--n", "1", "--d-list", "1,2",
+                 "--q-list", "2,3,5"],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": -1}')],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
         "poly-deep-nesting", "poly-huge-power", "poly-long-literal",
-        "poly-superscript-digit", "betti-dimx-zero", "betti-dimx-negative"])
+        "poly-superscript-digit", "betti-dimx-zero", "betti-dimx-negative",
+        "report-m-zero", "config-negative-truncation"])
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: ["report", "--m", "0", "--n", "1", "--d-list", "1,2",
+                  "--q-list", "2,3,5", "--polys", "X[1,1]"], "m must be >= 1"),
+    (lambda tmp: ["report", "--config", _config(
+        tmp, '{"m": 0, "d_list": [1, 2], "q_list": [2, 3, 5], "polys": ["X[1,1]"]}')],
+     "m must be >= 1"),
+    (lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list", "1,2",
+                  "--q-list", "2,3,5,7,11", "--truncation", "-1"],
+     "truncation must be >= 0"),
+    (lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": -1}')],
+     "truncation must be >= 0"),
+], ids=["flags-m", "config-m", "flags-truncation", "config-truncation"])
+def test_report_bounds_checked_before_any_statistic(capsys, monkeypatch, tmp_path,
+                                                    make_argv, message):
+    def no_statistic(*_args, **_kwargs):
+        raise AssertionError("a statistic was parsed before the bounds check")
+
+    monkeypatch.setattr(cli, "parse_charpoly", no_statistic)
+    assert run(make_argv(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["lattice", "betti"])
@@ -363,16 +390,24 @@ def _modules_loaded_by(argv) -> set:
     ("count --d 2,2 --n 1 --q 3 --mode burnside", {"zcc.homology", "zcc.stabkit"} | POOL),
     ("weighted --d 2,2 --n 1 --q 3 --poly X[1,1]", {"zcc.homology", "zcc.stabkit"} | POOL),
     ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11", {"zcc.homology"} | POOL),
+    ("count --d 2,2,2 --n 1 --q 11 --threads 2", {"zcc.homology", "zcc.stabkit"} | POOL),
 ], ids=["version", "lattice", "betti", "count", "count-burnside", "weighted",
-        "report"])
+        "report", "count-threads"])
 def test_startup_imports_only_the_layers_a_command_runs(argv, absent):
     assert not _modules_loaded_by(argv.split()) & absent
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
-def test_threads_still_fork_the_pool():
-    loaded = _modules_loaded_by("count --d 2,2,2 --n 1 --q 11 --threads 2".split())
-    assert POOL <= loaded and "zcc.homology" not in loaded
+def test_no_module_imports_a_process_or_thread_pool():
+    banned = {"multiprocessing", "concurrent", "threading"}
+    for path in sorted(pathlib.Path(zcc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not roots & banned, (path.name, node.lineno)
 
 
 def test_poly_nesting_within_limit(capsys):

@@ -185,6 +185,11 @@ def test_report_validation():
         lefschetz_report([1, 2], 1, 1, parse_charpoly("X[2,1]"), [2, 3, 5])
 
 
+def test_report_refuses_negative_truncation():
+    with pytest.raises(ValidationError, match="truncation"):
+        lefschetz_report([1, 2], 1, 2, ONE, [2, 3, 5, 7, 11], truncation=-1)
+
+
 def test_report_json_round_trip():
     import json
     rep = lefschetz_report([1, 2], 1, 2, ONE, [2, 3, 5, 7, 11])
