@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
@@ -47,8 +47,9 @@ from .polyarith import (MonicPoly, factorize, format_poly, gcd, radical_n, _mul,
 
 DEFAULT_POINT_GUARD = 10 ** 8
 UNSAFE_POINT_GUARD = 10 ** 10
-# A record and its radical set take about 1 kB, so the default keeps the
-# record tables under 256 MiB and the unsafe one near 1 GiB.
+# A record takes about 0.3 kB (q = 2, counting the lower-degree tables that
+# stay cached) and 0.55 kB while a census groups its radical sets, so the
+# default keeps a census's records under 150 MiB and the unsafe one under 600 MiB.
 DEFAULT_RECORD_GUARD = 1 << 18
 UNSAFE_RECORD_GUARD = 1 << 20
 BURNSIDE_DEGREE_GUARD = 8
@@ -130,16 +131,6 @@ def is_member(polys, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyRecord:
-    coeffs: tuple                  # non-leading coefficients
-    factors: tuple                 # ((degree, coeffs), multiplicity) sorted
-    signature: tuple               # sorted (degree, multiplicity) per factor
-
-    def radical_keys(self, n: int) -> frozenset:
-        return frozenset(key for key, m in self.factors if m >= n)
-
-
 def necklace_count(q: int, j: int) -> int:
     """M_j(q), the number of monic irreducibles of degree j >= 1 over F_q.
 
@@ -177,12 +168,14 @@ def _factored_monics(field: FieldSpec, degree: int, irreducibles: tuple):
     yield from walk(0, degree, [1], ())
 
 
-def _factor_table(field: FieldSpec, degree: int) -> list:
-    """The factors of every monic polynomial of the given degree, in
-    product(range(q), repeat=degree) order, built as the products of the
-    irreducibles of lower degree; None marks the irreducibles of this degree.
+@lru_cache(maxsize=None)
+def _factor_table(field: FieldSpec, degree: int) -> tuple:
+    """The sorted ((degree, coeffs), multiplicity) factors of every monic
+    polynomial of the given degree, in product(range(q), repeat=degree)
+    order, built as the products of the irreducibles of lower degree; the
+    slots left over are this degree's irreducibles, each its own factor.
 
-    Checked: no two products coincide, and there are M_degree(q) Nones.
+    Checked: no two products coincide, and M_degree(q) slots are left over.
     """
     q = field.q
     lower = tuple(key for j in range(1, degree) for key in _irreducibles(field, j))
@@ -201,25 +194,46 @@ def _factor_table(field: FieldSpec, degree: int) -> list:
         raise InconsistencyError(
             f"found {found} irreducibles of degree {degree} over F_{q}, "
             f"not M_{degree}(q) = {expected}")
-    return table
+    return tuple((((degree, _slot_coeffs(slot, q, degree)), 1),) if factors is None
+                 else factors for slot, factors in enumerate(table))
+
+
+def _slot_coeffs(slot: int, q: int, degree: int) -> tuple:
+    """The non-leading coefficients of the monic polynomial in a table slot:
+    its base-q digits, the constant term the most significant."""
+    return tuple(slot // q ** i % q for i in reversed(range(degree)))
 
 
 @lru_cache(maxsize=None)
 def _irreducibles(field: FieldSpec, degree: int) -> tuple:
-    """The monic irreducibles of the given degree as ascending (degree,
-    coeffs) keys: the monics that are no product of lower-degree ones."""
-    return tuple((degree, coeffs) for coeffs, factors in
-                 zip(product(range(field.q), repeat=degree),
-                     _factor_table(field, degree)) if factors is None)
+    """The monic irreducibles of the given degree >= 1 as ascending (degree,
+    coeffs) keys: the factor-table slots whose factor has the full degree."""
+    return tuple(factors[0][0] for factors in _factor_table(field, degree)
+                 if factors[0][0][0] == degree)
+
+
+def _signature(factors: tuple) -> tuple:
+    """The sorted (degree, multiplicity) pairs of a record's factors."""
+    return tuple(sorted((key[0], m) for key, m in factors))
+
+
+def _check_point_guard(q: int, size: int, guard: int, hint: str = "") -> None:
+    """Refuse q^size > guard points; a size as long as guard's bit length is
+    refused outright (q >= 2), and its power is never formed."""
+    if size >= guard.bit_length() or q ** size > guard:
+        power = f"{q}^{size}" if size >= guard.bit_length() else q ** size
+        raise GuardError(f"q^|d| = {power} exceeds guard {guard}{hint}")
 
 
 def _check_record_guard(field: FieldSpec, degrees, guard: int) -> None:
     """Refuse, before any record is built, record tables for the given
     degrees (one table per distinct degree) holding more than `guard`
     records in all."""
-    records = sum(field.q ** dk for dk in set(degrees))
-    if records > guard:
-        raise GuardError(f"{records} polynomial records exceed guard {guard}")
+    if max(degrees) >= guard.bit_length():  # as in _check_point_guard
+        records = f"at least {field.q}^{max(degrees)}"
+    elif (records := sum(field.q ** dk for dk in set(degrees))) <= guard:
+        return
+    raise GuardError(f"{records} polynomial records exceed guard {guard}")
 
 
 def _spot_slot(seed: int, size: int) -> int:
@@ -229,31 +243,23 @@ def _spot_slot(seed: int, size: int) -> int:
 
 @lru_cache(maxsize=None)
 def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
-    """Factorization records for every monic polynomial of the given degree,
-    in product(range(q), repeat=degree) order of the coefficients.
+    """The record of every monic polynomial of the given degree, its factors:
+    the factor table, built once per (field, degree) by multiplying out the
+    multisets of irreducibles, not by factoring, and shared by every seed.
 
-    The records are built by multiplying out every multiset of irreducibles
-    of total degree `degree`, not by factoring.  Run-time checks: no two
-    products coincide, each degree j has M_j(q) irreducibles (so every
-    polynomial gets exactly one record), and the record that `seed` picks
-    equals its factorization by `factorize`.  The seed never changes the
-    records, only which one is checked.
+    Run-time checks: no two products coincide, each degree j has M_j(q)
+    irreducibles (so every polynomial gets exactly one record), and the
+    record that `seed` picks equals its factorization by `factorize`.  The
+    seed never changes the records, only which one is checked.
     """
-    records = []
-    signatures: dict = {}  # one shared tuple per signature
-    for coeffs, factors in zip(product(range(field.q), repeat=degree),
-                               _factor_table(field, degree)):
-        if factors is None:
-            factors = (((degree, coeffs), 1),)
-        sig = tuple(sorted((key[0], m) for key, m in factors))
-        records.append(PolyRecord(coeffs, factors, signatures.setdefault(sig, sig)))
-    rec = records[_spot_slot(seed, len(records))]
-    fact = factorize(MonicPoly(field, rec.coeffs), seed=seed)
-    if tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)) != rec.factors:
+    table = _factor_table(field, degree)
+    slot = _spot_slot(seed, len(table))
+    poly = MonicPoly(field, _slot_coeffs(slot, field.q, degree))
+    fact = factorize(poly, seed=seed)
+    if tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)) != table[slot]:
         raise InconsistencyError(
-            f"record {format_poly(MonicPoly(field, rec.coeffs))} disagrees with "
-            "its factorization")
-    return tuple(records)
+            f"record {format_poly(poly)} disagrees with its factorization")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +295,10 @@ def averaged_class_value(P: CharPolynomial, signatures: tuple) -> Fraction:
 def _column_groups(records, n: int) -> dict:
     """The records grouped by signature, then by n-fold radical set:
     signature -> {radical set: multiplicity}."""
-    by_sig: dict = {}
-    for rec in records:
-        by_sig.setdefault(rec.signature, []).append(rec.radical_keys(n))
-    return {sig: Counter(rads) for sig, rads in by_sig.items()}
+    groups = defaultdict(Counter)
+    for factors in records:
+        groups[_signature(factors)][frozenset(key for key, m in factors if m >= n)] += 1
+    return dict(groups)
 
 
 def _point_index(keys) -> dict:
@@ -381,10 +387,7 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     """
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
-    q = spec.field.q
-    if q ** sum(spec.d) > guard:
-        raise GuardError(
-            f"q^|d| = {q ** sum(spec.d)} exceeds guard {guard}; try burnside mode")
+    _check_point_guard(spec.field.q, sum(spec.d), guard, "; try burnside mode")
     _check_record_guard(spec.field, spec.d, record_guard)
     t0 = time.perf_counter()
     histogram = _member_histogram(spec.field, spec.d, spec.n, factor_seed)
@@ -404,10 +407,8 @@ def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Wei
         raise ValidationError("spec mode must be 'ordered'")
     if not spec.poly.is_one():
         raise ValidationError("ordered census is unweighted")
+    _check_point_guard(spec.field.q, sum(spec.d), guard)
     q = spec.field.q
-    total_deg = sum(spec.d)
-    if q ** total_deg > guard:
-        raise GuardError(f"q^|d| = {q ** total_deg} exceeds guard {guard}")
     t0 = time.perf_counter()
     columns = []
     for dk in spec.d:
@@ -431,7 +432,10 @@ def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Wei
 def _subfield_embedding(base: FieldSpec, ext: FieldSpec) -> tuple:
     """The canonical embedding F_q -> F_{q^j} as the images of base's power
     basis: its generator maps to the lexicographically least root of base's
-    modulus."""
+    modulus.  A prime field's basis is 1 alone, so its modulus is never
+    factored."""
+    if base.e == 1:
+        return (1,)
     modulus = MonicPoly(ext, tuple(int(c) for c in base.modulus))
     roots = []
     for g, _m in factorize(modulus).factors:
@@ -579,20 +583,14 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     # remap a column-`col` statistic to column 1 for single-column evaluation
     remapped = P if col == 0 else CharPolynomial(
         1, tuple((tuple(((1, j), e) for (_k, j), e in mono), c) for mono, c in P.terms))
+    records = poly_records(field, d[col], factor_seed)
     histogram = Counter()
-    for rec in poly_records(field, d[col], factor_seed):
-        degs = [deg for (deg, _c), _m in rec.factors]
-        coprime = 0
-        for bits in range(1 << len(degs)):
-            s = 0
-            sign = 1
-            for i, deg in enumerate(degs):
-                if bits >> i & 1:
-                    s += deg
-                    sign = -sign
-            if s <= d_other:
-                coprime += sign * q ** (d_other - s)
-        histogram[(rec.signature,)] += coprime
+    for sig, mult in Counter(map(_signature, records)).items():
+        # inclusion-exclusion over the sets of distinct factors, one factor
+        # per (degree, multiplicity) pair of the signature
+        histogram[(sig,)] = mult * sum(
+            (-1) ** r * q ** (d_other - s) for r in range(len(sig) + 1)
+            for s in map(sum, combinations([j for j, _e in sig], r)) if s <= d_other)
     count, total = _weigh(remapped, histogram)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=P, mode="unordered")
     return WeightedCensus(spec, total, count, "coprime-inclusion-exclusion",

@@ -186,10 +186,9 @@ def build_lattice(d, n: int, guard: int = DEFAULT_SIZE_GUARD) -> NEqualsLattice:
     if n < 1:
         raise ValidationError("threshold n must be >= 1")
     total = sum(d)
-    if total > guard:
-        raise GuardError(
-            f"|d| = {total} exceeds the lattice guard {guard}; "
-            f"up to ~{bell_number(total)} set partitions")
+    if total > guard:  # the Bell number is cheap only for a small |d|
+        bound = f"; up to ~{bell_number(total)} set partitions" if total <= 100 else ""
+        raise GuardError(f"|d| = {total} exceeds the lattice guard {guard}{bound}")
 
     m = len(d)
     ground = [(k + 1, i + 1) for k, dk in enumerate(d) for i in range(dk)]

@@ -379,9 +379,7 @@ def factored_records(field, degree):
     out = []
     for coeffs in product(range(field.q), repeat=degree):
         fact = factorize(MonicPoly(field, coeffs))
-        keys = tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors))
-        sig = tuple(sorted((g.degree, m) for g, m in fact.factors))
-        out.append(census.PolyRecord(coeffs, keys, sig))
+        out.append(tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)))
     return tuple(out)
 
 
@@ -418,7 +416,7 @@ def test_irreducible_counts_are_necklace_counts(field):
 
 @pytest.fixture
 def fresh_tables():
-    tables = (census.poly_records, census._irreducibles)
+    tables = (census.poly_records, census._irreducibles, census._factor_table)
     for table in tables:
         table.cache_clear()
     yield
@@ -466,3 +464,41 @@ def test_wrong_product_is_caught(fresh_tables, monkeypatch):
     monkeypatch.setattr(census, "_factored_monics", shifting)
     with pytest.raises(InconsistencyError, match="two factorizations"):
         poly_records(F2, 3)
+
+
+def test_factor_table_built_once_per_field_and_degree(fresh_tables, monkeypatch):
+    walk = census._factored_monics
+    built = Counter()
+
+    def counting(field, degree, irreducibles):
+        built[degree] += 1
+        return walk(field, degree, irreducibles)
+
+    monkeypatch.setattr(census, "_factored_monics", counting)
+    for seed in (1, 2):
+        for degree in (3, 1, 4, 2):
+            poly_records(F3, degree, seed)
+    assert built == Counter({1: 1, 2: 1, 3: 1, 4: 1})
+    for degree in range(1, 5):
+        assert poly_records(F3, degree, 1) is poly_records(F3, degree, 2)
+
+
+def test_prime_field_twisted_table_factors_nothing(monkeypatch):
+    for cached in (census._twisted_choice_table, census._subfield_embedding):
+        cached.cache_clear()
+    calls = []
+    original = census.factorize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(census, "factorize", counting)
+    assert len(census._twisted_choice_table(F5, 2)) == 25
+    assert calls == []
+
+
+def test_record_guard_never_forms_the_power():
+    with pytest.raises(GuardError,
+                       match="^at least 3\\^1000000 polynomial records exceed guard 262144$"):
+        census._check_record_guard(F3, (2, 10 ** 6), census.DEFAULT_RECORD_GUARD)

@@ -234,6 +234,45 @@ def test_record_guard_before_any_record(capsys, argv):
     assert "polynomial records exceed guard" in lines[0]
 
 
+# Runs one command in a fresh interpreter and prints its exit code, its stderr
+# and the seconds cli.run took.
+_TIMED_SCRIPT = """
+import contextlib, io, json, sys, time
+from zcc import cli
+err = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("count --d 1000000 --n 1 --q 2",
+     "q^|d| = 2^1000000 exceeds guard 100000000; try burnside mode"),
+    ("count --d 1000000 --n 1 --q 2 --mode ordered",
+     "q^|d| = 2^1000000 exceeds guard 100000000"),
+    ("weighted --d 1000000 --n 1 --q 2 --poly X[1,1]",
+     "q^|d| = 2^1000000 exceeds guard 100000000; try burnside mode"),
+    ("count --d 12345678901234567890 --n 1 --q 2",
+     "q^|d| = 2^12345678901234567890 exceeds guard 100000000; try burnside mode"),
+    ("lattice --d 100000 --n 1", "|d| = 100000 exceeds the lattice guard 10"),
+    ("betti --d 100000 --n 1", "|d| = 100000 exceeds the lattice guard 10"),
+    ("lattice --d 12 --n 1",
+     "|d| = 12 exceeds the lattice guard 10; up to ~4213597 set partitions"),
+], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
+        "lattice-small"])
+def test_size_guards_never_form_the_size(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    env.pop("ZCC_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_SCRIPT, *argv.split()],
+        env=env, capture_output=True, text=True, check=True, timeout=30)
+    code, err, seconds = json.loads(done.stdout)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert seconds < 1
+
+
 @pytest.mark.parametrize("argv", ["betti --d 4,4 --n 1", "betti --d 3,3,3 --n 1"])
 def test_face_guard_before_any_homology(capsys, argv):
     t0 = time.perf_counter()
@@ -456,6 +495,21 @@ def test_lattice_computes_mobius_once(capsys, monkeypatch):
      "a7eb8f0bdd920e5d25ddb077c70c11c3418bfc0d592b3ef66215f0e1674e0c70"),
 ])
 def test_topology_stdout_pinned(capsys, argv, digest):
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout as recorded for the benchmark's record-heavy census and sweep jobs
+@pytest.mark.parametrize("argv, digest", [
+    ("count --d 6 --n 2 --q 5",
+     "9bac28856a2dea336be0cd4336fee50c9ab4d59549e903d164f93f6a1b9cc026"),
+    ("weighted --d 5,3 --n 1 --q 4 --poly X[1,1]^2-X[1,2]",
+     "69b45a9fd85a76c942ee943e7c1225f5dbe2fb498a98084b2be652d028f9d193"),
+    ("report --m 1 --n 2 --d-list 2,3,4 --q-list 2,3,5,7,11",
+     "2f62b246938eabeff3f6c6245e879da276c76e909590780a46da0159d94d6152"),
+])
+def test_record_heavy_stdout_pinned(capsys, argv, digest):
     assert run(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
