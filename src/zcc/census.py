@@ -5,7 +5,8 @@ monic polynomials of each degree, tallied per tuple of per-column factor
 signatures; enumerate_ordered walks the raw coordinate tuples of each column
 of the ordered space (always unweighted) and cross-checks the lattice
 point-count polynomial; burnside_count averages Frobenius-twisted fixed-point
-counts over the conjugacy classes of S_d.
+counts over the conjugacy classes of S_d, tallying a j-cycle's choices by
+their minimal polynomials, the irreducibles of degree dividing j.
 
 Membership factors over the columns: a tuple is excluded exactly when some
 geometric point has multiplicity >= n in every coordinate.  So each route
@@ -40,10 +41,9 @@ from math import prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
-from .ffield import FieldSpec, make_field
+from .ffield import FieldSpec
 from .nlattice import eval_int_poly
-from .polyarith import (MonicPoly, factorize, format_poly, gcd, radical_n, _mul,
-                        _trim)
+from .polyarith import MonicPoly, factorize, format_poly, gcd, radical_n, _mul
 
 DEFAULT_POINT_GUARD = 10 ** 8
 UNSAFE_POINT_GUARD = 10 ** 10
@@ -429,72 +429,18 @@ def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Wei
 
 
 @lru_cache(maxsize=None)
-def _subfield_embedding(base: FieldSpec, ext: FieldSpec) -> tuple:
-    """The canonical embedding F_q -> F_{q^j} as the images of base's power
-    basis: its generator maps to the lexicographically least root of base's
-    modulus.  A prime field's basis is 1 alone, so its modulus is never
-    factored."""
-    if base.e == 1:
-        return (1,)
-    modulus = MonicPoly(ext, tuple(int(c) for c in base.modulus))
-    roots = []
-    for g, _m in factorize(modulus).factors:
-        if g.degree != 1:
-            raise ValidationError("modulus does not split in the extension")
-        roots.append(ext.neg_raw(g.coeffs[0]))
-    root = min(roots, key=ext.decode)
-    powers = [1]
-    for _ in range(base.e - 1):
-        powers.append(ext.mul_raw(powers[-1], root))
-    return tuple(powers)
-
-
-@lru_cache(maxsize=None)
 def _twisted_choice_table(base: FieldSpec, j: int) -> tuple:
-    """For each x in F_{q^j}: the key of its minimal polynomial over F_q and
-    the multiplicity j/deg(x) its Frobenius orbit contributes to the divisor.
-    The minimal polynomial is built once per orbit and fills the slot of
-    every member.
+    """The choices of one j-cycle, an element x of F_{q^j}, tallied by x's
+    minimal polynomial over F_q: (key, multiplicity j/e, count e) for every
+    monic irreducible key of degree e dividing j, as it has e roots there.
 
-    Keys are (degree, non-leading coefficients) in the standalone F_q model,
-    so they are comparable across different cycle lengths j.
+    Checked: the counts make up all q^j elements (Gauss's identity).
     """
-    if j == 1:
-        # minimal polynomial of x is T - x
-        return tuple(((1, (base.neg_raw(x),)), 1) for x in range(base.q))
-    ext = make_field(base.p, base.e * j)
-    powers = _subfield_embedding(base, ext)
-    embedded = {}  # the image in F_{q^j} of each element of F_q -> the element
-    for x in range(base.q):
-        image = 0
-        for c, w in zip(base.decode(x), powers):
-            image = ext.add_raw(image, ext.mul_raw(c, w))
-        embedded[image] = x
-
-    def back(raw):
-        if raw not in embedded:
-            raise ValidationError("coefficient is not in the subfield")
-        return embedded[raw]
-
-    q = base.q
-    out = [None] * ext.q
-    for x in range(ext.q):
-        if out[x] is not None:
-            continue
-        orbit = [x]
-        y = ext.pow_raw(x, q)
-        while y != x:
-            orbit.append(y)
-            y = ext.pow_raw(y, q)
-        e = len(orbit)
-        # minimal polynomial = prod (T - y) over the orbit, in ext[T]
-        vec = [1]
-        for y in orbit:
-            vec = _mul(ext, vec, [ext.neg_raw(y), 1])
-        entry = ((e, tuple(back(c) for c in _trim(list(vec))[:-1])), j // e)
-        for y in orbit:
-            out[y] = entry
-    return tuple(out)
+    table = tuple((key, j // e, e) for e in range(1, j + 1) if j % e == 0
+                  for key in _irreducibles(base, e))
+    if (total := sum(count for _key, _mult, count in table)) != base.q ** j:
+        raise InconsistencyError(f"{total} choices for a {j}-cycle over F_{base.q}, not q^{j}")
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -502,13 +448,16 @@ def _twisted_column(field: FieldSpec, lam: tuple, n: int) -> Counter:
     """Key set -> number of choices, for one column whose coordinates a
     permutation of cycle type lam permutes: the choices take one element of
     F_{q^j} per j-cycle, and the key set holds the minimal polynomials of
-    multiplicity >= n in the divisor the choice defines."""
+    multiplicity >= n in the divisor the choice defines, each tuple of
+    table entries weighted by the product of their counts."""
     column = Counter()
     for choice in product(*(_twisted_choice_table(field, j) for j in lam)):
         mults: dict = {}
-        for key, mult in choice:
+        ways = 1
+        for key, mult, count in choice:
             mults[key] = mults.get(key, 0) + mult
-        column[frozenset(key for key, c in mults.items() if c >= n)] += 1
+            ways *= count
+        column[frozenset(key for key, c in mults.items() if c >= n)] += ways
     return column
 
 
@@ -528,11 +477,14 @@ def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
                  for ctype, weight in cycle_types_of(d))
 
 
-def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> WeightedCensus:
+def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
+                   record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
     """Weighted count via Frobenius-twisted fixed points, class by class.
 
-    The fixed-point table carries no statistic; the statistic is evaluated
-    at each class's cycle type and paired with it.
+    A j-cycle's choices come from the record tables of the unordered route
+    (degrees up to max(d)), so `record_guard` is checked before any is
+    built.  The fixed-point table carries no statistic; the statistic is
+    evaluated at each class's cycle type and paired with it.
     """
     if spec.mode != "burnside":
         raise ValidationError("spec mode must be 'burnside'")
@@ -543,6 +495,7 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> Weight
     q = spec.field.q
     if q ** total_deg > guard:
         raise GuardError(f"q^cycles = {q ** total_deg} exceeds guard {guard}")
+    _check_record_guard(spec.field, spec.d, record_guard)
     t0 = time.perf_counter()
     classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
     count = sum((w * fixed for _ctype, w, fixed in classes), Fraction(0))
@@ -605,4 +558,4 @@ def run_census(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     if spec.mode == "unordered":
         return enumerate_unordered(spec, guard, factor_seed=factor_seed,
                                    record_guard=record_guard)
-    return burnside_count(spec, guard)
+    return burnside_count(spec, guard, record_guard)

@@ -24,8 +24,8 @@ from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
 from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
                      prime_power)
-from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
-                       point_count_polynomial)
+from .nlattice import (DIMENSION_GUARD, build_lattice, classify_edges,
+                       eval_int_poly, mobius, point_count_polynomial)
 
 # The census, homology and stabkit layers are imported by the subcommands that
 # run them, so a command pays at start-up only for its own layers.
@@ -91,11 +91,16 @@ def _record_guard(args) -> int:
     return UNSAFE_RECORD_GUARD if args.unsafe_guard else DEFAULT_RECORD_GUARD
 
 
-def _dim_x(args) -> int:
-    """--dimx, refused before any lattice is built when it is below 1."""
+def _lattice_input(args) -> tuple:
+    """(d, dim_x), refused before any lattice is built when dim_x is below 1
+    or dim_x * |d| exceeds DIMENSION_GUARD."""
     if args.dimx < 1:
         raise ValidationError("dim_x must be >= 1")
-    return args.dimx
+    d = _parse_d(args.d)
+    if (dimension := args.dimx * sum(d)) > DIMENSION_GUARD:
+        raise GuardError(
+            f"dim_x * |d| = {dimension} exceeds the dimension guard {DIMENSION_GUARD}")
+    return d, args.dimx
 
 
 def _field_guard(args) -> int:
@@ -162,8 +167,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    dim_x = _dim_x(args)
-    lattice = build_lattice(_parse_d(args.d), args.n,
+    d, dim_x = _lattice_input(args)
+    lattice = build_lattice(d, args.n,
                             guard=10 ** 6 if args.unsafe_guard else 10)
     mob = mobius(lattice)
     edges = classify_edges(lattice)
@@ -191,8 +196,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_betti(args) -> int:
     from .homology import betti_from_contributions, complement_contributions
-    dim_x = _dim_x(args)
-    lattice = build_lattice(_parse_d(args.d), args.n,
+    d, dim_x = _lattice_input(args)
+    lattice = build_lattice(d, args.n,
                             guard=10 ** 6 if args.unsafe_guard else 10)
     contribs = complement_contributions(lattice, dim_x)
     betti = betti_from_contributions(contribs)
@@ -338,7 +343,8 @@ def _cmd_verify(args) -> int:
                         CensusSpec(d, n, field, poly, "unordered"), guard,
                         factor_seed=args.factor_seed, record_guard=record_guard)
                     burnside = burnside_count(
-                        CensusSpec(d, n, field, poly, "burnside"), guard)
+                        CensusSpec(d, n, field, poly, "burnside"), guard,
+                        record_guard)
                     add("unordered=burnside", params + f" P={text}",
                         (unordered.total, unordered.point_count)
                         == (burnside.total, burnside.point_count),

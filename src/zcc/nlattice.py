@@ -18,6 +18,9 @@ from itertools import combinations
 from .errors import GuardError, StructureError, ValidationError
 
 DEFAULT_SIZE_GUARD = 10
+# dim_x * |d| is the degree of the point-count polynomial and bounds the top
+# Betti degree: both list that many entries.
+DIMENSION_GUARD = 10 ** 6
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,9 @@ from .ffield import FieldSpec, make_field, prime_power
 from .nlattice import eval_int_poly
 from .polyarith import _trim as _trim_zeros
 
+# normalized_coefficients lists topdim + 1 coefficients
+TOPDIM_GUARD = 10 ** 6
+
 TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
              "subexponential growth of the stable multiplicities together with "
              "the q^(-i/2) decay of Frobenius traces; it is a documented "
@@ -116,7 +119,10 @@ def interpolate_in_q(samples, expected_degree: int | None = None,
 
 
 def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
-    """(c_0, c_1, ...) with f(q) / q^topdim = sum c_i q^(-i), zero-padded."""
+    """(c_0, c_1, ...) with f(q) / q^topdim = sum c_i q^(-i), zero-padded;
+    a topdim above TOPDIM_GUARD is refused before any is built."""
+    if topdim > TOPDIM_GUARD:
+        raise ValidationError(f"topdim {topdim} exceeds guard {TOPDIM_GUARD}")
     if f.degree > topdim:
         raise ValidationError("count exceeds dimension bound")
     out = []
@@ -289,6 +295,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     q_list = sorted({int(q) for q in q_list})
     if len(d_values) < 2:
         raise ValidationError("sweep needs at least 2 degree values")
+    if min(d_values) < 0:
+        raise ValidationError("degree values must be >= 0")
     if m < 1:
         raise ValidationError("m must be >= 1")
     if truncation is not None and truncation < 0:
@@ -302,12 +310,14 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     points = []
     lhs_rows = []
     for t in d_values:
-        d = (t,) * m
+        # checked before d = (t,) * m exists: it bounds |d| = m * t by the
+        # q_list's length, and the census's point guard never forms q^|d|
         topdim = m * t * dim_x
         needed = topdim + 1
         if len(q_list) < needed:
             raise ValidationError(
                 f"degree {t} needs at least {needed} primes in q_list")
+        d = (t,) * m
         samples = []
         for q in q_list:
             cen = _census_total(d, n, fields[q], poly, guard, factor_seed,

@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcc import census
+from zcc import census, ffield
 from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
                         coprime_pair_census, enumerate_ordered,
                         enumerate_unordered, is_member, necklace_count,
@@ -161,8 +162,7 @@ def burnside_walk(field, d, n):
             weight /= z
         cycles = [(k, j) for k, (lam, _z) in enumerate(combo) for j in lam]
         fixed = 0
-        for choice in product(*(census._twisted_choice_table(field, j)
-                                for _k, j in cycles)):
+        for choice in product(*(twisted_choice_walk(field, j) for _k, j in cycles)):
             mults = [dict() for _ in d]
             for (k, _j), (key, mult) in zip(cycles, choice):
                 mults[k][key] = mults[k].get(key, 0) + mult
@@ -226,21 +226,33 @@ def solve_mod_p(columns, target, p):
     return tuple(mat[i][ncols] for i in range(ncols))
 
 
-def twisted_choice_walk(base, j):
-    """The choice table built element by element, one minimal polynomial
-    per element of F_{q^j}: the reference for the per-orbit table."""
-    if j == 1:
-        return tuple(((1, (base.neg_raw(x),)), 1) for x in range(base.q))
-    ext = make_field(base.p, base.e * j)
+def subfield_embedding(base, ext):
+    """An embedding F_q -> F_{q^j} as the images of base's power basis: its
+    generator maps to the least root of base's modulus, found by factoring."""
     if base.e == 1:
-        def back(raw):
-            assert raw < base.p
-            return raw
-    else:
-        columns = [ext.decode(w) for w in census._subfield_embedding(base, ext)]
+        return (1,)
+    modulus = MonicPoly(ext, tuple(int(c) for c in base.modulus))
+    roots = []
+    for g, _m in factorize(modulus).factors:
+        assert g.degree == 1, "modulus does not split in the extension"
+        roots.append(ext.neg_raw(g.coeffs[0]))
+    root = min(roots, key=ext.decode)
+    powers = [1]
+    for _ in range(base.e - 1):
+        powers.append(ext.mul_raw(powers[-1], root))
+    return tuple(powers)
 
-        def back(raw):
-            return base.encode(solve_mod_p(columns, ext.decode(raw), base.p))
+
+@lru_cache(maxsize=None)
+def twisted_choice_walk(base, j):
+    """The (key, multiplicity) of every element of F_{q^j}, its minimal
+    polynomial over F_q built in the extension field and mapped back: the
+    reference for the tallied choice table."""
+    ext = make_field(base.p, base.e * j)
+    columns = [ext.decode(w) for w in subfield_embedding(base, ext)]
+
+    def back(raw):
+        return base.encode(solve_mod_p(columns, ext.decode(raw), base.p))
 
     out = []
     for x in range(ext.q):
@@ -260,8 +272,11 @@ def twisted_choice_walk(base, j):
 @pytest.mark.parametrize("field", [F2, F3, make_field(2, 2), make_field(3, 2)],
                          ids=lambda F: f"F{F.q}")
 def test_twisted_table_per_orbit_matches_element_walk(field):
-    for j in (1, 2, 3):
-        assert census._twisted_choice_table(field, j) == twisted_choice_walk(field, j)
+    for j in (1, 2, 3, 4) if field.e == 1 else (1, 2, 3):
+        tally = Counter()
+        for key, mult, count in census._twisted_choice_table(field, j):
+            tally[key, mult] += count
+        assert tally == Counter(twisted_choice_walk(field, j)), (field.q, j)
 
 
 def test_burnside_table_shared_across_statistics():
@@ -483,19 +498,41 @@ def test_factor_table_built_once_per_field_and_degree(fresh_tables, monkeypatch)
         assert poly_records(F3, degree, 1) is poly_records(F3, degree, 2)
 
 
-def test_prime_field_twisted_table_factors_nothing(monkeypatch):
-    for cached in (census._twisted_choice_table, census._subfield_embedding):
+def test_twisted_table_factors_nothing_and_builds_no_field(monkeypatch):
+    for cached in (census._twisted_choice_table, census._irreducibles,
+                   census._factor_table):
         cached.cache_clear()
-    calls = []
-    original = census.factorize
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a twisted table factored or built a field")
 
-    monkeypatch.setattr(census, "factorize", counting)
-    assert len(census._twisted_choice_table(F5, 2)) == 25
-    assert calls == []
+    monkeypatch.setattr(ffield, "make_field", refuse)
+    monkeypatch.setattr(census, "factorize", refuse)
+    for field, total in ((F5, 25), (make_field(2, 2), 16)):
+        table = census._twisted_choice_table(field, 2)
+        assert sum(count for _key, _mult, count in table) == total
+
+
+def test_twisted_table_checks_gauss_identity(monkeypatch):
+    irreducibles = census._irreducibles
+    irreducibles(F3, 2)  # its factor tables are built with every key
+    monkeypatch.setattr(census, "_irreducibles",
+                        lambda field, e: irreducibles(field, e)[1:])
+    census._twisted_choice_table.cache_clear()
+    with pytest.raises(InconsistencyError,
+                       match="^6 choices for a 2-cycle over F_3, not q\\^2$"):
+        census._twisted_choice_table(F3, 2)
+
+
+def test_burnside_record_guard_before_any_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built before the record guard")
+
+    for name in ("_twisted_choice_table", "_twisted_column", "_factor_table"):
+        monkeypatch.setattr(census, name, refuse)
+    with pytest.raises(GuardError,
+                       match="^390625 polynomial records exceed guard 262144$"):
+        burnside_count(spec((8,), 1, F5, ONE, "burnside"))
 
 
 def test_record_guard_never_forms_the_power():

@@ -247,29 +247,40 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
 """
 
 
-@pytest.mark.parametrize("argv, message", [
-    ("count --d 1000000 --n 1 --q 2",
+@pytest.mark.parametrize("argv, code, message", [
+    ("count --d 1000000 --n 1 --q 2", 2,
      "q^|d| = 2^1000000 exceeds guard 100000000; try burnside mode"),
-    ("count --d 1000000 --n 1 --q 2 --mode ordered",
+    ("count --d 1000000 --n 1 --q 2 --mode ordered", 2,
      "q^|d| = 2^1000000 exceeds guard 100000000"),
-    ("weighted --d 1000000 --n 1 --q 2 --poly X[1,1]",
+    ("weighted --d 1000000 --n 1 --q 2 --poly X[1,1]", 2,
      "q^|d| = 2^1000000 exceeds guard 100000000; try burnside mode"),
-    ("count --d 12345678901234567890 --n 1 --q 2",
+    ("count --d 12345678901234567890 --n 1 --q 2", 2,
      "q^|d| = 2^12345678901234567890 exceeds guard 100000000; try burnside mode"),
-    ("lattice --d 100000 --n 1", "|d| = 100000 exceeds the lattice guard 10"),
-    ("betti --d 100000 --n 1", "|d| = 100000 exceeds the lattice guard 10"),
-    ("lattice --d 12 --n 1",
+    ("lattice --d 100000 --n 1", 2, "|d| = 100000 exceeds the lattice guard 10"),
+    ("betti --d 100000 --n 1", 2, "|d| = 100000 exceeds the lattice guard 10"),
+    ("lattice --d 12 --n 1", 2,
      "|d| = 12 exceeds the lattice guard 10; up to ~4213597 set partitions"),
+    ("count --d 8 --n 1 --q 5 --mode burnside", 2,
+     "390625 polynomial records exceed guard 262144"),
+    ("lattice --d 2 --n 1 --dimx 99999999999", 2,
+     "dim_x * |d| = 199999999998 exceeds the dimension guard 1000000"),
+    ("betti --d 2 --n 1 --dimx 99999999999", 2,
+     "dim_x * |d| = 199999999998 exceeds the dimension guard 1000000"),
+    ("report --m 99999999999 --n 1 --d-list 1,2 --q-list 2,3,5", 1,
+     "degree 1 needs at least 100000000000 primes in q_list"),
+    ("interpolate --samples 2=1,3=1 --topdim 99999999999", 1,
+     "topdim 99999999999 exceeds guard 1000000"),
 ], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
-        "lattice-small"])
-def test_size_guards_never_form_the_size(argv, message):
+        "lattice-small", "burnside-records", "lattice-dimx", "betti-dimx", "report-m",
+        "interpolate-topdim"])
+def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     env.pop("ZCC_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-c", _TIMED_SCRIPT, *argv.split()],
         env=env, capture_output=True, text=True, check=True, timeout=30)
-    code, err, seconds = json.loads(done.stdout)
-    assert (code, err) == (2, f"error: {message}\n")
+    got_code, err, seconds = json.loads(done.stdout)
+    assert (got_code, err) == (code, f"error: {message}\n")
     assert seconds < 1
 
 
@@ -313,12 +324,14 @@ def _config(tmp_path, text):
                  "--q-list", "2,3,5"],
     lambda tmp: ["report", "--config", _config(
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": -1}')],
+    lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list=-1,1",
+                 "--q-list", "2,3,5"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
         "poly-deep-nesting", "poly-huge-power", "poly-long-literal",
         "poly-superscript-digit", "betti-dimx-zero", "betti-dimx-negative",
-        "report-m-zero", "config-negative-truncation"])
+        "report-m-zero", "config-negative-truncation", "report-negative-degree"])
 def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
