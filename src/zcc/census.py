@@ -492,9 +492,7 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     if total_deg > BURNSIDE_DEGREE_GUARD:
         raise GuardError(
             f"|d| = {total_deg} exceeds burnside guard {BURNSIDE_DEGREE_GUARD}")
-    q = spec.field.q
-    if q ** total_deg > guard:
-        raise GuardError(f"q^cycles = {q ** total_deg} exceeds guard {guard}")
+    _check_point_guard(spec.field.q, total_deg, guard)
     _check_record_guard(spec.field, spec.d, record_guard)
     t0 = time.perf_counter()
     classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
@@ -528,23 +526,20 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     if len(used) > 1:
         raise ValidationError("fast path requires a single-column statistic")
     col = (used.pop() - 1) if used else 0
-    other = 1 - col
     _check_record_guard(field, (d[col],), record_guard)
     t0 = time.perf_counter()
     q = field.q
-    d_other = d[other]
-    # remap a column-`col` statistic to column 1 for single-column evaluation
-    remapped = P if col == 0 else CharPolynomial(
-        1, tuple((tuple(((1, j), e) for (_k, j), e in mono), c) for mono, c in P.terms))
+    d_other = d[1 - col]
     records = poly_records(field, d[col], factor_seed)
     histogram = Counter()
     for sig, mult in Counter(map(_signature, records)).items():
         # inclusion-exclusion over the sets of distinct factors, one factor
-        # per (degree, multiplicity) pair of the signature
-        histogram[(sig,)] = mult * sum(
+        # per (degree, multiplicity) pair of the signature; the other column
+        # enters the signature tuple as `()`, since P does not read it
+        histogram[(sig, ()) if col == 0 else ((), sig)] = mult * sum(
             (-1) ** r * q ** (d_other - s) for r in range(len(sig) + 1)
             for s in map(sum, combinations([j for j, _e in sig], r)) if s <= d_other)
-    count, total = _weigh(remapped, histogram)
+    count, total = _weigh(P, histogram)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=P, mode="unordered")
     return WeightedCensus(spec, total, count, "coprime-inclusion-exclusion",
                           time.perf_counter() - t0)

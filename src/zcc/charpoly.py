@@ -195,9 +195,6 @@ class CharPolynomial:
     def columns_used(self) -> set:
         return {k for mono, _ in self.terms for (k, _j), _e in mono}
 
-    def evaluate(self, c: CycleType) -> Fraction:
-        return evaluate(self, c)
-
     def __str__(self) -> str:
         return format_charpoly(self)
 

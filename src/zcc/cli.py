@@ -24,7 +24,8 @@ from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
 from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
                      prime_power)
-from .nlattice import (DIMENSION_GUARD, build_lattice, classify_edges,
+from .nlattice import (DEFAULT_LATTICE_GUARD, DIMENSION_GUARD,
+                       UNSAFE_LATTICE_GUARD, build_lattice, classify_edges,
                        eval_int_poly, mobius, point_count_polynomial)
 
 # The census, homology and stabkit layers are imported by the subcommands that
@@ -92,15 +93,16 @@ def _record_guard(args) -> int:
 
 
 def _lattice_input(args) -> tuple:
-    """(d, dim_x), refused before any lattice is built when dim_x is below 1
-    or dim_x * |d| exceeds DIMENSION_GUARD."""
+    """(lattice, dim_x) for lattice and betti, refused before any lattice is
+    built when dim_x is below 1 or dim_x * |d| exceeds DIMENSION_GUARD."""
     if args.dimx < 1:
         raise ValidationError("dim_x must be >= 1")
     d = _parse_d(args.d)
     if (dimension := args.dimx * sum(d)) > DIMENSION_GUARD:
         raise GuardError(
             f"dim_x * |d| = {dimension} exceeds the dimension guard {DIMENSION_GUARD}")
-    return d, args.dimx
+    guard = UNSAFE_LATTICE_GUARD if args.unsafe_guard else DEFAULT_LATTICE_GUARD
+    return build_lattice(d, args.n, guard), args.dimx
 
 
 def _field_guard(args) -> int:
@@ -167,9 +169,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    d, dim_x = _lattice_input(args)
-    lattice = build_lattice(d, args.n,
-                            guard=10 ** 6 if args.unsafe_guard else 10)
+    lattice, dim_x = _lattice_input(args)
     mob = mobius(lattice)
     edges = classify_edges(lattice)
     coeffs = point_count_polynomial(lattice, dim_x, mob)
@@ -196,9 +196,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_betti(args) -> int:
     from .homology import betti_from_contributions, complement_contributions
-    d, dim_x = _lattice_input(args)
-    lattice = build_lattice(d, args.n,
-                            guard=10 ** 6 if args.unsafe_guard else 10)
+    lattice, dim_x = _lattice_input(args)
     contribs = complement_contributions(lattice, dim_x)
     betti = betti_from_contributions(contribs)
     payload = {

@@ -28,18 +28,7 @@ UNSAFE_FIELD_GUARD = 1 << 24
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n):
@@ -124,33 +113,27 @@ class FieldSpec:
 
     # -- arithmetic on raw ints ----------------------------------------------
 
-    def add_raw(self, a: int, b: int) -> int:
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b in F_{p^e}, e > 1, base-p digit by digit."""
         p = self.p
-        if self.e == 1:
-            return (a + b) % p
         out = 0
         mult = 1
         for _ in range(self.e):
             a, ra = divmod(a, p)
             b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mult
+            out += ((ra + sign * rb) % p) * mult
             mult *= p
         return out
+
+    # the prime-field one-liners are the hot path of every record table
+    def add_raw(self, a: int, b: int) -> int:
+        return (a + b) % self.p if self.e == 1 else self._digitwise(a, b, 1)
 
     def neg_raw(self, a: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * mult
-            mult *= p
-        return out
+        return (-a) % self.p if self.e == 1 else self._digitwise(0, a, -1)
 
     def sub_raw(self, a: int, b: int) -> int:
-        return self.add_raw(a, self.neg_raw(b))
+        return (a - b) % self.p if self.e == 1 else self._digitwise(a, b, -1)
 
     def mul_raw(self, a: int, b: int) -> int:
         p = self.p

@@ -17,7 +17,9 @@ from itertools import combinations
 
 from .errors import GuardError, StructureError, ValidationError
 
-DEFAULT_SIZE_GUARD = 10
+DEFAULT_LATTICE_GUARD = 10
+# The |d| guard under --unsafe-guard; DIMENSION_GUARD bounds |d| as tightly.
+UNSAFE_LATTICE_GUARD = 10 ** 6
 # dim_x * |d| is the degree of the point-count polynomial and bounds the top
 # Betti degree: both list that many entries.
 DIMENSION_GUARD = 10 ** 6
@@ -176,7 +178,7 @@ class NEqualsLattice:
 # ---------------------------------------------------------------------------
 
 
-def build_lattice(d, n: int, guard: int = DEFAULT_SIZE_GUARD) -> NEqualsLattice:
+def build_lattice(d, n: int, guard: int = DEFAULT_LATTICE_GUARD) -> NEqualsLattice:
     """Generate the n-equals partition lattice for the degree vector d.
 
     Admissible partitions are assembled depth-first with canonical block

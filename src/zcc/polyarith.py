@@ -10,14 +10,13 @@ empty coefficient tuple.  Internal routines work on plain dense vectors
 (lists of raw ints, trimmed, [] = zero) so intermediate values need not be
 monic.
 
-Equal-degree splitting is randomized but derandomized by seeding the RNG from
-a stable hash of the input polynomial, so factorizations are reproducible
-across runs and processes.
+Equal-degree splitting is randomized but derandomized by seeding the RNG with
+the repr of the input polynomial, which random.Random hashes with SHA-512, so
+factorizations are reproducible across runs and processes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -169,10 +168,6 @@ class MonicPoly:
     def one(cls, field: FieldSpec) -> "MonicPoly":
         return cls(field, ())
 
-    @classmethod
-    def x(cls, field: FieldSpec) -> "MonicPoly":
-        return cls(field, (0,))
-
     def _check(self, other: "MonicPoly") -> None:
         if self.field != other.field:
             raise ValidationError("mixed fields")
@@ -292,12 +287,6 @@ def squarefree_decomposition(f: MonicPoly) -> list[tuple[MonicPoly, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _seed_from(f: MonicPoly, extra: int = 0) -> int:
-    spec = f.field
-    blob = repr((spec.p, spec.e, spec.modulus, f.coeffs, extra)).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
 def _distinct_degree(F: FieldSpec, vec):
     """Split a squarefree monic vector into (product-of-degree-k-factors, k)."""
     out = []
@@ -346,13 +335,13 @@ def _equal_degree(F: FieldSpec, vec, k: int, rng: random.Random):
 def factorize(f: MonicPoly, seed: int | None = None) -> Factorization:
     """Exact factorization into irreducibles, deterministic output order.
 
-    The equal-degree stage is seeded from a hash of f (optionally mixed with
-    `seed`), so repeated runs agree byte-for-byte.
+    The equal-degree stage is seeded from the repr of f (optionally mixed
+    with `seed`), so repeated runs agree byte-for-byte.
     """
     F = f.field
     if f.degree == 0:
         return Factorization(F, ())
-    rng = random.Random(_seed_from(f, 0 if seed is None else seed))
+    rng = random.Random(repr((F.p, F.e, F.modulus, f.coeffs, seed or 0)))
     collected: list[tuple[MonicPoly, int]] = []
     for g, m in squarefree_decomposition(f):
         for part, k in _distinct_degree(F, g.full()):

@@ -278,13 +278,13 @@ def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
-                     truncation: int | None = None, dim_x: int = 1,
+                     truncation: int | None = None,
                      guard: int = DEFAULT_POINT_GUARD, factor_seed: int = 0,
                      record_guard: int = DEFAULT_RECORD_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
     Per degree: exact unordered totals at each q, an interpolated polynomial
-    (expected degree m*t*dim_x, leading coefficient <P, 1>_{S_d}, the
+    (expected degree m*t, leading coefficient <P, 1>_{S_d}, the
     average of P over S_d, or 0 when m = n = 1), and normalized
     coefficients.  Stabilization is detected coefficient-wise across the
     sweep.  For n = 1, m = 2 the truncated series with the stable
@@ -295,6 +295,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     q_list = sorted({int(q) for q in q_list})
     if len(d_values) < 2:
         raise ValidationError("sweep needs at least 2 degree values")
+    if len(set(d_values)) < 2:
+        raise ValidationError("sweep needs at least 2 distinct degree values")
     if min(d_values) < 0:
         raise ValidationError("degree values must be >= 0")
     if m < 1:
@@ -306,17 +308,18 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
     fields = {q: make_field(*prime_power(q)) for q in q_list}
+    # checked for every t before any d = (t,) * m exists: with two distinct
+    # t, some t >= 1 bounds m by the q_list's length, and the census's point
+    # guard never forms q^|d|
+    for t in d_values:
+        if len(q_list) < m * t + 1:
+            raise ValidationError(
+                f"degree {t} needs at least {m * t + 1} primes in q_list")
 
     points = []
     lhs_rows = []
     for t in d_values:
-        # checked before d = (t,) * m exists: it bounds |d| = m * t by the
-        # q_list's length, and the census's point guard never forms q^|d|
-        topdim = m * t * dim_x
-        needed = topdim + 1
-        if len(q_list) < needed:
-            raise ValidationError(
-                f"degree {t} needs at least {needed} primes in q_list")
+        topdim = m * t
         d = (t,) * m
         samples = []
         for q in q_list:

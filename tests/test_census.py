@@ -362,7 +362,8 @@ def test_coprime_fast_path_matches_enumeration():
     for q in (2, 3, 5):
         F = make_field(q)
         for dv in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-            for P in (ONE, X11, parse_charpoly("X[2,1]"), X12):
+            for P in (ONE, X11, parse_charpoly("X[2,1]"), X12,
+                      parse_charpoly("X[2,2]*X[2,1]")):
                 slow = enumerate_unordered(spec(dv, 1, F, P, "unordered"))
                 fast = coprime_pair_census(dv, 1, F, P)
                 assert (slow.total, slow.point_count) == (fast.total, fast.point_count)
