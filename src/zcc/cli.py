@@ -92,6 +92,11 @@ def _record_guard(args) -> int:
     return UNSAFE_RECORD_GUARD if args.unsafe_guard else DEFAULT_RECORD_GUARD
 
 
+def _series_guard(args) -> int:
+    from .census import DEFAULT_SERIES_GUARD, UNSAFE_SERIES_GUARD
+    return UNSAFE_SERIES_GUARD if args.unsafe_guard else DEFAULT_SERIES_GUARD
+
+
 def _lattice_input(args) -> tuple:
     """(lattice, dim_x) for lattice and betti, refused before any lattice is
     built when dim_x is below 1 or dim_x * |d| exceeds DIMENSION_GUARD."""
@@ -163,7 +168,8 @@ def _cmd_census(args) -> int:
     poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
     spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
     result = run_census(spec, guard=_guard(args), factor_seed=args.factor_seed,
-                        record_guard=_record_guard(args))
+                        record_guard=_record_guard(args),
+                        series_guard=_series_guard(args))
     _emit(args, result.to_json_dict(), _census_csv(result))
     return 0
 
@@ -287,7 +293,8 @@ def _cmd_report(args) -> int:
         rep = lefschetz_report(d_list, n, m, poly, q_list,
                                truncation=truncation, guard=_guard(args),
                                factor_seed=args.factor_seed,
-                               record_guard=_record_guard(args))
+                               record_guard=_record_guard(args),
+                               series_guard=_series_guard(args))
         reports[text] = rep.to_json_dict()
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
@@ -382,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", required=True, help="degree vector, e.g. 2,2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True, help="field size p or p^e")
-    p.add_argument("--mode", choices=("ordered", "unordered", "burnside"),
+    p.add_argument("--mode", choices=("ordered", "unordered", "burnside", "euler"),
                    default="unordered")
     _add_common(p)
     p.set_defaults(func=_cmd_census, poly=None)
@@ -392,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--poly", required=True, help='statistic, e.g. "X[1,1]^2-2"')
-    p.add_argument("--mode", choices=("unordered", "burnside"),
+    p.add_argument("--mode", choices=("unordered", "burnside", "euler"),
                    default="unordered")
     _add_common(p)
     p.set_defaults(func=_cmd_census)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from .errors import GuardError, StructureError, ValidationError
 
@@ -309,18 +310,38 @@ class MobiusTable:
 
 
 def mobius(L: NEqualsLattice) -> MobiusTable:
-    """mu(0-hat, I) for every element, with the defining sums re-verified."""
+    """mu(0-hat, I) for every element by the defining recursion, checked by
+    multiplicativity (`_check_multiplicative`)."""
     size = L.size
     below = L.below
     values = [0] * size
     values[0] = 1  # bottom comes first in element order
     for j in range(1, size):
         values[j] = -sum(values[x] for x in bits(below[j]))
-    # defining identity: the closed lower interval of every J > 0-hat sums to 0
-    for j in range(1, size):
-        if values[j] + sum(values[x] for x in bits(below[j])) != 0:
-            raise StructureError(f"Mobius recursion failed at element {j}")
+    _check_multiplicative(L, values)
     return MobiusTable(lattice=L, from_bottom=tuple(values))
+
+
+def _check_multiplicative(L: NEqualsLattice, values) -> None:
+    """Raise unless mu(0-hat, I) = prod_B mu(0-hat, I_B) over I's
+    non-singleton blocks B, I_B having B as its one non-singleton block.
+
+    Admissibility is block by block, so [0-hat, I] is the product of the
+    intervals [0-hat, I_B], and [0-hat, I_B] depends only on B's column
+    counts: every element with one non-singleton block must agree with the
+    others of its counts, and every other element with the product.
+    """
+    shapes = [[tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
+              for part in L.elements]
+    by_counts: dict = {}
+    for shape, value in zip(shapes, values):
+        if len(shape) == 1 and by_counts.setdefault(shape[0], value) != value:
+            raise StructureError(
+                f"Mobius values differ on one-block elements of counts {shape[0]}")
+    for j, (shape, value) in enumerate(zip(shapes, values)):
+        if len(shape) != 1 and value != prod(by_counts.get(c, 0) for c in shape):
+            raise StructureError(
+                f"Mobius value {value} at element {j} is not the product over its blocks")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Stabilization analysis of exact census families.
 
-Weighted counts at several primes are interpolated into exact polynomials in
-q, normalized by the top dimension, and compared across the degree sweep.
+Weighted counts at several primes, read off the Euler product (euler.py), are
+interpolated into exact polynomials in q, normalized by the top dimension,
+and compared across the degree sweep.  One sample per statistic is recounted
+through the record tables, and any disagreement is an error.
 For the hyperplane case (n = 1, m = 2) the report also assembles the two
 sides of the trace-formula identity: the left side is the normalized census
 value; the right side is the truncated series sum c_i q^(-i) built from the
@@ -14,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD, CensusSpec,
-                     WeightedCensus, coprime_pair_census, enumerate_unordered)
+from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
+                     DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
+                     coprime_pair_census, enumerate_unordered)
 from .charpoly import ONE, CharPolynomial, inner_product
 from .errors import InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
@@ -24,6 +27,9 @@ from .polyarith import _trim as _trim_zeros
 
 # normalized_coefficients lists topdim + 1 coefficients
 TOPDIM_GUARD = 10 ** 6
+# A report recounts, per statistic, the sample (t, q) with the most records
+# q^t that is within this budget and the point guard.
+RECOUNT_RECORDS = 1024
 
 TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
              "subexponential growth of the stable multiplicities together with "
@@ -277,20 +283,43 @@ def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
                                record_guard=record_guard)
 
 
+def _recount(d_values, n: int, m: int, poly: CharPolynomial, fields: dict,
+             totals: dict, guard: int, factor_seed: int, record_guard: int) -> None:
+    """Recount the sample with the most records within RECOUNT_RECORDS and
+    the point guard through the record tables; raise if it disagrees with
+    the Euler product's (total, point count) in `totals`."""
+    fits = [(q ** t, t, q) for t in set(d_values) for q in fields
+            if q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
+    if not fits:
+        return
+    _records, t, q = max(fits)
+    cen = _census_total((t,) * m, n, fields[q], poly, guard, factor_seed,
+                        record_guard)
+    if (cen.total, cen.point_count) != totals[t, q]:
+        raise InconsistencyError(
+            f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
+            f"the record tables give {(cen.total, cen.point_count)}")
+
+
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      truncation: int | None = None,
                      guard: int = DEFAULT_POINT_GUARD, factor_seed: int = 0,
-                     record_guard: int = DEFAULT_RECORD_GUARD) -> StabilityReport:
+                     record_guard: int = DEFAULT_RECORD_GUARD,
+                     series_guard: int = DEFAULT_SERIES_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
-    Per degree: exact unordered totals at each q, an interpolated polynomial
+    Per degree: exact unordered totals at each q from the Euler product
+    (`series_guard` bounds its series), an interpolated polynomial
     (expected degree m*t, leading coefficient <P, 1>_{S_d}, the
     average of P over S_d, or 0 when m = n = 1), and normalized
     coefficients.  Stabilization is detected coefficient-wise across the
     sweep.  For n = 1, m = 2 the truncated series with the stable
     coefficients is evaluated and exact residuals against each left side are
-    reported; otherwise the series side is marked not computed.
+    reported; otherwise the series side is marked not computed.  One sample
+    is recounted through the record tables (`_recount`), with `guard`,
+    `factor_seed` and `record_guard`.
     """
+    from .euler import euler_totals  # only report and --mode euler load the route
     d_values = [int(t) for t in d_values]
     q_list = sorted({int(q) for q in q_list})
     if len(d_values) < 2:
@@ -318,14 +347,13 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
 
     points = []
     lhs_rows = []
+    totals = {}
     for t in d_values:
         topdim = m * t
         d = (t,) * m
-        samples = []
-        for q in q_list:
-            cen = _census_total(d, n, fields[q], poly, guard, factor_seed,
-                                record_guard)
-            samples.append((q, cen.total))
+        for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
+            totals[t, q] = result
+        samples = [(q, totals[t, q][0]) for q in q_list]
         # m = n = 1: every root is a common point, so the space is empty
         leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)
         poly_q = interpolate_in_q(samples, expected_degree=topdim, leading=leading)
@@ -336,6 +364,7 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         lhs_rows.append(tuple((q, total / Fraction(q) ** topdim)
                               for q, total in samples))
 
+    _recount(d_values, n, m, poly, fields, totals, guard, factor_seed, record_guard)
     stab = detect_stabilization([pt.normalized for pt in points])
     onset_d = d_values[stab.onset] if stab.onset is not None else None
 

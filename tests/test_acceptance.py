@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from zcc.census import (CensusSpec, burnside_count, enumerate_ordered,
-                        enumerate_unordered)
+                        enumerate_unordered, run_census)
 from zcc.charpoly import (ONE, all_partitions, evaluate, free_module_character,
                           inner_product, irreducible_character_value,
                           parse_charpoly, partitions_of, stable_inner_product)
@@ -38,7 +38,7 @@ def _degree_vectors(max_total=6):
 
 
 def test_criterion_1_oracle_triangle():
-    """Ordered = lattice polynomial; unordered = burnside; all exact."""
+    """Ordered = lattice polynomial; unordered = burnside = euler; all exact."""
     checks = 0
     for q in ACCEPTANCE_QS:
         field = make_field(q)
@@ -62,6 +62,9 @@ def test_criterion_1_oracle_triangle():
                         CensusSpec(dv, n, field, P, "burnside"))
                     assert unordered.total == burnside.total, (dv, n, q, str(P))
                     assert unordered.point_count == burnside.point_count
+                    euler = run_census(CensusSpec(dv, n, field, P, "euler"))
+                    assert (euler.total, euler.point_count) == (
+                        unordered.total, unordered.point_count), (dv, n, q, str(P))
                     checks += 1
     # the degenerate corner still satisfies the census triangle (empty space)
     for q in ACCEPTANCE_QS:
@@ -70,9 +73,10 @@ def test_criterion_1_oracle_triangle():
             o = enumerate_ordered(CensusSpec((d,), 1, field, ONE, "ordered"))
             u = enumerate_unordered(CensusSpec((d,), 1, field, ONE, "unordered"))
             b = burnside_count(CensusSpec((d,), 1, field, ONE, "burnside"))
-            assert o.point_count == u.point_count == b.point_count == 0
+            e = run_census(CensusSpec((d,), 1, field, ONE, "euler"))
+            assert o.point_count == u.point_count == b.point_count == e.point_count == 0
             checks += 1
-    print(f"\nPASS criterion 1: oracle triangle exact on {checks} checks "
+    print(f"\nPASS criterion 1: oracle triangle and Euler route exact on {checks} checks "
           f"(m<=2, |d|<=6, n in 1..3, q in {ACCEPTANCE_QS}; lattice identity "
           f"asserted for n*m>=2, censuses all zero on the degenerate corner)")
 

@@ -277,10 +277,14 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
      "topdim 99999999999 exceeds guard 1000000"),
     ("count --d 4,4 --n 1 --q 11 --mode burnside", 2,
      "q^|d| = 214358881 exceeds guard 100000000"),
+    ("count --d 1000000 --n 1 --q 2 --mode euler", 2,
+     "series of 1000001 terms exceeds guard 512"),
+    ("weighted --d 1000000,1000000 --n 1 --q 2 --poly X[1,1] --mode euler", 2,
+     "series of at least 1000001 terms exceeds guard 512"),
 ], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
         "lattice-small", "burnside-records", "lattice-dimx", "betti-dimx", "report-m",
         "report-m-degree-0", "report-one-distinct-degree", "interpolate-topdim",
-        "burnside-points"])
+        "burnside-points", "euler-series", "euler-series-two-columns"])
 def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     env.pop("ZCC_THREADS", None)
@@ -414,8 +418,8 @@ def test_below_masks_built_once_per_lattice(capsys, monkeypatch, argv):
     assert sizes.count(max(sizes)) == 1  # the whole lattice; intervals are smaller
 
 
-WATCHED = ("zcc.census", "zcc.homology", "zcc.stabkit", "multiprocessing",
-           "concurrent.futures", "hashlib")
+WATCHED = ("zcc.census", "zcc.euler", "zcc.homology", "zcc.stabkit",
+           "multiprocessing", "concurrent.futures", "hashlib")
 POOL = {"multiprocessing", "concurrent.futures"}
 # Runs one command in a fresh interpreter and prints its exit code and the
 # WATCHED modules it loaded.
@@ -451,16 +455,20 @@ def _bare_interpreter_loads_hashlib() -> bool:
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ("--version", {"zcc.census", "zcc.stabkit"} | POOL),
-    ("lattice --d 2,2 --n 1", {"zcc.census", "zcc.stabkit"} | POOL),
-    ("betti --d 2,2 --n 1", {"zcc.census", "zcc.stabkit"} | POOL),
-    ("count --d 2,2 --n 1 --q 3", {"zcc.homology", "zcc.stabkit"} | POOL),
-    ("count --d 2,2 --n 1 --q 3 --mode burnside", {"zcc.homology", "zcc.stabkit"} | POOL),
-    ("weighted --d 2,2 --n 1 --q 3 --poly X[1,1]", {"zcc.homology", "zcc.stabkit"} | POOL),
+    ("--version", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
+    ("lattice --d 2,2 --n 1", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
+    ("betti --d 2,2 --n 1", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
+    ("count --d 2,2 --n 1 --q 3", {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
+    ("count --d 2,2 --n 1 --q 3 --mode burnside",
+     {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
+    ("weighted --d 2,2 --n 1 --q 3 --poly X[1,1]",
+     {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
+    ("count --d 2,2 --n 1 --q 3 --mode euler", {"zcc.homology", "zcc.stabkit"} | POOL),
     ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11", {"zcc.homology"} | POOL),
-    ("count --d 2,2,2 --n 1 --q 11 --threads 2", {"zcc.homology", "zcc.stabkit"} | POOL),
+    ("count --d 2,2,2 --n 1 --q 11 --threads 2",
+     {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
 ], ids=["version", "lattice", "betti", "count", "count-burnside", "weighted",
-        "report", "count-threads"])
+        "count-euler", "report", "count-threads"])
 def test_startup_imports_only_the_layers_a_command_runs(argv, absent):
     if not _bare_interpreter_loads_hashlib():  # hashlib costs ms of every start
         absent = absent | {"hashlib"}
@@ -544,3 +552,27 @@ def test_record_heavy_stdout_pinned(capsys, argv, digest):
     assert run(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _workloads_table(name):
+    """A literal module-level table of perfbench/workloads.py, read with ast."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"workloads.py assigns no {name}")
+
+
+@pytest.mark.parametrize("key", [key for key in _workloads_table("DIGESTS")
+                                 if key.startswith(("report", "verify"))])
+def test_sweep_and_verify_stdout_pinned(capsys, tmp_path, key):
+    argv = key.split()
+    if argv[-1] == "--config":
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(_workloads_table("SWEEP_CONFIG")), encoding="utf-8")
+        argv.append(str(config))
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _workloads_table("DIGESTS")[key]

@@ -1,11 +1,13 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcc.errors import GuardError, ValidationError
-from zcc.nlattice import (EdgeType, FinitePoset, LatticePartition, bell_number,
-                          bits, build_lattice, classify_edges, eval_int_poly,
+from zcc.errors import GuardError, StructureError, ValidationError
+from zcc.nlattice import (EdgeType, FinitePoset, LatticePartition,
+                          _check_multiplicative, bell_number, bits,
+                          build_lattice, classify_edges, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
 
 # lattices used for structure checks: everything in scope at |d| <= 6
@@ -97,12 +99,43 @@ def test_mobius_examples():
 def test_mobius_recursion_vanishes_everywhere():
     for dv, n in GRID:
         L = build_lattice(dv, n)
-        mob = mobius(L)  # raises internally if a closed-interval sum is nonzero
+        mob = mobius(L)  # raises internally if a value is not multiplicative
         below = L.below
         for j in range(1, L.size):
             total = mob.from_bottom[j] + sum(
                 mob.from_bottom[x] for x in range(j) if below[j] >> x & 1)
             assert total == 0
+
+
+def _multi_block_element(L):
+    return next(j for j, part in enumerate(L.elements)
+                if sum(len(block) > 1 for block in part.blocks) == 2)
+
+
+def test_corrupted_mobius_value_is_caught():
+    L = build_lattice((4, 4), 1)
+    values = list(mobius(L).from_bottom)
+    _check_multiplicative(L, values)
+    j = _multi_block_element(L)
+    values[j] += 1
+    with pytest.raises(StructureError, match=f"element {j} is not the product"):
+        _check_multiplicative(L, values)
+    # a one-block element disagreeing with another of its column counts
+    values = list(mobius(L).from_bottom)
+    one_block = [j for j, part in enumerate(L.elements)
+                 if [len(b) for b in part.blocks if len(b) > 1] == [2]]
+    values[one_block[1]] = 5
+    with pytest.raises(StructureError, match="one-block elements"):
+        _check_multiplicative(L, values)
+
+
+def test_corrupted_below_mask_is_caught():
+    L = build_lattice((3, 3), 1)
+    j = _multi_block_element(L)
+    below = list(L.below)
+    below[j] &= ~1  # drop the bottom, whose Mobius value is 1
+    with pytest.raises(StructureError, match="Mobius value"):
+        mobius(replace(L, below=tuple(below)))
 
 
 def test_mobius_between():

@@ -1,14 +1,23 @@
 """The benchmark's trace run patches zcc functions by name: keep those names.
 
 perfbench/traced_cli.py wraps the functions in WRAPPED, and perfbench/run.py
-requires the module-level bindings in IMPORT_SITES to be patched.  Both
-tables are read from the source, so a deletion or rename in zcc fails here
-rather than in a benchmark run.
+requires the module-level bindings in IMPORT_SITES to be patched and the
+spans in EXPECTED_SPANS to fire.  The tables are read from the source, so a
+deletion, rename or lost caller in zcc fails here rather than in a benchmark
+run.
 """
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import zcc
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +59,31 @@ def test_every_import_site_binds_its_wrapped_function():
         module, _, name = site.rpartition(".")
         bound = vars(importlib.import_module(module)).get(name)
         assert bound is not None and bound is by_name.get(name), site
+
+
+# Every span the sweep workload expects must fire on these two reports: the
+# first recounts through coprime_pair_census, the second through
+# enumerate_unordered.
+SWEEP_REPORTS = ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys X[1,1]",
+                 "report --m 1 --n 2 --d-list 2,3,4 --q-list 2,3,5,7,11")
+
+
+@pytest.fixture(scope="module")
+def sweep_spans(tmp_path_factory) -> set:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    env.pop("ZCC_THREADS", None)
+    fired = set()
+    for i, argv in enumerate(SWEEP_REPORTS):
+        spans = tmp_path_factory.mktemp("spans") / f"{i}.json"
+        subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
+                        *argv.split()], env=env, capture_output=True, check=True,
+                       timeout=120)
+        trace = json.loads(spans.read_text(encoding="utf-8"))
+        fired |= {span["name"] for span in trace["spans"] if span["calls"]}
+    return fired
+
+
+def test_every_expected_sweep_span_fires(sweep_spans):
+    expected = ast.literal_eval(_assigned("run.py", "EXPECTED_SPANS"))["sweep"]
+    assert expected
+    assert not set(expected) - sweep_spans
