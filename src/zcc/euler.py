@@ -223,7 +223,7 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> list:
     _check_series_guard(limits, guard)
     box = _Box(limits)
     weights = _binomial_weights(P, marks, box)
-    scales = [prod(j ** reads[col, j] * factorial(reads[col, j]) for col, j in marks if col == k)
+    scales = [prod(j ** lim * factorial(lim) for (col, j), lim in reads.items() if col == k)
               for k in range(1, len(d) + 1)]
     scale = prod(scales)
     target = sum(dk * unit for dk, unit in zip(d, box.units))

@@ -329,17 +329,17 @@ def _check_multiplicative(L: NEqualsLattice, values) -> None:
     Admissibility is block by block, so [0-hat, I] is the product of the
     intervals [0-hat, I_B], and [0-hat, I_B] depends only on B's column
     counts: every element with one non-singleton block must agree with the
-    others of its counts, and every other element with the product.
+    others of its counts, and every other element with the product.  Each
+    I_B has a lower rank than I, so it comes first in element order.
     """
-    shapes = [[tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
-              for part in L.elements]
     by_counts: dict = {}
-    for shape, value in zip(shapes, values):
-        if len(shape) == 1 and by_counts.setdefault(shape[0], value) != value:
-            raise StructureError(
-                f"Mobius values differ on one-block elements of counts {shape[0]}")
-    for j, (shape, value) in enumerate(zip(shapes, values)):
-        if len(shape) != 1 and value != prod(by_counts.get(c, 0) for c in shape):
+    for j, (part, value) in enumerate(zip(L.elements, values)):
+        shape = [tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
+        if len(shape) == 1:
+            if by_counts.setdefault(shape[0], value) != value:
+                raise StructureError(
+                    f"Mobius values differ on one-block elements of counts {shape[0]}")
+        elif value != prod(by_counts.get(c, 0) for c in shape):
             raise StructureError(
                 f"Mobius value {value} at element {j} is not the product over its blocks")
 

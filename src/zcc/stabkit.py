@@ -338,8 +338,7 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
 
     fields = {q: make_field(*prime_power(q)) for q in q_list}
     # checked for every t before any d = (t,) * m exists: with two distinct
-    # t, some t >= 1 bounds m by the q_list's length, and the census's point
-    # guard never forms q^|d|
+    # t, some t >= 1 bounds m by the q_list's length
     for t in d_values:
         if len(q_list) < m * t + 1:
             raise ValidationError(
