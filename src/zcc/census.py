@@ -58,7 +58,7 @@ BURNSIDE_DEGREE_GUARD = 8
 # Exponent vectors in the series box of the Euler route (euler.py).  Its
 # worst shape is one column with n >= 2, where the work grows as the square
 # of the box times the cost of multiplying q^|d|-sized integers: d = (511,)
-# takes about 9 s at q = 2^20 - 3, and d = (2047,) 25 s at q = 3, on a
+# takes about 10 s at q = 2^20 - 3, and d = (2047,) 25 s at q = 3, on a
 # 2-vCPU Xeon VM.
 DEFAULT_SERIES_GUARD = 1 << 9
 UNSAFE_SERIES_GUARD = 1 << 11

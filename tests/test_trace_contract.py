@@ -15,8 +15,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 import zcc
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -68,22 +66,17 @@ SWEEP_REPORTS = ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys X[
                  "report --m 1 --n 2 --d-list 2,3,4 --q-list 2,3,5,7,11")
 
 
-@pytest.fixture(scope="module")
-def sweep_spans(tmp_path_factory) -> set:
+def test_every_expected_sweep_span_fires(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     env.pop("ZCC_THREADS", None)
     fired = set()
     for i, argv in enumerate(SWEEP_REPORTS):
-        spans = tmp_path_factory.mktemp("spans") / f"{i}.json"
+        spans = tmp_path / f"{i}.json"
         subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
                         *argv.split()], env=env, capture_output=True, check=True,
                        timeout=120)
         trace = json.loads(spans.read_text(encoding="utf-8"))
         fired |= {span["name"] for span in trace["spans"] if span["calls"]}
-    return fired
-
-
-def test_every_expected_sweep_span_fires(sweep_spans):
     expected = ast.literal_eval(_assigned("run.py", "EXPECTED_SPANS"))["sweep"]
     assert expected
-    assert not set(expected) - sweep_spans
+    assert not set(expected) - fired
