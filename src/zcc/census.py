@@ -55,13 +55,12 @@ UNSAFE_POINT_GUARD = 10 ** 10
 DEFAULT_RECORD_GUARD = 1 << 18
 UNSAFE_RECORD_GUARD = 1 << 20
 BURNSIDE_DEGREE_GUARD = 8
-# Exponent vectors in the series box of the Euler route (euler.py).  Its
-# worst shape is one column with n >= 2, where the work grows as the square
-# of the box times the cost of multiplying q^|d|-sized integers: d = (511,)
-# takes about 10 s at q = 2^20 - 3, and d = (2047,) 25 s at q = 3, on a
-# 2-vCPU Xeon VM.
-DEFAULT_SERIES_GUARD = 1 << 9
-UNSAFE_SERIES_GUARD = 1 << 11
+# Work of the Euler route (euler.py): states^2 coefficient products in each
+# of its passes (one per q and one more), in 64-bit words of a q^|d|-sized
+# coefficient.  At most about 4 s at the default on a 2-vCPU Xeon VM:
+# d = (1,) * 12 at q = 2 is 2^25 units and takes 1.9 s.
+DEFAULT_SERIES_GUARD = 1 << 26
+UNSAFE_SERIES_GUARD = 1 << 30
 _EMPTY = frozenset()
 
 

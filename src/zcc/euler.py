@@ -18,15 +18,25 @@ the terms e >= n, and M_r(q) is the necklace number.
 With u = 1 + w, [t^d w^b] G is the sum over the members of prod binom(X[k,j],
 b_kj), and P is rewritten in that basis by x^e = sum_s S(e, s) s! binom(x, s).
 Only the marks (k, j) that P reads carry a w, truncated to P's exponents and
-to d_k // j.  L_r^M = sum_j binom(M, j) A_r^j with A_r = L_r - 1; the powers
-A_r^j do not depend on q, so one call builds them once for all its q.
+to d_k // j.  A w-exponent b of column k comes with t_k^e, e >= sum_j j b_kj,
+so every series here lives on the states with sum_j j b_kj <= t_k <= d_k.
+
+The factors are not multiplied out.  With the Euler operator E t^a w^b =
+|a| t^a w^b (|a| the total t-degree), K_r = E(L_r) / L_r does not depend on
+q, and E(G) = G K with K = sum_r M_r(q) K_r, so per q one pass over the
+states gives
+
+    |a| G_a = sum_{0 < b <= a} K_b G_(a - b),   G_0 = 1,
+
+and K_r comes from K_r L_r = E(L_r) the same way.  Every state but 0 has
+|a| >= 1.
 
 Series are exact: dicts from packed exponent vectors to ints, every
 coefficient scaled by D = prod j^lim lim! over the marks (k, j) and their
 w-limits.  The coefficient of w^b of h_e is prod_i 1 / (i^b_i b_i!), the
 moments of cycle counts in S_e, and b'! b''! divides (b' + b'')!, so every
-coefficient of every series built here times D is an integer and a
-product's sums divide by D exactly; both are checked.  For P = 1, D = 1.
+coefficient of every series built here times D is an integer and both
+recurrences divide exactly; every division is checked.  For P = 1, D = 1.
 """
 
 from __future__ import annotations
@@ -35,60 +45,100 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import factorial, isqrt, prod
 
 from .census import (DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
                      necklace_count)
-from .errors import GuardError, InconsistencyError, ValidationError
+from .errors import GuardError, InconsistencyError
 
 
 class _Box:
     """Exponent vectors with 0 <= x_v <= limits[v], packed into one int.
 
-    Each variable gets a field with a spare top bit, so the sum of two packed
-    vectors never carries between fields, and it lies in the box exactly
-    when no top bit is set after adding `over`, whose field v holds
-    2^(bits-1) - 1 - limits[v].
+    Each variable gets a field with a spare top bit, `high` holding those
+    bits: for a and b in the box, b <= a fieldwise exactly when a + high - b
+    keeps every bit of `high`, and then a - b is that minus `high`.
     """
 
     def __init__(self, limits):
         self.limits = limits
         self.units = []
-        self.over = self.high = 0
+        self.high = 0
         shift = 0
         for lim in limits:
             bits = lim.bit_length() + 1
             self.units.append(1 << shift)
-            self.over += ((1 << bits - 1) - 1 - lim) << shift
             self.high += 1 << bits - 1 + shift
             shift += bits
 
 
-def _check_series_guard(limits, guard: int) -> None:
-    """Refuse a box of more than `guard` exponent vectors before any series
-    exists; the size is multiplied out only until it passes the guard."""
-    size = 1
-    for i, lim in enumerate(limits):
-        size *= lim + 1
-        if size > guard:
-            bound = "" if i == len(limits) - 1 else "at least "
-            raise GuardError(f"series of {bound}{size} terms exceeds guard {guard}")
+def _layout(d: tuple, P) -> tuple:
+    """(box, marks): the variables t_1..t_m, then one w per mark (k, j) that
+    P reads and that can be nonzero, marks mapping (k, j) to its index."""
+    reads: dict = {}
+    for mono, _c in P.terms:
+        for (k, j), e in mono:
+            reads[k, j] = max(reads.get((k, j), 0), min(e, d[k - 1] // j))
+    marks = {var: len(d) + i for i, var in
+             enumerate(sorted(var for var, lim in reads.items() if lim))}
+    return _Box(list(d) + [reads[var] for var in marks]), marks
 
 
-def _mul(f: dict, g: dict, box: _Box, scale: int) -> dict:
-    """f * g truncated to the box, each sum divided by `scale` (checked exact)."""
-    over, high = box.over, box.high
-    out: dict = {}
-    for a, x in f.items():
-        a += over
-        for b, y in g.items():
-            s = a + b
-            if not s & high:
-                s -= over
-                out[s] = out.get(s, 0) + x * y
-    if scale == 1:
-        return {key: v for key, v in out.items() if v}
-    return {key: _exact(v, scale) for key, v in out.items() if v}
+def _wvectors(box: _Box, marks: dict, col: int, r: int, cap: int,
+              limit: int | None = None):
+    """(packed w-exponents, sum_i i b_i, prod_i i^b_i b_i!) of each vector b
+    on column col's marks (col, j) with r | j, i = j / r, each b_i within its
+    mark's limit and sum_i i b_i <= cap; None once more than `limit` exist."""
+    out = [(0, 0, 1)]
+    for (k, j), v in marks.items():
+        if k == col and j % r == 0:
+            i = j // r
+            out = [(key + b * box.units[v], size + i * b, den * i ** b * factorial(b))
+                   for key, size, den in out
+                   for b in range(min(box.limits[v], (cap - size) // i) + 1)]
+            if limit is not None and len(out) > limit:
+                return None
+    return out
+
+
+def _words(d, qs) -> int:
+    """64-bit words of a coefficient of size q^|d| at the largest q."""
+    return 1 + sum(d) * max(qs).bit_length() // 64
+
+
+def check_series_guard(d, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> None:
+    """Refuse, before any series exists, the work of euler_totals: states^2
+    coefficient products in each of its passes (one for the K_r, one per q),
+    each product of _words words.  The state count is multiplied out only
+    until it passes its share of the guard."""
+    d = tuple(d)
+    box, marks = _layout(d, P)
+    passes, words = len(qs) + 1, _words(d, qs)
+    limit = isqrt(guard // (passes * words))
+    states = 1
+    for k, dk in enumerate(d, 1):
+        vectors = _wvectors(box, marks, k, 1, dk, limit)
+        if vectors is None:
+            states, bound = limit + 1, "at least "
+        else:
+            states *= sum(dk - size + 1 for _key, size, _den in vectors)
+            bound = "" if k == len(d) else "at least "
+        if states > limit:
+            raise GuardError(f"series work of {bound}{states}^2 states x {passes} passes "
+                             f"x {words} words exceeds guard {guard}")
+
+
+def _states(box: _Box, marks: dict, d: tuple, r: int) -> list:
+    """Sorted (packed state, |a|) of the states whose t-exponents are
+    multiples of r and whose w sits on marks (k, j) with r | j."""
+    states = [(0, 0)]
+    for k, dk in enumerate(d):
+        unit = box.units[k]
+        column = [(key + r * e * unit, r * e)
+                  for key, size, _den in _wvectors(box, marks, k + 1, r, dk // r)
+                  for e in range(size, dk // r + 1)]
+        states = [(a + b, s + t) for a, s in states for b, t in column]
+    return sorted(states)
 
 
 def _exact(value: int, scale: int) -> int:
@@ -96,15 +146,6 @@ def _exact(value: int, scale: int) -> int:
     if rest:
         raise InconsistencyError(f"series coefficient {value} is not a multiple of {scale}")
     return quotient
-
-
-def _coefficient(f: dict, g: dict, box: _Box, target: int) -> int:
-    """[target] of f * g: each key of f is subtracted from target with the top
-    bits set, which stay set exactly when no field borrows."""
-    high = box.high
-    top = target + high
-    return sum(x * g.get(s - high, 0) for a, x in f.items()
-               if (s := top - a) & high == high)
 
 
 @lru_cache(maxsize=None)
@@ -133,111 +174,99 @@ def _binomial_weights(P, marks: dict, box: _Box) -> dict:
     return weights
 
 
-def _column_factors(box: _Box, marks: dict, k: int, r: int, dk: int, n: int,
-                    scale: int) -> tuple:
-    """(Z_k(r), Z_k^{>=n}(r)) of column k (0-based), each coefficient times
-    `scale`, the column's share of D.
+def _euler_factor(box: _Box, marks: dict, d: tuple, n: int, r: int,
+                  scales: list) -> dict:
+    """L_r, each coefficient times D; scales[k] is column k's share of D.
 
     The coefficient of prod_i w[k, ri]^b_i in h_e is the mean over S_e of
     prod_i binom(c_i, b_i), c_i the number of i-cycles: prod_i 1 / (i^b_i b_i!)
-    when sum_i i b_i <= e, and 0 otherwise.
+    when sum_i i b_i <= e, and 0 otherwise.  The columns share no variable,
+    so their products never collide or leave the box.
     """
-    monos = [(0, 0, 1)]  # (packed w-exponents, sum_i i b_i, prod_i i^b_i b_i!)
-    for (col, j), v in marks.items():
-        if col == k + 1 and j % r == 0:
-            i = j // r
-            monos = [(key + b * box.units[v], size + i * b, den * i ** b * factorial(b))
-                     for key, size, den in monos for b in range(box.limits[v] + 1)]
-    terms = [(key, size, _exact(scale, den)) for key, size, den in monos]
-    full, tail = {}, {}
-    for e in range(dk // r + 1):
-        t_key = e * r * box.units[k]
-        for key, size, c in terms:
-            if size <= e:
-                full[t_key + key] = c
+    full = tail = {0: 1}
+    for k, dk in enumerate(d):
+        unit = box.units[k]
+        column, column_tail = {}, {}
+        for key, size, den in _wvectors(box, marks, k + 1, r, dk // r):
+            c = _exact(scales[k], den)
+            for e in range(size, dk // r + 1):
+                column[key + r * e * unit] = c
                 if e >= n:
-                    tail[t_key + key] = c
-    return full, tail
+                    column_tail[key + r * e * unit] = c
+        full = {a + b: x * y for a, x in full.items() for b, y in column.items()}
+        tail = {a + b: x * y for a, x in tail.items() for b, y in column_tail.items()}
+    for key, c in tail.items():
+        full[key] -= c
+    if full.get(0) != prod(scales):
+        raise InconsistencyError(f"L_{r} does not start with 1")
+    return {key: c for key, c in full.items() if c}
 
 
-def _euler_factors(box: _Box, marks: dict, d: tuple, n: int, scales: list,
-                   qs) -> list:
-    """Per q in qs, the factors L_r^M_r(q) = sum_j binom(M_r(q), j) A_r^j of
-    every r whose A_r = L_r - 1 is nonzero; scales[k] is column k's share
-    of D.  Each power A_r^j is built once, for every q, and only while it is
-    nonzero in the box and some binom(M_r(q), j) is."""
-    scale = prod(scales)
-    per_q = [[] for _q in qs]
-    for r in range(1, max(d) + 1):
-        full = tail = {0: 1}
-        for k, dk in enumerate(d):
-            zk, zk_tail = _column_factors(box, marks, k, r, dk, n, scales[k])
-            full = _mul(full, zk, box, 1)
-            tail = _mul(tail, zk_tail, box, 1)
-        for key, c in tail.items():
-            full[key] = full.get(key, 0) - c
-        if full.pop(0, None) != scale:
-            raise InconsistencyError(f"L_{r} does not start with 1")
-        a_r = {key: c for key, c in full.items() if c}
-        if not a_r:
-            continue
-        necklaces = [necklace_count(q, r) for q in qs]
-        factors = [{0: scale} for _q in qs]
-        power, j, top = a_r, 1, max(necklaces)
-        while power:
-            for factor, m_r in zip(factors, necklaces):
-                if c := comb(m_r, j):
-                    for key, v in power.items():
-                        factor[key] = factor.get(key, 0) + c * v
-            if j == top:
-                break
-            power, j = _mul(power, a_r, box, scale), j + 1
-        for factors_of_q, factor in zip(per_q, factors):
-            factors_of_q.append(factor)
-    return per_q
+def _log_derivative(L: dict, states: list, box: _Box, scale: int) -> dict:
+    """K = E(L) / L from K L = E(L), for L[0] = scale, both scaled by it."""
+    high = box.high
+    terms = [(c, x) for c, x in L.items() if c]
+    K: dict = {}
+    for a, degree in states[1:]:
+        top = a + high
+        acc = sum(K.get(s - high, 0) * x for c, x in terms
+                  if (s := top - c) & high == high)
+        if value := degree * L.get(a, 0) - _exact(acc, scale):
+            K[a] = value
+    return K
+
+
+def _exp_pass(K: dict, states: list, box: _Box, scale: int) -> dict:
+    """G with E(G) = G K and G[0] = scale, both scaled by it."""
+    high = box.high
+    terms = list(K.items())
+    G = {0: scale}
+    for a, degree in states[1:]:
+        top = a + high
+        acc = sum(x * G.get(s - high, 0) for b, x in terms
+                  if (s := top - b) & high == high)
+        if acc:
+            G[a] = _exact(acc, scale * degree)
+    return G
 
 
 def euler_totals(d, n: int, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> list:
     """[(sum of P over the members, member count)] of the unordered space of
-    degrees d and threshold n, one pair per q in qs.
+    degrees d and threshold n, one pair per q in qs; d, n and P are taken as
+    validated (CensusSpec, lefschetz_report).
 
     The series guard runs before any series exists.  Checked at run time:
-    the exact divisions by D, L_r's constant term, and the member count
-    against q^|d| - q^(|d| - mn + 1) (q^|d| when some d_k < n).
+    the exact divisions by D and by |a|, L_r's constant term, and the member
+    count against q^|d| - q^(|d| - mn + 1) (q^|d| when some d_k < n).
     """
     d = tuple(d)
-    if n < 1:
-        raise ValidationError("threshold n must be >= 1")
-    if not d or min(d) < 0:
-        raise ValidationError(f"bad degree vector {d}")
-    if (used := P.columns_used()) and max(used) > len(d):
-        raise ValidationError(
-            f"statistic uses column {max(used)} but d has {len(d)} columns")
-    reads: dict = {}
-    for mono, _c in P.terms:
-        for (k, j), e in mono:
-            reads[k, j] = max(reads.get((k, j), 0), min(e, d[k - 1] // j))
-    marks = {var: len(d) + i for i, var in
-             enumerate(sorted(var for var, lim in reads.items() if lim))}
-    limits = list(d) + [reads[var] for var in marks]
-    _check_series_guard(limits, guard)
-    box = _Box(limits)
+    check_series_guard(d, P, qs, guard)
+    box, marks = _layout(d, P)
     weights = _binomial_weights(P, marks, box)
-    scales = [prod(j ** lim * factorial(lim) for (col, j), lim in reads.items() if col == k)
+    scales = [prod(j ** box.limits[v] * factorial(box.limits[v])
+                   for (col, j), v in marks.items() if col == k)
               for k in range(1, len(d) + 1)]
     scale = prod(scales)
+    states = _states(box, marks, d, 1)
+    logs = []
+    for r in range(1, max(d) + 1):
+        L = _euler_factor(box, marks, d, n, r, scales)
+        if len(L) > 1:
+            logs.append((r, _log_derivative(L, _states(box, marks, d, r), box, scale)))
     target = sum(dk * unit for dk, unit in zip(d, box.units))
     size = sum(d)
     full_size = all(dk >= n for dk in d)
     out = []
-    for q, factors in zip(qs, _euler_factors(box, marks, d, n, scales, qs)):
-        acc = {0: scale}
-        for factor in factors[:0:-1]:  # every r > 1, the sparse ones, first
-            acc = _mul(acc, factor, box, scale)
-        last = factors[0] if factors else {0: scale}
-        at = {key: _coefficient(acc, last, box, target + key) for key in {0, *weights}}
-        count = _exact(at[0], scale * scale)
-        total = sum((w * at[key] for key, w in weights.items()), Fraction(0)) / scale ** 2
+    for q in qs:
+        K: dict = {}
+        for r, K_r in logs:
+            m_r = necklace_count(q, r)
+            for key, x in K_r.items():
+                K[key] = K.get(key, 0) + m_r * x
+        G = _exp_pass(K, states, box, scale)
+        count = _exact(G.get(target, 0), scale)
+        total = sum((w * G.get(target + key, 0) for key, w in weights.items()),
+                    Fraction(0)) / scale
         expected = q ** size - (q ** (size - len(d) * n + 1) if full_size else 0)
         if count != expected:
             raise InconsistencyError(
@@ -249,8 +278,6 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> list:
 def euler_count(spec: CensusSpec, guard: int = DEFAULT_SERIES_GUARD) -> WeightedCensus:
     """The census of an 'euler' spec from the Euler product; only q is read
     from its field."""
-    if spec.mode != "euler":
-        raise ValidationError("spec mode must be 'euler'")
     t0 = time.perf_counter()
     [(total, count)] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q], guard)
     return WeightedCensus(spec, total, count, "euler-product", time.perf_counter() - t0)

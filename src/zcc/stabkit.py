@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
                      DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
+                     _check_point_guard,
                      coprime_pair_census, enumerate_unordered)
 from .charpoly import ONE, CharPolynomial, inner_product
-from .errors import InconsistencyError, ValidationError
+from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
 from .nlattice import eval_int_poly
 from .polyarith import _trim as _trim_zeros
@@ -273,32 +274,71 @@ class StabilityReport:
         return out
 
 
+def _coprime_path(d, n, poly: CharPolynomial) -> bool:
+    return n == 1 and len(d) == 2 and len(poly.columns_used()) <= 1
+
+
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
                   guard, factor_seed, record_guard) -> WeightedCensus:
-    single_column = len(poly.columns_used()) <= 1
-    if n == 1 and len(d) == 2 and single_column:
+    if _coprime_path(d, n, poly):
         return coprime_pair_census(d, n, field, poly, factor_seed, record_guard)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
     return enumerate_unordered(spec, guard, factor_seed=factor_seed,
                                record_guard=record_guard)
 
 
-def _recount(d_values, n: int, m: int, poly: CharPolynomial, fields: dict,
+def _check_record_route(d, n, q: int, poly: CharPolynomial, guard: int,
+                        record_guard: int) -> None:
+    """The guards `_census_total` checks at d = (t,) * m and q, before any
+    record exists: q^|d| points off the m = 2, n = 1 fast path, and one
+    record table of q^t records."""
+    if not _coprime_path(d, n, poly):
+        _check_point_guard(q, sum(d), guard)
+    _check_point_guard(q, d[0], record_guard)
+
+
+def _field(q: int) -> FieldSpec:
+    return make_field(*prime_power(q))
+
+
+def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
              totals: dict, guard: int, factor_seed: int, record_guard: int) -> None:
-    """Recount the sample with the most records within RECOUNT_RECORDS and
-    the point guard through the record tables; raise if it disagrees with
-    the Euler product's (total, point count) in `totals`."""
-    fits = [(q ** t, t, q) for t in set(d_values) for q in fields
-            if q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
+    """Recount the Euler sample (a key of `totals`) with the most records
+    within RECOUNT_RECORDS and the point guard through the record tables;
+    raise if it disagrees with the Euler product's (total, point count)."""
+    fits = [(q ** t, t, q) for t in set(d_values) for q in q_list
+            if (t, q) in totals and q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
     if not fits:
         return
     _records, t, q = max(fits)
-    cen = _census_total((t,) * m, n, fields[q], poly, guard, factor_seed,
+    cen = _census_total((t,) * m, n, _field(q), poly, guard, factor_seed,
                         record_guard)
     if (cen.total, cen.point_count) != totals[t, q]:
         raise InconsistencyError(
             f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
             f"the record tables give {(cen.total, cen.point_count)}")
+
+
+def _routes(d_values, n: int, m: int, poly: CharPolynomial, q_list, guard: int,
+            record_guard: int, series_guard: int) -> set:
+    """The degrees t whose samples come from the record tables: those whose
+    Euler series is past `series_guard` while every q is within the record
+    route's guards.  Checked for every t before any sample is taken; a t
+    that neither route admits raises the series guard's error."""
+    from .euler import check_series_guard
+    by_records = set()
+    for t in sorted(set(d_values)):
+        d = (t,) * m
+        try:
+            check_series_guard(d, poly, q_list, series_guard)
+        except GuardError as refused:
+            try:
+                for q in q_list:
+                    _check_record_route(d, n, q, poly, guard, record_guard)
+            except GuardError:
+                raise refused from None
+            by_records.add(t)
+    return by_records
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
@@ -308,16 +348,16 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      series_guard: int = DEFAULT_SERIES_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
-    Per degree: exact unordered totals at each q from the Euler product
-    (`series_guard` bounds its series), an interpolated polynomial
-    (expected degree m*t, leading coefficient <P, 1>_{S_d}, the
+    Per degree: exact unordered totals at each q, from the Euler product
+    when its work is within `series_guard` and otherwise from the record
+    tables within `guard` and `record_guard` (`_routes`); an interpolated
+    polynomial (expected degree m*t, leading coefficient <P, 1>_{S_d}, the
     average of P over S_d, or 0 when m = n = 1), and normalized
     coefficients.  Stabilization is detected coefficient-wise across the
     sweep.  For n = 1, m = 2 the truncated series with the stable
     coefficients is evaluated and exact residuals against each left side are
-    reported; otherwise the series side is marked not computed.  One sample
-    is recounted through the record tables (`_recount`), with `guard`,
-    `factor_seed` and `record_guard`.
+    reported; otherwise the series side is marked not computed.  One Euler
+    sample is recounted through the record tables (`_recount`).
     """
     from .euler import euler_totals  # only report and --mode euler load the route
     d_values = [int(t) for t in d_values]
@@ -330,19 +370,24 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError("degree values must be >= 0")
     if m < 1:
         raise ValidationError("m must be >= 1")
+    if n < 1:
+        raise ValidationError("threshold n must be >= 1")
     if truncation is not None and truncation < 0:
         raise ValidationError("truncation must be >= 0")
     used = poly.columns_used()
     if used and max(used) > m:
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
-    fields = {q: make_field(*prime_power(q)) for q in q_list}
+    for q in q_list:
+        prime_power(q)  # fields are made only where records are read
     # checked for every t before any d = (t,) * m exists: with two distinct
     # t, some t >= 1 bounds m by the q_list's length
     for t in d_values:
         if len(q_list) < m * t + 1:
             raise ValidationError(
                 f"degree {t} needs at least {m * t + 1} primes in q_list")
+    by_records = _routes(d_values, n, m, poly, q_list, guard, record_guard,
+                         series_guard)
 
     points = []
     lhs_rows = []
@@ -350,9 +395,13 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     for t in d_values:
         topdim = m * t
         d = (t,) * m
-        for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
-            totals[t, q] = result
-        samples = [(q, totals[t, q][0]) for q in q_list]
+        if t in by_records:
+            samples = [(q, _census_total(d, n, _field(q), poly, guard, factor_seed,
+                                         record_guard).total) for q in q_list]
+        else:
+            for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
+                totals[t, q] = result
+            samples = [(q, totals[t, q][0]) for q in q_list]
         # m = n = 1: every root is a common point, so the space is empty
         leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)
         poly_q = interpolate_in_q(samples, expected_degree=topdim, leading=leading)
@@ -363,7 +412,7 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         lhs_rows.append(tuple((q, total / Fraction(q) ** topdim)
                               for q, total in samples))
 
-    _recount(d_values, n, m, poly, fields, totals, guard, factor_seed, record_guard)
+    _recount(d_values, n, m, poly, q_list, totals, guard, factor_seed, record_guard)
     stab = detect_stabilization([pt.normalized for pt in points])
     onset_d = d_values[stab.onset] if stab.onset is not None else None
 

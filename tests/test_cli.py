@@ -13,7 +13,8 @@ import pytest
 import zcc
 from zcc import census, cli, homology, nlattice
 from zcc.cli import _parse_q, run
-from zcc.ffield import UNSAFE_FIELD_GUARD
+from zcc.ffield import UNSAFE_FIELD_GUARD, is_prime
+from perfbench_tables import table
 
 
 def run_json(capsys, argv):
@@ -237,6 +238,10 @@ def test_record_guard_before_any_record(capsys, argv):
 
 # Runs one command in a fresh interpreter and prints its exit code, its stderr
 # and the seconds cli.run took.
+# the 512 largest primes below 2^20: each q of a report is within the field
+# guard, and the q-list admits degree 511
+_LARGE_PRIMES = [q for q in range(1 << 20, 1 << 19, -1) if is_prime(q)][:512]
+
 _TIMED_SCRIPT = """
 import contextlib, io, json, sys, time
 from zcc import cli
@@ -278,13 +283,19 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
     ("count --d 4,4 --n 1 --q 11 --mode burnside", 2,
      "q^|d| = 214358881 exceeds guard 100000000"),
     ("count --d 1000000 --n 1 --q 2 --mode euler", 2,
-     "series of 1000001 terms exceeds guard 512"),
+     "series work of 1000001^2 states x 2 passes x 31251 words exceeds guard 67108864"),
     ("weighted --d 1000000,1000000 --n 1 --q 2 --poly X[1,1] --mode euler", 2,
-     "series of at least 1000001 terms exceeds guard 512"),
+     "series work of at least 2000001^2 states x 2 passes x 62501 words "
+     "exceeds guard 67108864"),
+    ("count --d 511 --n 2 --q 1048573 --mode euler", 2,
+     "series work of 512^2 states x 2 passes x 160 words exceeds guard 67108864"),
+    ("report --m 1 --n 2 --d-list 510,511 --q-list " + ",".join(map(str, _LARGE_PRIMES)), 2,
+     "series work of 511^2 states x 513 passes x 160 words exceeds guard 67108864"),
 ], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
         "lattice-small", "burnside-records", "lattice-dimx", "betti-dimx", "report-m",
         "report-m-degree-0", "report-one-distinct-degree", "interpolate-topdim",
-        "burnside-points", "euler-series", "euler-series-two-columns"])
+        "burnside-points", "euler-series", "euler-series-two-columns",
+        "euler-series-large-q", "report-series-and-points"])
 def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     env.pop("ZCC_THREADS", None)
@@ -554,25 +565,14 @@ def test_record_heavy_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _workloads_table(name):
-    """A literal module-level table of perfbench/workloads.py, read with ast."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == name
-                for target in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"workloads.py assigns no {name}")
-
-
-@pytest.mark.parametrize("key", [key for key in _workloads_table("DIGESTS")
+@pytest.mark.parametrize("key", [key for key in table("workloads.py", "DIGESTS")
                                  if key.startswith(("report", "verify"))])
 def test_sweep_and_verify_stdout_pinned(capsys, tmp_path, key):
     argv = key.split()
     if argv[-1] == "--config":
         config = tmp_path / "sweep.json"
-        config.write_text(json.dumps(_workloads_table("SWEEP_CONFIG")), encoding="utf-8")
+        config.write_text(json.dumps(table("workloads.py", "SWEEP_CONFIG")), encoding="utf-8")
         argv.append(str(config))
     assert run(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == _workloads_table("DIGESTS")[key]
+    assert hashlib.sha256(out.encode()).hexdigest() == table("workloads.py", "DIGESTS")[key]

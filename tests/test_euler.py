@@ -1,8 +1,6 @@
 """The Euler-product route against the record and Burnside routes, its
 guard and run-time checks, and the report that samples from it."""
 
-import ast
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -16,7 +14,7 @@ from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field, prime_power
 from zcc.stabkit import _census_total, lefschetz_report
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from perfbench_tables import table
 
 # statistics that read several columns, several cycle lengths and carry
 # rational constants
@@ -77,22 +75,31 @@ def test_series_guard_before_any_series(monkeypatch):
     def fail(*_args):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(euler, "_Box", fail)
-    with pytest.raises(GuardError, match="series of 1000001 terms exceeds guard 512"):
+    monkeypatch.setattr(euler, "_states", fail)
+    monkeypatch.setattr(euler, "_euler_factor", fail)
+    with pytest.raises(GuardError, match=r"series work of 1000001\^2 states x 2 passes "
+                                         r"x 31251 words exceeds guard 67108864"):
         euler.euler_totals((10 ** 6,), 1, ONE, [2])
-    with pytest.raises(GuardError, match="at least 1000001 terms"):
+    with pytest.raises(GuardError, match=r"at least 1000001\^2 states"):
         euler.euler_totals((10 ** 6, 10 ** 6), 1, ONE, [2])
-    with pytest.raises(GuardError, match="series of 882 terms exceeds guard 512"):
-        euler.euler_totals((20, 20), 1, parse_charpoly("X[1,1]", m=2), [101])
+    # d = 511 at q = 2^20 - 3: small box, but q^|d|-sized coefficients
+    with pytest.raises(GuardError, match=r"512\^2 states x 2 passes x 160 words"):
+        euler.euler_totals((511,), 2, ONE, [1048573])
 
 
-def test_validation():
-    with pytest.raises(ValidationError, match="column"):
-        euler.euler_totals((2,), 1, parse_charpoly("X[2,1]"), [3])
+def test_series_guard_counts_reachable_states_and_every_q():
+    # each column has 3 states (t, b) with b <= t <= 1, not the box's 4
+    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, 8)), m=7)
+    qs = [2, 3, 4, 5, 7, 8, 9, 11]
+    work = 3 ** 14 * (len(qs) + 1)
+    euler.check_series_guard((1,) * 7, P, qs, work)
+    with pytest.raises(GuardError, match=r"series work of 2187\^2 states x 9 passes x 1 words"):
+        euler.check_series_guard((1,) * 7, P, qs, work - 1)
+
+
+def test_report_refuses_n_below_1():
     with pytest.raises(ValidationError, match="threshold"):
-        euler.euler_totals((2,), 0, ONE, [3])
-    with pytest.raises(ValidationError, match="euler"):
-        euler.euler_count(CensusSpec((2,), 1, _field(3), ONE, "unordered"))
+        lefschetz_report([1, 2], 0, 1, ONE, [2, 3, 5])
 
 
 def test_wrong_necklace_number_is_caught(monkeypatch):
@@ -102,28 +109,19 @@ def test_wrong_necklace_number_is_caught(monkeypatch):
 
 
 def test_inexact_division_is_caught():
+    # K = t / 2 (scaled by 2) gives G_1 = 1/2 and 2 G_2 = G_1 / 2: not
+    # a multiple of 1/2
     with pytest.raises(InconsistencyError, match="not a multiple"):
-        euler._mul({0: 3}, {0: 1}, euler._Box([1]), 2)
+        euler._exp_pass({1: 1}, [(0, 0), (1, 1), (2, 2)], euler._Box([2]), 2)
 
 
 # -- the report --------------------------------------------------------------------
 
 
-def _assigned(name):
-    """A literal module-level assignment in perfbench/workloads.py."""
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == name
-                for target in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"workloads.py assigns no {name}")
-
-
 def _sweeps():
     """(m, n, d_list, q_list, statistics) of every benchmark sweep job."""
     jobs = []
-    for key in _assigned("DIGESTS"):
+    for key in table("workloads.py", "DIGESTS"):
         argv = key.split()
         if argv[0] == "report" and "--config" not in argv:
             flags = dict(zip(argv[1::2], argv[2::2]))
@@ -131,7 +129,7 @@ def _sweeps():
                          [int(t) for t in flags["--d-list"].split(",")],
                          [int(q) for q in flags["--q-list"].split(",")],
                          flags.get("--polys", "1").split(";")))
-    cfg = _assigned("SWEEP_CONFIG")
+    cfg = table("workloads.py", "SWEEP_CONFIG")
     jobs.append((cfg["m"], cfg["n"], cfg["d_list"], cfg["q_list"], cfg["polys"]))
     return jobs
 
@@ -187,3 +185,58 @@ def test_report_runs_past_the_record_guard(capsys):
     argv = "report --m 2 --n 1 --d-list 3,4 --q-list 2,3,5,7,11,13,17,19,101"
     assert run(argv.split()) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_report_takes_refused_degrees_from_the_record_tables(monkeypatch):
+    P = parse_charpoly("X[1,1]*X[2,1]", m=2)
+    qs = [2, 3, 4, 5, 7, 8, 9]
+    want = lefschetz_report([1, 2], 2, 2, P, qs)
+    calls = []
+
+    def counting(d, n, field, poly, *rest):
+        calls.append((d, field.q))
+        return _census_total(d, n, field, poly, *rest)
+
+    monkeypatch.setattr(stabkit, "_census_total", counting)
+    # 8 passes of 9^2 states admit t = 1; t = 2 has 25 states
+    got = lefschetz_report([1, 2], 2, 2, P, qs, series_guard=9 ** 2 * 8)
+    assert got == want
+    # every t = 2 sample, then the recount of the largest Euler sample
+    assert calls == [((2, 2), q) for q in qs] + [((1, 1), 9)]
+
+
+def test_report_refused_by_both_routes_raises_the_series_guard(monkeypatch):
+    def fail(*_args):
+        raise AssertionError("a sample was taken")
+
+    monkeypatch.setattr(stabkit, "_census_total", fail)
+    monkeypatch.setattr(euler, "_states", fail)
+    with pytest.raises(GuardError, match="series work of 25"):
+        lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]", m=2),
+                         [2, 3, 4, 5, 7, 8, 9], guard=9 ** 3, series_guard=9 ** 2 * 8)
+
+
+def test_report_makes_a_field_only_to_recount(monkeypatch):
+    made = []
+    real = stabkit.make_field
+
+    def recording(p, e=1):
+        made.append(p ** e)
+        return real(p, e)
+
+    monkeypatch.setattr(stabkit, "make_field", recording)
+    lefschetz_report([1, 2], 2, 1, ONE, [2, 3, 1048576])
+    assert made == [3]  # the recount at d = (2,), q = 3
+    with pytest.raises(ValidationError, match="6 is not a prime power"):
+        lefschetz_report([1, 2], 2, 1, ONE, [2, 3, 6])
+
+
+def test_many_column_statistic_report_runs(capsys):
+    # every report sample of the parent's record route still runs, lifted
+    # guards or not, and both give the same bytes
+    argv = ("report --m 7 --n 1 --d-list 0,1 --q-list 2,3,4,5,7,8,9,11 --polys "
+            + "*".join(f"X[{k},1]" for k in range(1, 8))).split()
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert run(argv + ["--unsafe-guard"]) == 0
+    assert capsys.readouterr().out == out

@@ -11,31 +11,18 @@ import ast
 import importlib
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import zcc
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _assigned(filename, name):
-    """The expression assigned to the module-level `name` in a perfbench file."""
-    tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == name
-                for target in node.targets):
-            return node.value
-    raise AssertionError(f"{filename} assigns no {name}")
+from perfbench_tables import PERFBENCH, assigned, table
 
 
 def _wrapped() -> dict:
     """Span name -> the function it wraps, as WRAPPED's (module, attribute)."""
-    table = _assigned("traced_cli.py", "WRAPPED")
+    wrapped = assigned("traced_cli.py", "WRAPPED")
     out = {}
-    for key, value in zip(table.keys, table.values):
+    for key, value in zip(wrapped.keys, wrapped.values):
         module, attr = value.elts
         defining = importlib.import_module(f"zcc.{module.id}")
         out[ast.literal_eval(key)] = getattr(defining, ast.literal_eval(attr), None)
@@ -51,7 +38,7 @@ def test_every_wrapped_function_exists():
 
 def test_every_import_site_binds_its_wrapped_function():
     by_name = {span.rpartition(".")[2]: fn for span, fn in _wrapped().items()}
-    sites = ast.literal_eval(_assigned("run.py", "IMPORT_SITES"))
+    sites = table("run.py", "IMPORT_SITES")
     assert sites
     for site in sites:
         module, _, name = site.rpartition(".")
@@ -77,6 +64,6 @@ def test_every_expected_sweep_span_fires(tmp_path):
                        timeout=120)
         trace = json.loads(spans.read_text(encoding="utf-8"))
         fired |= {span["name"] for span in trace["spans"] if span["calls"]}
-    expected = ast.literal_eval(_assigned("run.py", "EXPECTED_SPANS"))["sweep"]
+    expected = table("run.py", "EXPECTED_SPANS")["sweep"]
     assert expected
     assert not set(expected) - fired
