@@ -18,10 +18,9 @@ from fractions import Fraction
 
 from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
                      DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
-                     _check_point_guard,
                      coprime_pair_census, enumerate_unordered)
 from .charpoly import ONE, CharPolynomial, inner_product
-from .errors import GuardError, InconsistencyError, ValidationError
+from .errors import InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
 from .nlattice import eval_int_poly
 from .polyarith import _trim as _trim_zeros
@@ -274,71 +273,33 @@ class StabilityReport:
         return out
 
 
-def _coprime_path(d, n, poly: CharPolynomial) -> bool:
-    return n == 1 and len(d) == 2 and len(poly.columns_used()) <= 1
-
-
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
                   guard, factor_seed, record_guard) -> WeightedCensus:
-    if _coprime_path(d, n, poly):
+    single_column = len(poly.columns_used()) <= 1
+    if n == 1 and len(d) == 2 and single_column:
         return coprime_pair_census(d, n, field, poly, factor_seed, record_guard)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
     return enumerate_unordered(spec, guard, factor_seed=factor_seed,
                                record_guard=record_guard)
 
 
-def _check_record_route(d, n, q: int, poly: CharPolynomial, guard: int,
-                        record_guard: int) -> None:
-    """The guards `_census_total` checks at d = (t,) * m and q, before any
-    record exists: q^|d| points off the m = 2, n = 1 fast path, and one
-    record table of q^t records."""
-    if not _coprime_path(d, n, poly):
-        _check_point_guard(q, sum(d), guard)
-    _check_point_guard(q, d[0], record_guard)
-
-
-def _field(q: int) -> FieldSpec:
-    return make_field(*prime_power(q))
-
-
 def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
              totals: dict, guard: int, factor_seed: int, record_guard: int) -> None:
-    """Recount the Euler sample (a key of `totals`) with the most records
-    within RECOUNT_RECORDS and the point guard through the record tables;
-    raise if it disagrees with the Euler product's (total, point count)."""
+    """Recount the sample with the most records within RECOUNT_RECORDS and
+    the point guard through the record tables; raise if it disagrees with
+    the Euler product's (total, point count) in `totals`.  Only that q gets
+    a field."""
     fits = [(q ** t, t, q) for t in set(d_values) for q in q_list
-            if (t, q) in totals and q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
+            if q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
     if not fits:
         return
     _records, t, q = max(fits)
-    cen = _census_total((t,) * m, n, _field(q), poly, guard, factor_seed,
-                        record_guard)
+    cen = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guard,
+                        factor_seed, record_guard)
     if (cen.total, cen.point_count) != totals[t, q]:
         raise InconsistencyError(
             f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
             f"the record tables give {(cen.total, cen.point_count)}")
-
-
-def _routes(d_values, n: int, m: int, poly: CharPolynomial, q_list, guard: int,
-            record_guard: int, series_guard: int) -> set:
-    """The degrees t whose samples come from the record tables: those whose
-    Euler series is past `series_guard` while every q is within the record
-    route's guards.  Checked for every t before any sample is taken; a t
-    that neither route admits raises the series guard's error."""
-    from .euler import check_series_guard
-    by_records = set()
-    for t in sorted(set(d_values)):
-        d = (t,) * m
-        try:
-            check_series_guard(d, poly, q_list, series_guard)
-        except GuardError as refused:
-            try:
-                for q in q_list:
-                    _check_record_route(d, n, q, poly, guard, record_guard)
-            except GuardError:
-                raise refused from None
-            by_records.add(t)
-    return by_records
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
@@ -348,18 +309,19 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      series_guard: int = DEFAULT_SERIES_GUARD) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
-    Per degree: exact unordered totals at each q, from the Euler product
-    when its work is within `series_guard` and otherwise from the record
-    tables within `guard` and `record_guard` (`_routes`); an interpolated
-    polynomial (expected degree m*t, leading coefficient <P, 1>_{S_d}, the
-    average of P over S_d, or 0 when m = n = 1), and normalized
-    coefficients.  Stabilization is detected coefficient-wise across the
-    sweep.  For n = 1, m = 2 the truncated series with the stable
+    Per degree: exact unordered totals at each q from the Euler product
+    (`series_guard` bounds its work, checked for every degree before the
+    first sample), an interpolated polynomial (expected degree m*t, leading
+    coefficient <P, 1>_{S_d}, the average of P over S_d, or 0 when
+    m = n = 1), and normalized coefficients.  Stabilization is detected
+    coefficient-wise across the sweep.  For n = 1, m = 2 the truncated series with the stable
     coefficients is evaluated and exact residuals against each left side are
-    reported; otherwise the series side is marked not computed.  One Euler
-    sample is recounted through the record tables (`_recount`).
+    reported; otherwise the series side is marked not computed.  One sample
+    is recounted through the record tables (`_recount`), with `guard`,
+    `factor_seed` and `record_guard`.
     """
-    from .euler import euler_totals  # only report and --mode euler load the route
+    # only report and --mode euler load the route
+    from .euler import check_series_guard, euler_totals
     d_values = [int(t) for t in d_values]
     q_list = sorted({int(q) for q in q_list})
     if len(d_values) < 2:
@@ -379,15 +341,15 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
     for q in q_list:
-        prime_power(q)  # fields are made only where records are read
+        prime_power(q)  # only the recounted q gets a field
     # checked for every t before any d = (t,) * m exists: with two distinct
     # t, some t >= 1 bounds m by the q_list's length
     for t in d_values:
         if len(q_list) < m * t + 1:
             raise ValidationError(
                 f"degree {t} needs at least {m * t + 1} primes in q_list")
-    by_records = _routes(d_values, n, m, poly, q_list, guard, record_guard,
-                         series_guard)
+    for t in sorted(set(d_values)):
+        check_series_guard((t,) * m, poly, q_list, series_guard)
 
     points = []
     lhs_rows = []
@@ -395,13 +357,9 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     for t in d_values:
         topdim = m * t
         d = (t,) * m
-        if t in by_records:
-            samples = [(q, _census_total(d, n, _field(q), poly, guard, factor_seed,
-                                         record_guard).total) for q in q_list]
-        else:
-            for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
-                totals[t, q] = result
-            samples = [(q, totals[t, q][0]) for q in q_list]
+        for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
+            totals[t, q] = result
+        samples = [(q, totals[t, q][0]) for q in q_list]
         # m = n = 1: every root is a common point, so the space is empty
         leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)
         poly_q = interpolate_in_q(samples, expected_degree=topdim, leading=leading)

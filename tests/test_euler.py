@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from zcc import euler, stabkit
-from zcc.census import (CensusSpec, WeightedCensus, burnside_count,
-                        enumerate_unordered, run_census)
+from zcc.census import (DEFAULT_SERIES_GUARD, UNSAFE_SERIES_GUARD, CensusSpec,
+                        WeightedCensus, burnside_count, enumerate_unordered,
+                        run_census)
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.cli import run
 from zcc.errors import GuardError, InconsistencyError, ValidationError
-from zcc.ffield import make_field, prime_power
+from zcc.ffield import _prime_divisors, make_field, prime_power
 from zcc.stabkit import _census_total, lefschetz_report
 
 from perfbench_tables import table
@@ -187,33 +188,26 @@ def test_report_runs_past_the_record_guard(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_report_takes_refused_degrees_from_the_record_tables(monkeypatch):
-    P = parse_charpoly("X[1,1]*X[2,1]", m=2)
-    qs = [2, 3, 4, 5, 7, 8, 9]
-    want = lefschetz_report([1, 2], 2, 2, P, qs)
-    calls = []
-
-    def counting(d, n, field, poly, *rest):
-        calls.append((d, field.q))
-        return _census_total(d, n, field, poly, *rest)
-
-    monkeypatch.setattr(stabkit, "_census_total", counting)
-    # 8 passes of 9^2 states admit t = 1; t = 2 has 25 states
-    got = lefschetz_report([1, 2], 2, 2, P, qs, series_guard=9 ** 2 * 8)
-    assert got == want
-    # every t = 2 sample, then the recount of the largest Euler sample
-    assert calls == [((2, 2), q) for q in qs] + [((1, 1), 9)]
-
-
-def test_report_refused_by_both_routes_raises_the_series_guard(monkeypatch):
+def test_report_checks_every_degree_before_any_sample(monkeypatch):
     def fail(*_args):
         raise AssertionError("a sample was taken")
 
-    monkeypatch.setattr(stabkit, "_census_total", fail)
     monkeypatch.setattr(euler, "_states", fail)
-    with pytest.raises(GuardError, match="series work of 25"):
+    # 8 passes of 9^2 states admit t = 1; t = 2 has 25 states
+    with pytest.raises(GuardError, match=r"series work of 25\^2 states x 8 passes"):
         lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]", m=2),
-                         [2, 3, 4, 5, 7, 8, 9], guard=9 ** 3, series_guard=9 ** 2 * 8)
+                         [2, 3, 4, 5, 7, 8, 9], series_guard=9 ** 2 * 8)
+
+
+@pytest.mark.parametrize("m, largest_q, guard", [
+    (7, 13, DEFAULT_SERIES_GUARD), (8, 17, UNSAFE_SERIES_GUARD)])
+def test_series_guard_admits_every_sweep_the_point_guard_admits(m, largest_q, guard):
+    # q^(m t) within the point guard needs m t + 1 field sizes, so m t <= 7
+    # (<= 8 unsafe) and every coefficient fits one word; the most states
+    # are 3^m, at t = 1 with X[k,1] read in every column, at every such q
+    qs = [q for q in range(2, largest_q + 1) if len(_prime_divisors(q)) == 1]
+    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, m + 1)), m=m)
+    euler.check_series_guard((1,) * m, P, qs, guard)
 
 
 def test_report_makes_a_field_only_to_recount(monkeypatch):
