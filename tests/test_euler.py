@@ -166,11 +166,13 @@ def test_report_recounts_the_largest_sample_within_budget(monkeypatch):
     assert calls == [((3, 3), 5)]  # 7^3 = 343 records, but 7^6 points > 10^5
 
 
-def test_report_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch):
+@pytest.mark.parametrize("total_shift, count_shift", [(1, 0), (0, 1)])
+def test_report_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch,
+                                                            total_shift, count_shift):
     def off_by_one(d, n, field, poly, *rest):
         cen = _census_total(d, n, field, poly, *rest)
-        return WeightedCensus(cen.spec, cen.total + 1, cen.point_count,
-                              cen.method, cen.elapsed)
+        return WeightedCensus(cen.spec, cen.total + total_shift,
+                              cen.point_count + count_shift, cen.method, cen.elapsed)
 
     monkeypatch.setattr(stabkit, "_census_total", off_by_one)
     argv = "report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys X[1,1]"
