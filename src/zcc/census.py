@@ -35,7 +35,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -64,34 +63,55 @@ UNSAFE_SERIES_GUARD = 1 << 30
 _EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
 class CensusSpec:
-    d: tuple
-    n: int
-    field: FieldSpec
-    poly: CharPolynomial
-    mode: str  # ordered | unordered | burnside | euler
+    """One census question, validated on construction; immutable and hashable."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("d", "n", "field", "poly", "mode")
+
+    def __init__(self, d: tuple, n: int, field: FieldSpec, poly: CharPolynomial,
+                 mode: str):
+        if n < 1:
             raise ValidationError("threshold n must be >= 1")
-        if not self.d or any(x < 0 for x in self.d):
-            raise ValidationError(f"bad degree vector {self.d}")
-        if self.mode not in ("ordered", "unordered", "burnside", "euler"):
-            raise ValidationError(f"unknown census mode {self.mode!r}")
-        used = self.poly.columns_used()
-        if used and max(used) > len(self.d):
+        if not d or any(x < 0 for x in d):
+            raise ValidationError(f"bad degree vector {d}")
+        if mode not in ("ordered", "unordered", "burnside", "euler"):
+            raise ValidationError(f"unknown census mode {mode!r}")
+        used = poly.columns_used()
+        if used and max(used) > len(d):
             raise ValidationError(
-                f"statistic uses column {max(used)} but d has {len(self.d)} columns")
+                f"statistic uses column {max(used)} but d has {len(d)} columns")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (CensusSpec, (self.d, self.n, self.field, self.poly, self.mode))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.d, self.n, self.field, self.poly, self.mode)
+                == (other.d, other.n, other.field, other.poly, other.mode))
+
+    def __hash__(self):
+        return hash((self.d, self.n, self.field, self.poly, self.mode))
 
 
-@dataclass(frozen=True)
 class WeightedCensus:
-    spec: CensusSpec
-    total: Fraction
-    point_count: int
-    method: str
-    elapsed: float
+    __slots__ = ("spec", "total", "point_count", "method", "elapsed")
+
+    def __init__(self, spec: CensusSpec, total: Fraction, point_count: int,
+                 method: str, elapsed: float):
+        self.spec = spec
+        self.total = total
+        self.point_count = point_count
+        self.method = method
+        self.elapsed = elapsed
 
     def to_json_dict(self) -> dict:
         # elapsed is deliberately omitted: persisted output is byte-deterministic

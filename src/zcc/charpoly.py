@@ -14,7 +14,6 @@ nonnegative ints.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -98,12 +97,29 @@ def _merge(terms: dict) -> tuple:
     return tuple(sorted((mono, c) for mono, c in terms.items() if c != 0))
 
 
-@dataclass(frozen=True)
 class CharPolynomial:
-    """Exact-rational polynomial in the class functions X[k,j]."""
+    """Exact-rational polynomial in the class functions X[k,j].  Immutable and
+    hashable: statistics key the census's class-value cache."""
 
-    m: int
-    terms: tuple  # sorted tuple of (Monomial, Fraction)
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m: int, terms: tuple):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)  # sorted (Monomial, Fraction) pairs
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (CharPolynomial, (self.m, self.terms))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.terms) == (other.m, other.terms)
+
+    def __hash__(self):
+        return hash((self.m, self.terms))
 
     # -- constructors ---------------------------------------------------------
 

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 guard or inconsistency error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -124,6 +123,7 @@ def render_json(payload) -> str:
 
 
 def render_csv(rows) -> str:
+    import csv  # only CSV output pays for it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -132,9 +132,9 @@ def render_csv(rows) -> str:
 
 
 def _emit(args, payload, csv_rows=None) -> None:
+    """Write the JSON payload, or csv_rows under --format csv (run() refuses
+    csv up front for the subcommands that have no rows)."""
     if args.format == "csv":
-        if csv_rows is None:
-            raise ValidationError("csv output is not supported by this subcommand")
         text = render_csv(csv_rows)
     else:
         text = render_json(payload)
@@ -409,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dimx", type=int, default=1)
     _add_common(p)
-    p.set_defaults(func=_cmd_lattice)
+    p.set_defaults(func=_cmd_lattice, json_only=True)
 
     p = subs.add_parser("betti", help="complement Betti numbers")
     p.add_argument("--d", required=True)
@@ -439,7 +439,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("verify", help="run the built-in oracle-triangle grid")
     _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, json_only=True)
 
     return parser
 
@@ -448,6 +448,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and getattr(args, "json_only", False):
+            raise ValidationError("csv output is not supported by this subcommand")
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

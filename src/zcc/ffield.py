@@ -13,12 +13,10 @@ modulus, so serialized data round-trips across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .errors import ValidationError
-from .polyarith import _gcd, _pow_mod, _sub
 
 DEFAULT_SIZE_GUARD = 1 << 20
 # The guard under --unsafe-guard.  It stays finite because the canonical-
@@ -48,6 +46,8 @@ def _prime_divisors(n):
 def _is_irreducible(F: FieldSpec, f) -> bool:
     """Rabin test over the prime field F: x^(p^e) = x mod f and
     gcd(x^(p^(e/r)) - x, f) = 1 for every prime r | e."""
+    # only the modulus search needs polynomials: lattice and betti never load them
+    from .polyarith import _gcd, _pow_mod, _sub
     e = len(f) - 1
     x = [0, 1]
     if _sub(F, _pow_mod(F, x, F.p ** e, f), x):
@@ -78,18 +78,35 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 # Field specification and packed-int arithmetic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FieldSpec:
     """The field F_q, q = p^e, with its canonical modulus.
 
     `modulus` holds the e non-leading coefficients (low-to-high); the leading
     coefficient 1 is implicit.  Raw elements are ints in [0, q) whose base-p
-    digits are the power-basis coordinates.
+    digits are the power-basis coordinates.  Immutable and hashable: specs
+    key the census caches.
     """
 
-    p: int
-    e: int
-    modulus: tuple[int, ...]
+    __slots__ = ("p", "e", "modulus")
+
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (FieldSpec, (self.p, self.e, self.modulus))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.modulus))
 
     @property
     def q(self) -> int:
@@ -197,12 +214,28 @@ class FieldSpec:
         return self.from_raw(1)
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element of F_q as its power-basis coordinate vector."""
+    """An element of F_q as its power-basis coordinate vector; immutable."""
 
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (FieldElement, (self.field, self.coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @property
     def raw(self) -> int:

@@ -18,7 +18,6 @@ are canonically trivial for affine space and are not tracked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -29,12 +28,14 @@ from .nlattice import FinitePoset, NEqualsLattice, bits, lower_interval, mobius
 DEFAULT_FACE_GUARD = 10 ** 5
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Facet description of a finite complex; faces are implied downward."""
 
-    num_vertices: int
-    facets: tuple  # sorted tuples of vertex indices, inclusion-maximal
+    __slots__ = ("num_vertices", "facets")
+
+    def __init__(self, num_vertices: int, facets: tuple):
+        self.num_vertices = num_vertices
+        self.facets = facets  # sorted tuples of vertex indices, inclusion-maximal
 
     @classmethod
     def from_facets(cls, num_vertices: int, facets) -> "SimplicialComplex":
@@ -47,12 +48,29 @@ class SimplicialComplex:
         return cls(num_vertices, tuple(maximal))
 
 
-@dataclass(frozen=True)
 class BettiVector:
-    """Integer ranks indexed from `start` (reduced homology starts at -1)."""
+    """Integer ranks indexed from `start` (reduced homology starts at -1).
+    Immutable; equal ranks from the same start compare equal."""
 
-    start: int
-    ranks: tuple
+    __slots__ = ("start", "ranks")
+
+    def __init__(self, start: int, ranks: tuple):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "ranks", ranks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (BettiVector, (self.start, self.ranks))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.ranks) == (other.start, other.ranks)
+
+    def __hash__(self):
+        return hash((self.start, self.ranks))
 
     @classmethod
     def make(cls, start: int, ranks) -> "BettiVector":

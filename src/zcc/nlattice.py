@@ -10,7 +10,6 @@ inclusion-exclusion over the arrangement's intersection poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -50,12 +49,14 @@ def bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FinitePoset:
     """A finite strict partial order; above[i] is the bitmask of {j : i < j}."""
 
-    payloads: tuple
-    above: tuple
+    __slots__ = ("payloads", "above")
+
+    def __init__(self, payloads: tuple, above: tuple):
+        self.payloads = payloads
+        self.above = above
 
     @property
     def size(self) -> int:
@@ -112,12 +113,29 @@ class FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LatticePartition:
     """A set partition of the column-tagged ground set, in canonical form:
-    each block sorted, blocks ordered by their least element."""
+    each block sorted, blocks ordered by their least element.  Immutable and
+    compared by value: NEqualsLattice.index_of looks elements up by it."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple):
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (LatticePartition, (self.blocks,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
 
     @property
     def num_blocks(self) -> int:
@@ -143,14 +161,17 @@ class EdgeType(Enum):
     BLOCK_MERGING = "block_merging"
 
 
-@dataclass(frozen=True)
 class NEqualsLattice:
-    d: tuple
-    n: int
-    elements: tuple          # LatticePartition, bottom first, by rank
-    above: tuple             # above[i] = bitmask of {j : elements[i] < elements[j]}
-    below: tuple             # below[j] = bitmask of {i : elements[i] < elements[j]}
-    covers: tuple            # (lower index, upper index) pairs
+    __slots__ = ("d", "n", "elements", "above", "below", "covers")
+
+    def __init__(self, d: tuple, n: int, elements: tuple, above: tuple,
+                 below: tuple, covers: tuple):
+        self.d = d
+        self.n = n
+        self.elements = elements  # LatticePartition, bottom first, by rank
+        self.above = above        # above[i] = bitmask of {j : elements[i] < elements[j]}
+        self.below = below        # below[j] = bitmask of {i : elements[i] < elements[j]}
+        self.covers = covers      # (lower index, upper index) pairs
 
     @property
     def m(self) -> int:
@@ -281,10 +302,12 @@ def build_lattice(d, n: int, guard: int = DEFAULT_LATTICE_GUARD) -> NEqualsLatti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MobiusTable:
-    lattice: NEqualsLattice
-    from_bottom: tuple  # mu(0-hat, I) per element index
+    __slots__ = ("lattice", "from_bottom")
+
+    def __init__(self, lattice: NEqualsLattice, from_bottom: tuple):
+        self.lattice = lattice
+        self.from_bottom = from_bottom  # mu(0-hat, I) per element index
 
     def between(self, i: int, j: int) -> int:
         """mu(I, J) on demand by interval recursion."""

@@ -18,7 +18,6 @@ factorizations are reproducible across runs and processes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -143,12 +142,29 @@ def _pth_root(F: FieldSpec, a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MonicPoly:
-    """A monic polynomial; coeffs are the non-leading raw coefficients."""
+    """A monic polynomial; coeffs are the non-leading raw coefficients.
+    Immutable and hashable."""
 
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (MonicPoly, (self.field, self.coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -215,12 +231,28 @@ def poly_arith(f: MonicPoly, g: MonicPoly, op: str) -> MonicPoly:
     raise ValidationError(f"unknown polynomial operation {op!r}")
 
 
-@dataclass(frozen=True)
 class Factorization:
-    """Multiset of (irreducible monic factor, multiplicity)."""
+    """Multiset of (irreducible monic factor, multiplicity); immutable."""
 
-    field: FieldSpec
-    factors: tuple[tuple[MonicPoly, int], ...]
+    __slots__ = ("field", "factors")
+
+    def __init__(self, field: FieldSpec, factors: tuple[tuple[MonicPoly, int], ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (Factorization, (self.field, self.factors))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.factors) == (other.field, other.factors)
+
+    def __hash__(self):
+        return hash((self.field, self.factors))
 
     def expand(self) -> MonicPoly:
         F = self.field

@@ -13,7 +13,6 @@ Residuals are exact rationals and are never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
@@ -42,10 +41,12 @@ TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InterpolatedPolynomial:
-    coefficients: tuple  # Fractions, low-to-high, trimmed
-    samples: tuple       # ((q, value), ...) as supplied (sorted by q)
+    __slots__ = ("coefficients", "samples")
+
+    def __init__(self, coefficients: tuple, samples: tuple):
+        self.coefficients = coefficients  # Fractions, low-to-high, trimmed
+        self.samples = samples            # ((q, value), ...) as supplied (sorted by q)
 
     @property
     def degree(self) -> int:
@@ -143,13 +144,16 @@ def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StabilizationResult:
-    stable_from: tuple        # per position: start index of the final constant run
-    stable_values: tuple      # per position: the final value
-    unstable_positions: tuple  # positions whose final run has length 1
-    onset: int | None          # first index where all requested positions are settled
-    depth: int
+    __slots__ = ("stable_from", "stable_values", "unstable_positions", "onset", "depth")
+
+    def __init__(self, stable_from: tuple, stable_values: tuple,
+                 unstable_positions: tuple, onset: int | None, depth: int):
+        self.stable_from = stable_from    # per position: start index of the final constant run
+        self.stable_values = stable_values  # per position: the final value
+        self.unstable_positions = unstable_positions  # positions whose final run has length 1
+        self.onset = onset  # first index where all requested positions are settled
+        self.depth = depth
 
     def stable_value(self, i: int):
         if i in self.unstable_positions or i >= len(self.stable_values):
@@ -200,38 +204,50 @@ def detect_stabilization(vectors, depth: int | None = None) -> StabilizationResu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SweepPoint:
-    d: tuple
-    topdim: int
-    samples: tuple        # ((q, total), ...)
-    coefficients: tuple   # interpolant, low-to-high
-    normalized: tuple     # c_0 .. c_topdim
+    __slots__ = ("d", "topdim", "samples", "coefficients", "normalized")
+
+    def __init__(self, d: tuple, topdim: int, samples: tuple, coefficients: tuple,
+                 normalized: tuple):
+        self.d = d
+        self.topdim = topdim
+        self.samples = samples            # ((q, total), ...)
+        self.coefficients = coefficients  # interpolant, low-to-high
+        self.normalized = normalized      # c_0 .. c_topdim
 
 
-@dataclass(frozen=True)
 class SeriesSide:
-    truncation: int
-    coefficients: tuple     # ((i, c_i stable), ...) for stabilized i <= T
-    skipped: tuple          # positions <= T that never stabilized
-    partial_sums: tuple     # ((q, value), ...)
+    __slots__ = ("truncation", "coefficients", "skipped", "partial_sums")
+
+    def __init__(self, truncation: int, coefficients: tuple, skipped: tuple,
+                 partial_sums: tuple):
+        self.truncation = truncation
+        self.coefficients = coefficients  # ((i, c_i stable), ...) for stabilized i <= T
+        self.skipped = skipped            # positions <= T that never stabilized
+        self.partial_sums = partial_sums  # ((q, value), ...)
 
 
-@dataclass(frozen=True)
 class StabilityReport:
-    m: int
-    n: int
-    poly: CharPolynomial
-    d_values: tuple
-    q_list: tuple
-    points: tuple            # SweepPoint per d
-    stabilization: StabilizationResult
-    onset_d: int | None
-    lhs: tuple               # per d: ((q, lhs value), ...)
-    series: SeriesSide | None
-    series_note: str
-    residuals: tuple | None  # per d: ((q, lhs - partial sum), ...)
-    tail_note: str
+    __slots__ = ("m", "n", "poly", "d_values", "q_list", "points", "stabilization",
+                 "onset_d", "lhs", "series", "series_note", "residuals", "tail_note")
+
+    def __init__(self, m: int, n: int, poly: CharPolynomial, d_values: tuple,
+                 q_list: tuple, points: tuple, stabilization: StabilizationResult,
+                 onset_d: int | None, lhs: tuple, series: SeriesSide | None,
+                 series_note: str, residuals: tuple | None, tail_note: str):
+        self.m = m
+        self.n = n
+        self.poly = poly
+        self.d_values = d_values
+        self.q_list = q_list
+        self.points = points                # SweepPoint per d
+        self.stabilization = stabilization
+        self.onset_d = onset_d
+        self.lhs = lhs                      # per d: ((q, lhs value), ...)
+        self.series = series
+        self.series_note = series_note
+        self.residuals = residuals          # per d: ((q, lhs - partial sum), ...)
+        self.tail_note = tail_note
 
     def to_json_dict(self) -> dict:
         out = {

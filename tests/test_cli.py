@@ -136,6 +136,21 @@ def test_csv_projection(capsys):
     assert dict(zip(header, row))["point_count"] == "6"
 
 
+@pytest.mark.parametrize("argv, module, name", [
+    (["lattice", "--d", "5,4", "--n", "1", "--format", "csv"], cli, "build_lattice"),
+    (["verify", "--format", "csv"], census, "enumerate_ordered"),
+], ids=["lattice", "verify"])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv, module, name):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{name} ran before csv was refused")
+
+    monkeypatch.setattr(module, name, unreachable)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: csv output is not supported by this subcommand\n"
+
+
 def test_report_config_file(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -429,9 +444,12 @@ def test_below_masks_built_once_per_lattice(capsys, monkeypatch, argv):
     assert sizes.count(max(sizes)) == 1  # the whole lattice; intervals are smaller
 
 
-WATCHED = ("zcc.census", "zcc.euler", "zcc.homology", "zcc.stabkit",
-           "multiprocessing", "concurrent.futures", "hashlib")
+WATCHED = ("zcc.census", "zcc.euler", "zcc.homology", "zcc.polyarith", "zcc.stabkit",
+           "multiprocessing", "concurrent.futures", "hashlib", "dataclasses", "csv")
 POOL = {"multiprocessing", "concurrent.futures"}
+# Absent from every command's start-up (each costs ms of every start), unless
+# the bare interpreter loads it already.
+NEVER = {"hashlib", "dataclasses", "csv"}
 # Runs one command in a fresh interpreter and prints its exit code and the
 # WATCHED modules it loaded.
 _LOADED_SCRIPT = f"""
@@ -458,17 +476,20 @@ def _modules_loaded_by(argv) -> set:
 
 
 @functools.lru_cache(maxsize=None)
-def _bare_interpreter_loads_hashlib() -> bool:
+def _loaded_by_bare_interpreter() -> frozenset:
     done = subprocess.run(
-        [sys.executable, "-c", "import sys; print('hashlib' in sys.modules)"],
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
         capture_output=True, text=True, check=True, timeout=60)
-    return done.stdout.strip() == "True"
+    return frozenset(done.stdout.split())
+
+
+NO_FIELD = {"zcc.census", "zcc.euler", "zcc.polyarith", "zcc.stabkit"} | POOL
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ("--version", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
-    ("lattice --d 2,2 --n 1", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
-    ("betti --d 2,2 --n 1", {"zcc.census", "zcc.euler", "zcc.stabkit"} | POOL),
+    ("--version", NO_FIELD),
+    ("lattice --d 2,2 --n 1", NO_FIELD),
+    ("betti --d 2,2 --n 1", NO_FIELD),
     ("count --d 2,2 --n 1 --q 3", {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
     ("count --d 2,2 --n 1 --q 3 --mode burnside",
      {"zcc.euler", "zcc.homology", "zcc.stabkit"} | POOL),
@@ -481,8 +502,7 @@ def _bare_interpreter_loads_hashlib() -> bool:
 ], ids=["version", "lattice", "betti", "count", "count-burnside", "weighted",
         "count-euler", "report", "count-threads"])
 def test_startup_imports_only_the_layers_a_command_runs(argv, absent):
-    if not _bare_interpreter_loads_hashlib():  # hashlib costs ms of every start
-        absent = absent | {"hashlib"}
+    absent = absent | (NEVER - _loaded_by_bare_interpreter())
     assert not _modules_loaded_by(argv.split()) & absent
 
 
