@@ -44,7 +44,7 @@ from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec
 from .nlattice import eval_int_poly
-from .polyarith import MonicPoly, factorize, format_poly, gcd, radical_n, _mul
+from .polyarith import factorize, _mul
 
 DEFAULT_POINT_GUARD = 10 ** 8
 UNSAFE_POINT_GUARD = 10 ** 10
@@ -127,31 +127,6 @@ class WeightedCensus:
             "point_count": self.point_count,
             "total": str(self.total),
         }
-
-
-# ---------------------------------------------------------------------------
-# Membership
-# ---------------------------------------------------------------------------
-
-
-def is_member(polys, n: int) -> bool:
-    """True iff no geometric point has multiplicity >= n in every coordinate.
-
-    Equivalently the gcd over coordinates of the n-fold radicals is 1; gcds
-    of radicals see every geometric common factor, so the decision is made
-    over the algebraic closure without root-finding.
-    """
-    if n < 1:
-        raise ValidationError("threshold n must be >= 1")
-    acc = None
-    for f in polys:
-        rad = radical_n(f, n)
-        acc = rad if acc is None else gcd(acc, rad)
-        if acc.degree == 0:
-            return True
-    if acc is None:
-        raise ValidationError("empty coordinate tuple")
-    return acc.degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +258,11 @@ def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
     """
     table = _factor_table(field, degree)
     slot = _spot_slot(seed, len(table))
-    poly = MonicPoly(field, _slot_coeffs(slot, field.q, degree))
-    fact = factorize(poly, seed=seed)
-    if tuple(sorted(((g.degree, g.coeffs), m) for g, m in fact.factors)) != table[slot]:
+    coeffs = _slot_coeffs(slot, field.q, degree)
+    if factorize(field, coeffs, seed=seed) != table[slot]:
         raise InconsistencyError(
-            f"record {format_poly(poly)} disagrees with its factorization")
+            f"record of the monic polynomial with coefficients {coeffs} "
+            f"disagrees with its factorization")
     return table
 
 
@@ -408,12 +383,9 @@ def _weigh(P: CharPolynomial, histogram) -> tuple:
 
 
 def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-                        threads: int = 1, factor_seed: int = 0,
+                        factor_seed: int = 0,
                         record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
-    """Iterate all m-tuples of monic polynomials of degrees d over F_q.
-
-    `threads` is accepted and ignored: every census runs in this process.
-    """
+    """Iterate all m-tuples of monic polynomials of degrees d over F_q."""
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
     _check_point_guard(spec.field.q, sum(spec.d), guard, "; try burnside mode")

@@ -129,10 +129,6 @@ class CharPolynomial:
         return cls(m, ((( ), c),) if c else ())
 
     @classmethod
-    def zero(cls, m: int = 1) -> "CharPolynomial":
-        return cls(m, ())
-
-    @classmethod
     def variable(cls, k: int, j: int, m: int | None = None) -> "CharPolynomial":
         if k < 1 or j < 1:
             raise ValidationError("variable indices are 1-based")
@@ -213,9 +209,6 @@ class CharPolynomial:
 
     def __str__(self) -> str:
         return format_charpoly(self)
-
-    def to_json_dict(self) -> dict:
-        return {format_monomial(mono): str(coef) for mono, coef in self.terms} or {"1": "0"}
 
 
 ONE = CharPolynomial.constant(1)

@@ -244,22 +244,51 @@ def _cmd_interpolate(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+_REQUIRED = object()
+# key, default, type check, the type it names in an error
+_CONFIG_KEYS = (("m", 2, _is_int, "an integer"), ("n", 1, _is_int, "an integer"),
+                ("d_list", _REQUIRED, _is_int_list, "a list of integers"),
+                ("q_list", _REQUIRED, _is_int_list, "a list of integers"),
+                ("polys", ["1"], _is_str_list, "a list of strings"),
+                ("truncation", None, lambda v: v is None or _is_int(v), "an integer"))
+
+
 def _read_config(path: str) -> tuple:
-    """(m, n, d_list, q_list, poly texts, truncation) from a JSON sweep file."""
+    """(m, n, d_list, q_list, poly texts, truncation) from a JSON sweep file.
+
+    Each value must already have the JSON type its flag parses to; nothing
+    is coerced, so "12" is not the list [1, 2] and 2.7 is not 2.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cfg = json.load(handle)
-        truncation = cfg.get("truncation")
-        return (int(cfg.get("m", 2)), int(cfg.get("n", 1)),
-                [int(x) for x in cfg["d_list"]], [int(x) for x in cfg["q_list"]],
-                [str(s) for s in cfg.get("polys", ["1"])],
-                None if truncation is None else int(truncation))
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc.strerror}") from exc
-    except KeyError as exc:
-        raise ValidationError(f"config {path!r} has no key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"bad config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"bad config {path!r}: not a JSON object")
+    values = []
+    for key, default, check, kind in _CONFIG_KEYS:
+        value = cfg.get(key, default)
+        if value is _REQUIRED:
+            raise ValidationError(f"config {path!r} has no key {key!r}")
+        if not check(value):
+            raise ValidationError(f"bad config {path!r}: {key} must be {kind}")
+        values.append(value)
+    return tuple(values)
 
 
 def _cmd_report(args) -> int:

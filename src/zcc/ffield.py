@@ -2,10 +2,10 @@
 
 Elements are represented by their coordinate vector in the power basis of a
 canonical modulus: the lexicographically least monic irreducible of degree e
-over F_p, coefficients compared low-to-high degree.  Internally an element is
-packed into a single int (base-p digits, constant term least significant),
-which keeps prime-field arithmetic at native speed; the public FieldElement
-carries the unpacked coordinate tuple.
+over F_p, coefficients compared low-to-high degree.  An element is that
+vector packed into a single raw int (base-p digits, constant term least
+significant), which keeps prime-field arithmetic at native speed;
+FieldSpec.decode and encode convert between the two forms.
 
 Deterministic by construction: the same (p, e) always yields the same
 modulus, so serialized data round-trips across runs.
@@ -146,9 +146,6 @@ class FieldSpec:
     def add_raw(self, a: int, b: int) -> int:
         return (a + b) % self.p if self.e == 1 else self._digitwise(a, b, 1)
 
-    def neg_raw(self, a: int) -> int:
-        return (-a) % self.p if self.e == 1 else self._digitwise(0, a, -1)
-
     def sub_raw(self, a: int, b: int) -> int:
         return (a - b) % self.p if self.e == 1 else self._digitwise(a, b, -1)
 
@@ -195,86 +192,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self.pow_raw(a, self.q - 2)
 
-    # -- element construction -------------------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.e:
-            raise ValidationError(
-                f"expected {self.e} coordinates, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def from_raw(self, raw: int) -> "FieldElement":
-        return FieldElement(self, self.decode(raw))
-
-    def zero(self) -> "FieldElement":
-        return self.from_raw(0)
-
-    def one(self) -> "FieldElement":
-        return self.from_raw(1)
-
-
-class FieldElement:
-    """An element of F_q as its power-basis coordinate vector; immutable."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (FieldElement, (self.field, self.coeffs))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    @property
-    def raw(self) -> int:
-        return self.field.encode(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or self.field != other.field:
-            raise ValidationError("mixed fields")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.field
-        return f.from_raw(f.add_raw(self.raw, other.raw))
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        return f.from_raw(f.sub_raw(self.raw, other.raw))
-
-    def __neg__(self):
-        return self.field.from_raw(self.field.neg_raw(self.raw))
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        return f.from_raw(f.mul_raw(self.raw, other.raw))
-
-    def __pow__(self, k: int):
-        return self.field.from_raw(self.field.pow_raw(self.raw, k))
-
-    def inv(self) -> "FieldElement":
-        return self.field.from_raw(self.field.inv_raw(self.raw))
-
-    def __str__(self) -> str:
-        return format_element(self)
-
 
 def make_field(p: int, e: int = 1, size_guard: int = DEFAULT_SIZE_GUARD) -> FieldSpec:
     """Build F_{p^e} with the canonical modulus.
@@ -306,44 +223,3 @@ def prime_power(q: int, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple[int, int]
     while p ** e < q:
         e += 1
     return p, e
-
-
-def arith(a: FieldElement, b: FieldElement | None, op: str, k: int | None = None) -> FieldElement:
-    """Dispatch form of the field operations: op in {add, mul, inv, pow}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        if k is None:
-            raise ValidationError("pow requires an exponent")
-        return a ** k
-    raise ValidationError(f"unknown field operation {op!r}")
-
-
-def enumerate_elements(field: FieldSpec) -> list[FieldElement]:
-    """All q elements, ordered lexicographically on coordinate vectors."""
-    return [FieldElement(field, c) for c in product(range(field.p), repeat=field.e)]
-
-
-def parse_element(field: FieldSpec, text: str) -> FieldElement:
-    """Parse the comma-joined residue form, e.g. "2,1" for 2+t in F_9."""
-    parts = text.strip().split(",")
-    try:
-        coeffs = [int(s) for s in parts]
-    except ValueError as exc:
-        raise ValidationError(f"bad field element {text!r}") from exc
-    if len(coeffs) == 1 and field.e > 1:
-        coeffs = coeffs + [0] * (field.e - 1)
-    if len(coeffs) != field.e:
-        raise ValidationError(
-            f"element of F_{field.p}^{field.e} needs {field.e} residues")
-    if any(c < 0 or c >= field.p for c in coeffs):
-        raise ValidationError(f"residues must lie in [0, {field.p})")
-    return FieldElement(field, tuple(coeffs))
-
-
-def format_element(elem: FieldElement) -> str:
-    return ",".join(str(c) for c in elem.coeffs)

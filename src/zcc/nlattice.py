@@ -309,28 +309,6 @@ class MobiusTable:
         self.lattice = lattice
         self.from_bottom = from_bottom  # mu(0-hat, I) per element index
 
-    def between(self, i: int, j: int) -> int:
-        """mu(I, J) on demand by interval recursion."""
-        L = self.lattice
-        if i == j:
-            return 1
-        if not (L.above[i] >> j & 1):
-            raise ValidationError("mu(I, J) requires I <= J")
-        memo: dict = {}
-
-        def mu(k: int) -> int:
-            if k == i:
-                return 1
-            if k in memo:
-                return memo[k]
-            # interval [i, k): elements >= i and < k
-            mask = (L.above[i] | (1 << i)) & L.below[k]
-            total = sum(mu(x) for x in bits(mask))
-            memo[k] = -total
-            return -total
-
-        return mu(j)
-
 
 def mobius(L: NEqualsLattice) -> MobiusTable:
     """mu(0-hat, I) for every element by the defining recursion, checked by

@@ -1,14 +1,13 @@
-"""Monic univariate polynomial arithmetic over F_q.
+"""Monic univariate polynomial arithmetic over F_q on dense vectors.
 
-Provides gcd, squarefree decomposition, full factorization into irreducibles
-(distinct-degree then equal-degree splitting), n-fold radicals, and the cycle
-type of the Frobenius permutation of a polynomial's geometric roots.
-
-A MonicPoly stores only its non-leading coefficients (raw field encodings,
-low-to-high); the leading 1 is implicit, so the constant 1 has degree 0 and an
-empty coefficient tuple.  Internal routines work on plain dense vectors
-(lists of raw ints, trimmed, [] = zero) so intermediate values need not be
-monic.
+Provides gcd, squarefree decomposition and full factorization into
+irreducibles (distinct-degree then equal-degree splitting).  Every routine
+works on dense vectors: lists of raw field ints, low-to-high, trimmed, with
+[] the zero polynomial, so intermediate values need not be monic.
+`factorize` takes a monic polynomial as its non-leading coefficient tuple
+(the leading 1 implicit, so the constant 1 is the empty tuple) and returns
+the census record format: the sorted ((degree, coeffs), multiplicity) pairs
+of its irreducible factors, each factor keyed the same way.
 
 Equal-degree splitting is randomized but derandomized by seeding the RNG with
 the repr of the input polynomial, which random.Random hashes with SHA-512, so
@@ -138,151 +137,21 @@ def _pth_root(F: FieldSpec, a):
 
 
 # ---------------------------------------------------------------------------
-# Public types
-# ---------------------------------------------------------------------------
-
-
-class MonicPoly:
-    """A monic polynomial; coeffs are the non-leading raw coefficients.
-    Immutable and hashable."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (MonicPoly, (self.field, self.coeffs))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def full(self) -> list[int]:
-        return list(self.coeffs) + [1]
-
-    @classmethod
-    def from_full(cls, field: FieldSpec, vec) -> "MonicPoly":
-        vec = _trim(list(vec))
-        if not vec or vec[-1] != 1:
-            raise ValidationError("polynomial is not monic")
-        return cls(field, tuple(vec[:-1]))
-
-    @classmethod
-    def one(cls, field: FieldSpec) -> "MonicPoly":
-        return cls(field, ())
-
-    def _check(self, other: "MonicPoly") -> None:
-        if self.field != other.field:
-            raise ValidationError("mixed fields")
-
-    def __mul__(self, other: "MonicPoly") -> "MonicPoly":
-        self._check(other)
-        return MonicPoly.from_full(self.field, _mul(self.field, self.full(), other.full()))
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self.coeffs)
-
-
-def mul(f: MonicPoly, g: MonicPoly) -> MonicPoly:
-    return f * g
-
-
-def rem(f: MonicPoly, g: MonicPoly) -> MonicPoly:
-    """Remainder of f mod g, normalized monic; a zero remainder (and any
-    remainder mod a degree-0 divisor) is reported as the degree-0 polynomial."""
-    f._check(g)
-    F = f.field
-    r = _rem(F, f.full(), g.full())
-    if not r:
-        return MonicPoly.one(F)
-    if r[-1] != 1:
-        r = _scale(F, r, F.inv_raw(r[-1]))
-    return MonicPoly.from_full(F, r)
-
-
-def gcd(f: MonicPoly, g: MonicPoly) -> MonicPoly:
-    f._check(g)
-    return MonicPoly.from_full(f.field, _gcd(f.field, f.full(), g.full()))
-
-
-def poly_arith(f: MonicPoly, g: MonicPoly, op: str) -> MonicPoly:
-    if op == "mul":
-        return mul(f, g)
-    if op == "rem":
-        return rem(f, g)
-    if op == "gcd":
-        return gcd(f, g)
-    raise ValidationError(f"unknown polynomial operation {op!r}")
-
-
-class Factorization:
-    """Multiset of (irreducible monic factor, multiplicity); immutable."""
-
-    __slots__ = ("field", "factors")
-
-    def __init__(self, field: FieldSpec, factors: tuple[tuple[MonicPoly, int], ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (Factorization, (self.field, self.factors))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.factors) == (other.field, other.factors)
-
-    def __hash__(self):
-        return hash((self.field, self.factors))
-
-    def expand(self) -> MonicPoly:
-        F = self.field
-        acc = [1]
-        for g, m in self.factors:
-            for _ in range(m):
-                acc = _mul(F, acc, g.full())
-        return MonicPoly.from_full(F, acc)
-
-    @property
-    def degree(self) -> int:
-        return sum(g.degree * m for g, m in self.factors)
-
-
-# ---------------------------------------------------------------------------
 # Squarefree decomposition (characteristic p, with p-th-root descent)
 # ---------------------------------------------------------------------------
 
 
-def squarefree_decomposition(f: MonicPoly) -> list[tuple[MonicPoly, int]]:
-    """Write f as a product of pairwise-coprime squarefree polynomials.
+def squarefree_decomposition(F: FieldSpec, vec) -> list:
+    """Write the monic dense vector `vec` as a product of pairwise-coprime
+    squarefree monic vectors.
 
-    Returns [(g, m), ...] with f = prod g^m, sorted by multiplicity then
-    coefficients.  Uses the standard char-p algorithm: after peeling
-    multiplicities not divisible by p, what remains is a perfect p-th power
-    and the recursion descends through its p-th root.
+    Returns [(g, m), ...] with vec = prod g^m, sorted by multiplicity then
+    non-leading coefficients.  Uses the standard char-p algorithm: after
+    peeling multiplicities not divisible by p, what remains is a perfect p-th
+    power and the recursion descends through its p-th root.
     """
-    if f.degree < 1:
+    if len(vec) < 2:
         raise ValidationError("squarefree decomposition needs degree >= 1")
-    F = f.field
     found: dict[tuple[int, ...], int] = {}
 
     def record(vec, mult):
@@ -308,14 +177,13 @@ def squarefree_decomposition(f: MonicPoly) -> list[tuple[MonicPoly, int]]:
         if len(c) - 1 > 0:
             sff(_pth_root(F, c), outer * F.p)
 
-    sff(f.full(), 1)
-    out = [(MonicPoly(F, key), m) for key, m in found.items()]
-    out.sort(key=lambda gm: (gm[1], gm[0].coeffs))
-    return out
+    sff(list(vec), 1)
+    return [(list(key) + [1], m)
+            for key, m in sorted(found.items(), key=lambda km: (km[1], km[0]))]
 
 
 # ---------------------------------------------------------------------------
-# Factorization: squarefree -> distinct degree -> equal degree
+# Factoring: squarefree -> distinct degree -> equal degree
 # ---------------------------------------------------------------------------
 
 
@@ -364,153 +232,21 @@ def _equal_degree(F: FieldSpec, vec, k: int, rng: random.Random):
             return _equal_degree(F, g, k, rng) + _equal_degree(F, rest, k, rng)
 
 
-def factorize(f: MonicPoly, seed: int | None = None) -> Factorization:
-    """Exact factorization into irreducibles, deterministic output order.
+def factorize(F: FieldSpec, coeffs, seed: int | None = None) -> tuple:
+    """Exact factorization of the monic polynomial with non-leading
+    coefficients `coeffs`, as the sorted ((degree, coeffs), multiplicity)
+    pairs of its irreducible factors.
 
-    The equal-degree stage is seeded from the repr of f (optionally mixed
-    with `seed`), so repeated runs agree byte-for-byte.
+    The equal-degree stage is seeded from the repr of the input (optionally
+    mixed with `seed`), so repeated runs agree byte-for-byte.
     """
-    F = f.field
-    if f.degree == 0:
-        return Factorization(F, ())
-    rng = random.Random(repr((F.p, F.e, F.modulus, f.coeffs, seed or 0)))
-    collected: list[tuple[MonicPoly, int]] = []
-    for g, m in squarefree_decomposition(f):
-        for part, k in _distinct_degree(F, g.full()):
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        return ()
+    rng = random.Random(repr((F.p, F.e, F.modulus, coeffs, seed or 0)))
+    collected = []
+    for g, m in squarefree_decomposition(F, list(coeffs) + [1]):
+        for part, k in _distinct_degree(F, g):
             for irr in _equal_degree(F, part, k, rng):
-                collected.append((MonicPoly.from_full(F, irr), m))
-    collected.sort(key=lambda gm: gm[0].sort_key())
-    return Factorization(F, tuple(collected))
-
-
-def radical_n(f: MonicPoly, n: int) -> MonicPoly:
-    """Product of the distinct irreducible factors of multiplicity >= n."""
-    if n < 1:
-        raise ValidationError("radical threshold must be >= 1")
-    F = f.field
-    acc = [1]
-    if f.degree == 0 or n > f.degree:
-        return MonicPoly.one(F)
-    for g, m in factorize(f).factors:
-        if m >= n:
-            acc = _mul(F, acc, g.full())
-    return MonicPoly.from_full(F, acc)
-
-
-def cycle_type_of(fact: Factorization) -> tuple[int, ...]:
-    """Cycle type of Frobenius on the roots, counted with multiplicity.
-
-    Each irreducible factor of degree j and multiplicity e contributes e
-    parts equal to j; parts are sorted descending and sum to deg f.
-    """
-    parts: list[int] = []
-    for g, m in fact.factors:
-        parts.extend([g.degree] * m)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-# ---------------------------------------------------------------------------
-# Textual form: "x^2+2*x+1"
-# ---------------------------------------------------------------------------
-
-
-def format_poly(f: MonicPoly, var: str = "x") -> str:
-    F = f.field
-
-    def coeff_str(raw):
-        if F.e == 1:
-            return str(raw)
-        return "(" + ",".join(str(c) for c in F.decode(raw)) + ")"
-
-    full = f.full()
-    terms = []
-    for k in range(len(full) - 1, -1, -1):
-        c = full[k]
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(coeff_str(c))
-        else:
-            xpart = var if k == 1 else f"{var}^{k}"
-            terms.append(xpart if c == 1 else f"{coeff_str(c)}*{xpart}")
-    return "+".join(terms) if terms else "0"
-
-
-def parse_poly(field: FieldSpec, text: str, var: str = "x") -> MonicPoly:
-    """Parse "x^2+2*x+1" style text into a MonicPoly.
-
-    Extension-field coefficients use the parenthesized residue form, e.g.
-    "(2,1)*x+1" over F_9.
-    """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValidationError("empty polynomial")
-    # split into signed terms
-    terms = []
-    i = 0
-    start = 0
-    depth = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            terms.append(s[start:i])
-            start = i
-        i += 1
-    terms.append(s[start:])
-
-    coeffs: dict[int, int] = {}
-    for term in terms:
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ValidationError(f"bad polynomial {text!r}")
-        if var in term:
-            cpart, _, xpart = term.partition(var)
-            cpart = cpart.rstrip("*")
-            if xpart.startswith("^"):
-                try:
-                    k = int(xpart[1:])
-                except ValueError as exc:
-                    raise ValidationError(f"bad exponent in {term!r}") from exc
-            elif xpart == "":
-                k = 1
-            else:
-                raise ValidationError(f"bad term {term!r}")
-        else:
-            cpart, k = term, 0
-        if cpart == "":
-            raw = 1
-        elif cpart.startswith("("):
-            if not cpart.endswith(")"):
-                raise ValidationError(f"bad coefficient in {term!r}")
-            raw = parse_raw_coeff(field, cpart[1:-1])
-        else:
-            try:
-                raw = int(cpart) % field.p
-            except ValueError as exc:
-                raise ValidationError(f"bad coefficient in {term!r}") from exc
-        if sign < 0:
-            raw = field.neg_raw(raw)
-        coeffs[k] = field.add_raw(coeffs.get(k, 0), raw)
-
-    deg = max(coeffs)
-    vec = [coeffs.get(i, 0) for i in range(deg + 1)]
-    vec = _trim(vec)
-    if not vec or vec[-1] != 1:
-        raise ValidationError(f"polynomial {text!r} is not monic")
-    return MonicPoly(field, tuple(vec[:-1]))
-
-
-def parse_raw_coeff(field: FieldSpec, body: str) -> int:
-    coords = [int(x) % field.p for x in body.split(",")]
-    if len(coords) != field.e:
-        raise ValidationError(f"coefficient needs {field.e} residues")
-    return field.encode(coords)
+                collected.append(((len(irr) - 1, tuple(irr[:-1])), m))
+    return tuple(sorted(collected))

@@ -127,7 +127,10 @@ def interpolate_in_q(samples, expected_degree: int | None = None,
 
 def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
     """(c_0, c_1, ...) with f(q) / q^topdim = sum c_i q^(-i), zero-padded;
-    a topdim above TOPDIM_GUARD is refused before any is built."""
+    a negative topdim, or one above TOPDIM_GUARD, is refused before any is
+    built."""
+    if topdim < 0:
+        raise ValidationError("topdim must be >= 0")
     if topdim > TOPDIM_GUARD:
         raise ValidationError(f"topdim {topdim} exceeds guard {TOPDIM_GUARD}")
     if f.degree > topdim:

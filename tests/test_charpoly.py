@@ -60,7 +60,7 @@ def test_power_and_product_bounds():
     # 1001 and 1000 terms: one product over MAX_TERM_PRODUCTS = 10^6
     wide = sum((CharPolynomial.variable(1, j) for j in range(1, 1001)), ONE)
     tall = sum((CharPolynomial.variable(2, j) for j in range(1, 1001)),
-               CharPolynomial.zero())
+               CharPolynomial.constant(0))
     assert len(wide.terms) * len(tall.terms) > MAX_TERM_PRODUCTS
     with pytest.raises(ValidationError, match="term products"):
         wide * tall

@@ -338,6 +338,15 @@ def _config(tmp_path, text):
     return str(path)
 
 
+# the start of the error line, where a case pins more than "error: "
+_BAD_INPUT_ERRORS = {
+    **{case: "error: bad config " for case in (
+        "config-d-list-string", "config-q-list-float", "config-m-float",
+        "config-n-bool", "config-truncation-float", "config-polys-string")},
+    "interpolate-negative-topdim": "error: topdim must be >= 0",
+}
+
+
 @pytest.mark.parametrize("make_argv", [
     lambda tmp: ["report", "--config", str(tmp / "missing.json")],
     lambda tmp: ["report", "--config", _config(tmp, "{not json")],
@@ -364,18 +373,35 @@ def _config(tmp_path, text):
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": -1}')],
     lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list=-1,1",
                  "--q-list", "2,3,5"],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": "12", "q_list": [2, 3, 5, 7, 11]}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11.0]}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"m": 2.7, "d_list": [1, 2], "q_list": [2, 3, 5, 7, 11]}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"n": true, "d_list": [1, 2], "q_list": [2, 3, 5, 7, 11]}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": 1.9}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "polys": "X[1,1]"}')],
+    lambda tmp: ["interpolate", "--samples", "2=2,3=6", "--topdim", "-1"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
         "poly-deep-nesting", "poly-huge-power", "poly-long-literal",
         "poly-superscript-digit", "betti-dimx-zero", "betti-dimx-negative",
-        "report-m-zero", "config-negative-truncation", "report-negative-degree"])
-def test_bad_input_exits_1_with_one_error_line(capsys, tmp_path, make_argv):
+        "report-m-zero", "config-negative-truncation", "report-negative-degree",
+        "config-d-list-string", "config-q-list-float", "config-m-float",
+        "config-n-bool", "config-truncation-float", "config-polys-string",
+        "interpolate-negative-topdim"])
+def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    start = _BAD_INPUT_ERRORS.get(request.node.callspec.id, "error: ")
+    assert len(lines) == 1 and lines[0].startswith(start)
 
 
 @pytest.mark.parametrize("make_argv, message", [

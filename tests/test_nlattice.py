@@ -137,19 +137,6 @@ def test_corrupted_below_mask_is_caught():
         mobius(NEqualsLattice(L.d, L.n, L.elements, L.above, tuple(below), L.covers))
 
 
-def test_mobius_between():
-    L = build_lattice((4,), 2)
-    mob = mobius(L)
-    top = L.size - 1
-    assert mob.between(0, top) == mob.from_bottom[top] == -6
-    assert mob.between(top, top) == 1
-    # interval from an atom to the top of Pi_4 is an interval of Pi_3 shape
-    atom = next(i for i in range(L.size) if L.rank(i) == 1)
-    assert mob.between(atom, top) == 2
-    with pytest.raises(ValidationError):
-        mob.between(top, atom)
-
-
 def test_classify_edges_examples():
     counts = classify_edges(build_lattice((2,), 2))
     assert counts == {EdgeType.BLOCK_CREATION: 1, EdgeType.SINGLETON_ADDING: 0,

@@ -1,175 +1,144 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zcc.census import _signature
 from zcc.errors import ValidationError
 from zcc.ffield import make_field
-from zcc.polyarith import (Factorization, MonicPoly, cycle_type_of, factorize,
-                           format_poly, gcd, mul, parse_poly, poly_arith,
-                           radical_n, rem, squarefree_decomposition)
+from zcc.polyarith import (_gcd, _mul, _rem, factorize,
+                           squarefree_decomposition)
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 
+# dense vectors, low-to-high: X1 = x + 1, and so on
+X1 = [1, 1]
+X2 = [2, 1]
+X2_1 = [1, 0, 1]     # x^2 + 1, irreducible over F_3
+X1_SQ = [1, 2, 1]    # (x + 1)^2 over F_3
 
-def P(field, text):
-    return parse_poly(field, text)
+
+def expand(field, factors):
+    """The monic dense vector of a factorization's records."""
+    acc = [1]
+    for (_j, coeffs), m in factors:
+        for _ in range(m):
+            acc = _mul(field, acc, list(coeffs) + [1])
+    return acc
 
 
 def test_gcd_examples():
-    assert gcd(P(F3, "x^2+2*x+1"), P(F3, "x^2+2")) == P(F3, "x+1")
-    one = MonicPoly.one(F3)
-    for f in (P(F3, "x^3+x+2"), P(F3, "x+1"), one):
-        assert gcd(f, one) == one
+    assert _gcd(F3, X1_SQ, [2, 0, 1]) == X1  # gcd((x+1)^2, x^2+2)
+    for f in ([2, 1, 0, 1], X1, [1]):
+        assert _gcd(F3, f, [1]) == [1]
+    assert _gcd(F3, [2, 2], X1_SQ) == X1  # made monic
+    assert _gcd(F3, [], []) == []
 
 
 def test_mul_example():
-    assert mul(P(F3, "x+1"), P(F3, "x+2")) == P(F3, "x^2+2")
+    assert _mul(F3, X1, X2) == [2, 0, 1]  # (x+1)(x+2) = x^2+2
+    assert _mul(F3, X1, []) == []
 
 
 def test_rem_degenerate_divisor():
-    # remainder mod the constant 1 collapses to the degree-0 polynomial
-    assert rem(P(F3, "x^2+1"), MonicPoly.one(F3)) == MonicPoly.one(F3)
-    assert rem(P(F3, "x^2+2*x+1"), P(F3, "x+1")) == MonicPoly.one(F3)
-    assert rem(P(F3, "x^2+1"), P(F3, "x+1")) == MonicPoly.one(F3)  # 2 normalized monic
-
-
-def test_poly_arith_dispatch_and_mixed_fields():
-    assert poly_arith(P(F3, "x+1"), P(F3, "x+2"), "mul") == P(F3, "x^2+2")
-    with pytest.raises(ValidationError, match="mixed fields"):
-        gcd(P(F3, "x+1"), P(F2, "x+1"))
-    with pytest.raises(ValidationError):
-        poly_arith(P(F3, "x"), P(F3, "x"), "quo")
+    # a constant divisor leaves no remainder, nor does an exact divisor; the
+    # remainder is not normalized: x^2+1 = 2 mod x+1
+    assert _rem(F3, X2_1, [1]) == []
+    assert _rem(F3, X1_SQ, X1) == []
+    assert _rem(F3, X2_1, X1) == [2]
+    with pytest.raises(ZeroDivisionError):
+        _rem(F3, X2_1, [])
 
 
 def test_squarefree_decomposition_examples():
-    f = mul(P(F3, "x^2+2*x+1"), P(F3, "x+2"))  # (x+1)^2 (x+2)
-    assert squarefree_decomposition(f) == [(P(F3, "x+2"), 1), (P(F3, "x+1"), 2)]
-    assert squarefree_decomposition(P(F2, "x^3")) == [(P(F2, "x"), 3)]
-    g = P(F3, "x^2+1")
-    assert squarefree_decomposition(g) == [(g, 1)]
+    f = _mul(F3, X1_SQ, X2)  # (x+1)^2 (x+2)
+    assert squarefree_decomposition(F3, f) == [(X2, 1), (X1, 2)]
+    assert squarefree_decomposition(F2, [0, 0, 0, 1]) == [([0, 1], 3)]
+    assert squarefree_decomposition(F3, X2_1) == [(X2_1, 1)]
+    with pytest.raises(ValidationError, match="degree >= 1"):
+        squarefree_decomposition(F3, [1])
 
 
 def test_squarefree_derivative_vanishing_case():
     # f = (x^2+1)^3 over F_3 has f' = 0
-    f = P(F3, "x^2+1")
-    cube = mul(mul(f, f), f)
-    assert squarefree_decomposition(cube) == [(f, 3)]
+    cube = _mul(F3, _mul(F3, X2_1, X2_1), X2_1)
+    assert squarefree_decomposition(F3, cube) == [(X2_1, 3)]
 
 
 def test_factorize_examples():
-    f = P(F2, "x^4+x+1")
-    assert factorize(f).factors == ((f, 1),)
-    mixed = mul(P(F3, "x^2+1"), P(F3, "x^2+2*x+1"))
-    assert factorize(mixed).factors == ((P(F3, "x+1"), 2), (P(F3, "x^2+1"), 1))
-    assert factorize(MonicPoly.one(F3)).factors == ()
+    assert factorize(F2, (1, 1, 0, 0)) == (((4, (1, 1, 0, 0)), 1),)  # x^4+x+1
+    mixed = _mul(F3, X2_1, X1_SQ)
+    assert factorize(F3, mixed[:-1]) == (((1, (1,)), 2), ((2, (1, 0)), 1))
+    assert factorize(F3, ()) == ()
+    # F_4 = F_2[t]/(t^2+t+1), t encoded 2: x^2+x+1 = (x+t)(x+t+1)
+    assert factorize(F4, (1, 1)) == (((1, (2,)), 1), ((1, (3,)), 1))
 
 
 def test_factorize_deterministic_and_seed_invariant():
-    f = mul(mul(P(F5, "x^2+2"), P(F5, "x^2+3")), P(F5, "x+1"))
-    base = factorize(f)
-    assert factorize(f) == base
-    assert factorize(f, seed=12345).factors == base.factors
+    f = _mul(F5, _mul(F5, [2, 0, 1], [3, 0, 1]), [1, 1])
+    base = factorize(F5, f[:-1])
+    assert len(base) == 3
+    assert factorize(F5, f[:-1]) == base
+    assert factorize(F5, tuple(f[:-1]), seed=12345) == base
 
 
 def test_factorize_round_trip_exhaustive():
     for F, maxdeg in ((F2, 5), (F3, 5), (F4, 3)):
         for deg in range(0, maxdeg + 1):
             for coeffs in product(range(F.q), repeat=deg):
-                f = MonicPoly(F, coeffs)
-                fact = factorize(f)
-                assert fact.expand() == f
-                assert all(m >= 1 for _g, m in fact.factors)
-                assert fact.degree == deg
+                factors = factorize(F, coeffs)
+                assert expand(F, factors) == list(coeffs) + [1]
+                assert all(m >= 1 for _key, m in factors)
+                assert sum(j * m for (j, _c), m in factors) == deg
 
 
 def test_squarefree_split_count_matches_binomial():
     # squarefree totally split monic polynomials of degree d number C(q, d)
-    from math import comb
     for F in (F2, F3, F5):
         for d in range(1, 4):
             count = 0
             for coeffs in product(range(F.q), repeat=d):
-                fact = factorize(MonicPoly(F, coeffs))
-                if all(m == 1 and g.degree == 1 for g, m in fact.factors):
+                if all(m == 1 and j == 1 for (j, _c), m in factorize(F, coeffs)):
                     count += 1
             assert count == comb(F.q, d)
 
 
-def test_radical_examples():
-    f = mul(P(F3, "x^2+2*x+1"), P(F3, "x+2"))
-    assert radical_n(f, 2) == P(F3, "x+1")
-    assert radical_n(f, 1) == mul(P(F3, "x+1"), P(F3, "x+2"))
-    assert radical_n(P(F3, "x^2+1"), 2) == MonicPoly.one(F3)
-    with pytest.raises(ValidationError):
-        radical_n(f, 0)
-
-
-def test_radical_properties():
-    for coeffs in product(range(3), repeat=4):
-        f = MonicPoly(F3, coeffs)
-        rad1 = radical_n(f, 1)
-        for n in (2, 3, 4):
-            radn = radical_n(f, n)
-            assert rem(rad1, radn) == MonicPoly.one(F3) or radn.degree == 0
-            # divisibility: rad1 = radn * something
-            assert gcd(rad1, radn) == radn
-        assert radical_n(f, f.degree + 1) == MonicPoly.one(F3)
-
-
 def test_cycle_type_examples():
-    mixed = mul(P(F3, "x^2+1"), P(F3, "x^2+2*x+1"))
-    assert cycle_type_of(factorize(mixed)) == (2, 1, 1)
-    assert cycle_type_of(factorize(P(F2, "x^4+x+1"))) == (4,)
-    split = mul(mul(P(F3, "x"), P(F3, "x+1")), P(F3, "x+2"))
-    assert cycle_type_of(factorize(split)) == (1, 1, 1)
+    # Frobenius permutes the roots with one j-cycle per root of a degree-j
+    # factor; a record's signature lists those (j, multiplicity) pairs
+    mixed = _mul(F3, X2_1, X1_SQ)
+    assert _signature(factorize(F3, mixed[:-1])) == ((1, 2), (2, 1))  # (2, 1, 1)
+    assert _signature(factorize(F2, (1, 1, 0, 0))) == ((4, 1),)
+    split = _mul(F3, _mul(F3, [0, 1], X1), X2)
+    assert _signature(factorize(F3, split[:-1])) == ((1, 1), (1, 1), (1, 1))
 
 
 def test_cycle_type_sums_to_degree():
     for coeffs in product(range(2), repeat=6):
-        f = MonicPoly(F2, coeffs)
-        assert sum(cycle_type_of(factorize(f))) == 6
-
-
-def test_format_parse_round_trip():
-    for text in ("x^2+2*x+1", "x^3+2", "x", "1", "x^4+x+1"):
-        f = P(F3 if "2" in text else F2, text)
-        assert parse_poly(f.field, format_poly(f)) == f
-
-
-def test_parse_extension_coefficients():
-    f = parse_poly(F4, "x^2+(1,1)*x+(0,1)")
-    assert f.degree == 2
-    assert format_poly(f) == "x^2+(1,1)*x+(0,1)"
-    assert parse_poly(F4, format_poly(f)) == f
-
-
-def test_parse_rejects_non_monic():
-    with pytest.raises(ValidationError, match="monic"):
-        parse_poly(F3, "2*x^2+1")
+        assert sum(j * m for j, m in _signature(factorize(F2, coeffs))) == 6
 
 
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_factorize_round_trip_random_f5(coeffs):
-    f = MonicPoly(F5, tuple(coeffs))
-    fact = factorize(f)
-    assert fact.expand() == f
-    # factors are pairwise distinct and individually irreducible of degree >= 1
-    polys = [g for g, _m in fact.factors]
-    assert len(set(polys)) == len(polys)
-    assert all(g.degree >= 1 for g in polys)
+    factors = factorize(F5, coeffs)
+    assert expand(F5, factors) == coeffs + [1]
+    # factors are pairwise distinct and individually of degree >= 1
+    keys = [key for key, _m in factors]
+    assert len(set(keys)) == len(keys)
+    assert all(j >= 1 and len(c) == j for j, c in keys)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=4),
        st.lists(st.integers(0, 2), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_gcd_divides_both(c1, c2):
-    f, g = MonicPoly(F3, tuple(c1)), MonicPoly(F3, tuple(c2))
-    h = gcd(f, g)
-    if h.degree > 0:
-        assert rem(f, h) == MonicPoly.one(F3)
-        assert rem(g, h) == MonicPoly.one(F3)
+    f, g = c1 + [1], c2 + [1]
+    h = _gcd(F3, f, g)
+    assert h[-1] == 1
+    assert _rem(F3, f, h) == []
+    assert _rem(F3, g, h) == []

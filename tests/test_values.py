@@ -9,22 +9,16 @@ import pytest
 
 from zcc.census import CensusSpec
 from zcc.charpoly import ONE, CharPolynomial, parse_charpoly
-from zcc.ffield import FieldElement, FieldSpec, make_field
+from zcc.ffield import FieldSpec, make_field
 from zcc.homology import BettiVector
 from zcc.nlattice import LatticePartition
-from zcc.polyarith import Factorization, MonicPoly
 
 F3 = make_field(3)
-F4 = make_field(2, 2)
 X11 = parse_charpoly("X[1,1]")
-LINEAR = MonicPoly(F3, (1,))
 
 # class, its fields, the fields of an unequal instance
 CASES = [
     (FieldSpec, (3, 1, (0,)), (2, 2, (1, 1))),
-    (FieldElement, (F4, (0, 1)), (F4, (1, 0))),
-    (MonicPoly, (F3, (1,)), (F3, (2,))),
-    (Factorization, (F3, ((LINEAR, 2),)), (F3, ((LINEAR, 1),))),
     (CharPolynomial, (X11.m, X11.terms), (ONE.m, ONE.terms)),
     (LatticePartition, ((((1, 1), (1, 2)),),), ((((1, 1),), ((1, 2),)),)),
     (BettiVector, (0, (1, 2)), (1, (1, 2))),
