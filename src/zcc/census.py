@@ -45,6 +45,7 @@ from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec
 from .nlattice import eval_int_poly
 from .polyarith import factorize, _mul
+from .record import Record, Value
 
 DEFAULT_POINT_GUARD = 10 ** 8
 UNSAFE_POINT_GUARD = 10 ** 10
@@ -63,7 +64,7 @@ UNSAFE_SERIES_GUARD = 1 << 30
 _EMPTY = frozenset()
 
 
-class CensusSpec:
+class CensusSpec(Value):
     """One census question, validated on construction; immutable and hashable."""
 
     __slots__ = ("d", "n", "field", "poly", "mode")
@@ -80,38 +81,11 @@ class CensusSpec:
         if used and max(used) > len(d):
             raise ValidationError(
                 f"statistic uses column {max(used)} but d has {len(d)} columns")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (CensusSpec, (self.d, self.n, self.field, self.poly, self.mode))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.d, self.n, self.field, self.poly, self.mode)
-                == (other.d, other.n, other.field, other.poly, other.mode))
-
-    def __hash__(self):
-        return hash((self.d, self.n, self.field, self.poly, self.mode))
+        super().__init__(d, n, field, poly, mode)
 
 
-class WeightedCensus:
+class WeightedCensus(Record):
     __slots__ = ("spec", "total", "point_count", "method", "elapsed")
-
-    def __init__(self, spec: CensusSpec, total: Fraction, point_count: int,
-                 method: str, elapsed: float):
-        self.spec = spec
-        self.total = total
-        self.point_count = point_count
-        self.method = method
-        self.elapsed = elapsed
 
     def to_json_dict(self) -> dict:
         # elapsed is deliberately omitted: persisted output is byte-deterministic

@@ -20,6 +20,7 @@ from itertools import product
 from math import factorial
 
 from .errors import StabilizationCapError, ValidationError
+from .record import Value
 
 Partition = tuple  # descending tuple of positive ints
 CycleType = tuple  # m-tuple of Partition
@@ -97,29 +98,11 @@ def _merge(terms: dict) -> tuple:
     return tuple(sorted((mono, c) for mono, c in terms.items() if c != 0))
 
 
-class CharPolynomial:
+class CharPolynomial(Value):
     """Exact-rational polynomial in the class functions X[k,j].  Immutable and
     hashable: statistics key the census's class-value cache."""
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: tuple):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", terms)  # sorted (Monomial, Fraction) pairs
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (CharPolynomial, (self.m, self.terms))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.terms) == (other.m, other.terms)
-
-    def __hash__(self):
-        return hash((self.m, self.terms))
+    __slots__ = ("m", "terms")  # terms: sorted (Monomial, Fraction) pairs
 
     # -- constructors ---------------------------------------------------------
 

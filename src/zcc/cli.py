@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -187,13 +186,13 @@ def _cmd_lattice(args) -> int:
             {
                 "blocks": [[list(pt) for pt in block] for block in part.blocks],
                 "num_blocks": part.num_blocks,
-                "mobius": mob.from_bottom[i],
+                "mobius": mob[i],
             }
             for i, part in enumerate(lattice.elements)
         ],
         "covers": [list(c) for c in lattice.covers],
         "edge_counts": {t.value: c for t, c in edges.items()},
-        "mobius_top": mob.from_bottom[-1] if lattice.size else None,
+        "mobius_top": mob[-1] if lattice.size else None,
         "point_count_coefficients": list(coeffs),
     }
     _emit(args, payload)
@@ -269,7 +268,8 @@ def _read_config(path: str) -> tuple:
     """(m, n, d_list, q_list, poly texts, truncation) from a JSON sweep file.
 
     Each value must already have the JSON type its flag parses to; nothing
-    is coerced, so "12" is not the list [1, 2] and 2.7 is not 2.
+    is coerced, so "12" is not the list [1, 2] and 2.7 is not 2.  A key that
+    is not one of these is refused, so a misspelt key cannot go unnoticed.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -280,6 +280,10 @@ def _read_config(path: str) -> tuple:
         raise ValidationError(f"bad config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"bad config {path!r}: not a JSON object")
+    known = {entry[0] for entry in _CONFIG_KEYS}
+    for key in cfg:
+        if key not in known:
+            raise ValidationError(f"bad config {path!r}: unknown key {key!r}")
     values = []
     for key, default, check, kind in _CONFIG_KEYS:
         value = cfg.get(key, default)
@@ -396,12 +400,8 @@ def _cmd_verify(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
-    # A string default is parsed like the flag, so a non-integer ZCC_THREADS
-    # is refused although the value is never used; an empty one is unset.
-    sub.add_argument("--threads", type=int,
-                     default=os.environ.get("ZCC_THREADS") or None,
-                     help="ignored: censuses run in one process "
-                          "(default: ZCC_THREADS)")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="ignored: censuses run in one process")
     sub.add_argument("--unsafe-guard", action="store_true",
                      help="lift desk-scale size guards (deliberate large runs)")
     sub.add_argument("--factor-seed", type=int, default=0,

@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ValidationError
+from .record import Value
 
 DEFAULT_SIZE_GUARD = 1 << 20
 # The guard under --unsafe-guard.  It stays finite because the canonical-
@@ -78,7 +79,7 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 # Field specification and packed-int arithmetic
 # ---------------------------------------------------------------------------
 
-class FieldSpec:
+class FieldSpec(Value):
     """The field F_q, q = p^e, with its canonical modulus.
 
     `modulus` holds the e non-leading coefficients (low-to-high); the leading
@@ -88,25 +89,6 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "e", "modulus")
-
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (FieldSpec, (self.p, self.e, self.modulus))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
 
     @property
     def q(self) -> int:

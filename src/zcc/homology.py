@@ -24,18 +24,16 @@ from itertools import combinations
 
 from .errors import GuardError, StructureError, ValidationError
 from .nlattice import FinitePoset, NEqualsLattice, bits, lower_interval, mobius
+from .record import Record, Value
 
 DEFAULT_FACE_GUARD = 10 ** 5
 
 
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Facet description of a finite complex; faces are implied downward."""
 
-    __slots__ = ("num_vertices", "facets")
-
-    def __init__(self, num_vertices: int, facets: tuple):
-        self.num_vertices = num_vertices
-        self.facets = facets  # sorted tuples of vertex indices, inclusion-maximal
+    __slots__ = {"num_vertices": "the vertices are 0 .. num_vertices - 1",
+                 "facets": "sorted tuples of vertex indices, inclusion-maximal"}
 
     @classmethod
     def from_facets(cls, num_vertices: int, facets) -> "SimplicialComplex":
@@ -48,29 +46,11 @@ class SimplicialComplex:
         return cls(num_vertices, tuple(maximal))
 
 
-class BettiVector:
+class BettiVector(Value):
     """Integer ranks indexed from `start` (reduced homology starts at -1).
     Immutable; equal ranks from the same start compare equal."""
 
     __slots__ = ("start", "ranks")
-
-    def __init__(self, start: int, ranks: tuple):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "ranks", ranks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (BettiVector, (self.start, self.ranks))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.ranks) == (other.start, other.ranks)
-
-    def __hash__(self):
-        return hash((self.start, self.ranks))
 
     @classmethod
     def make(cls, start: int, ranks) -> "BettiVector":
@@ -236,10 +216,10 @@ def reduced_homology_ranks(K: SimplicialComplex,
 # ---------------------------------------------------------------------------
 
 
-def interval_homology(L: NEqualsLattice, element,
+def interval_homology(L: NEqualsLattice, idx: int,
                       guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Reduced homology of the order complex of the open interval (0-hat, I)."""
-    idx = L.index_of(element) if not isinstance(element, int) else element
+    """Reduced homology of the order complex of the open interval (0-hat, I),
+    I the element of index idx."""
     if idx == 0:
         raise ValidationError("interval homology below the bottom is undefined")
     return reduced_homology_ranks(order_complex(lower_interval(L, idx)), guard)
@@ -273,7 +253,7 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
         raise ValidationError("dim_x must be >= 1")
     if max(interval_face_counts(L)) > guard:
         raise GuardError(f"face count exceeds guard {guard}")
-    mu = mobius(L).from_bottom
+    mu = mobius(L)
     out = []
     for idx in range(1, L.size):
         iv = interval_homology(L, idx, guard)

@@ -16,6 +16,7 @@ from itertools import combinations
 from math import prod
 
 from .errors import GuardError, StructureError, ValidationError
+from .record import Record, Value
 
 DEFAULT_LATTICE_GUARD = 10
 # The |d| guard under --unsafe-guard; DIMENSION_GUARD bounds |d| as tightly.
@@ -49,14 +50,10 @@ def bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-class FinitePoset:
+class FinitePoset(Record):
     """A finite strict partial order; above[i] is the bitmask of {j : i < j}."""
 
     __slots__ = ("payloads", "above")
-
-    def __init__(self, payloads: tuple, above: tuple):
-        self.payloads = payloads
-        self.above = above
 
     @property
     def size(self) -> int:
@@ -113,29 +110,12 @@ class FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-class LatticePartition:
+class LatticePartition(Value):
     """A set partition of the column-tagged ground set, in canonical form:
     each block sorted, blocks ordered by their least element.  Immutable and
-    compared by value: NEqualsLattice.index_of looks elements up by it."""
+    compared by value."""
 
     __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple):
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (LatticePartition, (self.blocks,))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
 
     @property
     def num_blocks(self) -> int:
@@ -150,10 +130,6 @@ class LatticePartition:
             out.append(counts)
         return out
 
-    def __str__(self) -> str:
-        return "|".join(
-            ",".join(f"{k}.{i}" for (k, i) in block) for block in self.blocks)
-
 
 class EdgeType(Enum):
     BLOCK_CREATION = "block_creation"
@@ -161,17 +137,14 @@ class EdgeType(Enum):
     BLOCK_MERGING = "block_merging"
 
 
-class NEqualsLattice:
-    __slots__ = ("d", "n", "elements", "above", "below", "covers")
-
-    def __init__(self, d: tuple, n: int, elements: tuple, above: tuple,
-                 below: tuple, covers: tuple):
-        self.d = d
-        self.n = n
-        self.elements = elements  # LatticePartition, bottom first, by rank
-        self.above = above        # above[i] = bitmask of {j : elements[i] < elements[j]}
-        self.below = below        # below[j] = bitmask of {i : elements[i] < elements[j]}
-        self.covers = covers      # (lower index, upper index) pairs
+class NEqualsLattice(Record):
+    __slots__ = {
+        "d": "the degree vector", "n": "the threshold",
+        "elements": "LatticePartition, bottom first, by rank",
+        "above": "above[i] = bitmask of {j : elements[i] < elements[j]}",
+        "below": "below[j] = bitmask of {i : elements[i] < elements[j]}",
+        "covers": "(lower index, upper index) pairs",
+    }
 
     @property
     def m(self) -> int:
@@ -184,15 +157,6 @@ class NEqualsLattice:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def rank(self, i: int) -> int:
-        return self.ground_size - self.elements[i].num_blocks
-
-    def index_of(self, part: LatticePartition) -> int:
-        try:
-            return self.elements.index(part)
-        except ValueError:
-            raise ValidationError(f"partition {part} is not a lattice element")
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +266,8 @@ def build_lattice(d, n: int, guard: int = DEFAULT_LATTICE_GUARD) -> NEqualsLatti
 # ---------------------------------------------------------------------------
 
 
-class MobiusTable:
-    __slots__ = ("lattice", "from_bottom")
-
-    def __init__(self, lattice: NEqualsLattice, from_bottom: tuple):
-        self.lattice = lattice
-        self.from_bottom = from_bottom  # mu(0-hat, I) per element index
-
-
-def mobius(L: NEqualsLattice) -> MobiusTable:
-    """mu(0-hat, I) for every element by the defining recursion, checked by
+def mobius(L: NEqualsLattice) -> tuple:
+    """mu(0-hat, I) per element index, by the defining recursion, checked by
     multiplicativity (`_check_multiplicative`)."""
     size = L.size
     below = L.below
@@ -320,7 +276,7 @@ def mobius(L: NEqualsLattice) -> MobiusTable:
     for j in range(1, size):
         values[j] = -sum(values[x] for x in bits(below[j]))
     _check_multiplicative(L, values)
-    return MobiusTable(lattice=L, from_bottom=tuple(values))
+    return tuple(values)
 
 
 def _check_multiplicative(L: NEqualsLattice, values) -> None:
@@ -407,9 +363,9 @@ def classify_edges(L: NEqualsLattice) -> dict:
 
 
 def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1,
-                           mob: MobiusTable | None = None) -> tuple:
+                           mob: tuple | None = None) -> tuple:
     """N(q) = sum_I mu(0,I) q^(dim_x * #blocks(I)), low-to-high coefficients,
-    from `mob`, L's Mobius table, when the caller has it.
+    from `mob`, L's Mobius values `mobius(L)`, when the caller has them.
 
     For every prime power q this is the number of F_q-points of the ordered
     0-cycle space over affine dim_x-space.
@@ -421,7 +377,7 @@ def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1,
     # the top coefficient is mu(0-hat, 0-hat) = 1, so nothing needs trimming
     coeffs = [0] * (dim_x * L.ground_size + 1)
     for i, part in enumerate(L.elements):
-        coeffs[dim_x * part.num_blocks] += mob.from_bottom[i]
+        coeffs[dim_x * part.num_blocks] += mob[i]
     return tuple(coeffs)
 
 
@@ -432,14 +388,11 @@ def eval_int_poly(coeffs, q: int) -> int:
     return acc
 
 
-def lower_interval(L: NEqualsLattice, element) -> FinitePoset:
-    """The open interval (0-hat, I) with its induced order."""
-    if isinstance(element, LatticePartition):
-        idx = L.index_of(element)
-    else:
-        idx = int(element)
-        if not 0 <= idx < L.size:
-            raise ValidationError(f"element index {idx} out of range")
+def lower_interval(L: NEqualsLattice, idx: int) -> FinitePoset:
+    """The open interval (0-hat, I) below the element of index idx, with its
+    induced order."""
+    if not 0 <= idx < L.size:
+        raise ValidationError(f"element index {idx} out of range")
     below = L.below[idx]
     members = [x for x in bits(below) if x != 0]  # exclude the bottom
     pos = {orig: new for new, orig in enumerate(members)}

@@ -23,6 +23,7 @@ from .errors import InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
 from .nlattice import eval_int_poly
 from .polyarith import _trim as _trim_zeros
+from .record import Record
 
 # normalized_coefficients lists topdim + 1 coefficients
 TOPDIM_GUARD = 10 ** 6
@@ -41,12 +42,9 @@ TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
 # ---------------------------------------------------------------------------
 
 
-class InterpolatedPolynomial:
-    __slots__ = ("coefficients", "samples")
-
-    def __init__(self, coefficients: tuple, samples: tuple):
-        self.coefficients = coefficients  # Fractions, low-to-high, trimmed
-        self.samples = samples            # ((q, value), ...) as supplied (sorted by q)
+class InterpolatedPolynomial(Record):
+    __slots__ = {"coefficients": "Fractions, low-to-high, trimmed",
+                 "samples": "((q, value), ...) as supplied (sorted by q)"}
 
     @property
     def degree(self) -> int:
@@ -147,16 +145,14 @@ def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class StabilizationResult:
-    __slots__ = ("stable_from", "stable_values", "unstable_positions", "onset", "depth")
-
-    def __init__(self, stable_from: tuple, stable_values: tuple,
-                 unstable_positions: tuple, onset: int | None, depth: int):
-        self.stable_from = stable_from    # per position: start index of the final constant run
-        self.stable_values = stable_values  # per position: the final value
-        self.unstable_positions = unstable_positions  # positions whose final run has length 1
-        self.onset = onset  # first index where all requested positions are settled
-        self.depth = depth
+class StabilizationResult(Record):
+    __slots__ = {
+        "stable_from": "per position: start index of the final constant run",
+        "stable_values": "per position: the final value",
+        "unstable_positions": "positions whose final run has length 1",
+        "onset": "first index where all requested positions are settled",
+        "depth": "the last position that onset covers",
+    }
 
     def stable_value(self, i: int):
         if i in self.unstable_positions or i >= len(self.stable_values):
@@ -207,50 +203,33 @@ def detect_stabilization(vectors, depth: int | None = None) -> StabilizationResu
 # ---------------------------------------------------------------------------
 
 
-class SweepPoint:
-    __slots__ = ("d", "topdim", "samples", "coefficients", "normalized")
-
-    def __init__(self, d: tuple, topdim: int, samples: tuple, coefficients: tuple,
-                 normalized: tuple):
-        self.d = d
-        self.topdim = topdim
-        self.samples = samples            # ((q, total), ...)
-        self.coefficients = coefficients  # interpolant, low-to-high
-        self.normalized = normalized      # c_0 .. c_topdim
+class SweepPoint(Record):
+    __slots__ = {"d": "the degree vector", "topdim": "the top dimension",
+                 "samples": "((q, total), ...)",
+                 "coefficients": "interpolant, low-to-high",
+                 "normalized": "c_0 .. c_topdim"}
 
 
-class SeriesSide:
-    __slots__ = ("truncation", "coefficients", "skipped", "partial_sums")
-
-    def __init__(self, truncation: int, coefficients: tuple, skipped: tuple,
-                 partial_sums: tuple):
-        self.truncation = truncation
-        self.coefficients = coefficients  # ((i, c_i stable), ...) for stabilized i <= T
-        self.skipped = skipped            # positions <= T that never stabilized
-        self.partial_sums = partial_sums  # ((q, value), ...)
+class SeriesSide(Record):
+    __slots__ = {"truncation": "T",
+                 "coefficients": "((i, c_i stable), ...) for stabilized i <= T",
+                 "skipped": "positions <= T that never stabilized",
+                 "partial_sums": "((q, value), ...)"}
 
 
-class StabilityReport:
-    __slots__ = ("m", "n", "poly", "d_values", "q_list", "points", "stabilization",
-                 "onset_d", "lhs", "series", "series_note", "residuals", "tail_note")
-
-    def __init__(self, m: int, n: int, poly: CharPolynomial, d_values: tuple,
-                 q_list: tuple, points: tuple, stabilization: StabilizationResult,
-                 onset_d: int | None, lhs: tuple, series: SeriesSide | None,
-                 series_note: str, residuals: tuple | None, tail_note: str):
-        self.m = m
-        self.n = n
-        self.poly = poly
-        self.d_values = d_values
-        self.q_list = q_list
-        self.points = points                # SweepPoint per d
-        self.stabilization = stabilization
-        self.onset_d = onset_d
-        self.lhs = lhs                      # per d: ((q, lhs value), ...)
-        self.series = series
-        self.series_note = series_note
-        self.residuals = residuals          # per d: ((q, lhs - partial sum), ...)
-        self.tail_note = tail_note
+class StabilityReport(Record):
+    __slots__ = {
+        "m": "columns", "n": "threshold", "poly": "the statistic",
+        "d_values": "t per sweep entry", "q_list": "the sampled q",
+        "points": "SweepPoint per d",
+        "stabilization": "StabilizationResult of the normalized vectors",
+        "onset_d": "the t from which every requested position has settled, or None",
+        "lhs": "per d: ((q, lhs value), ...)",
+        "series": "SeriesSide, or None when not computed",
+        "series_note": "whether and why the series was computed",
+        "residuals": "per d: ((q, lhs - partial sum), ...)",
+        "tail_note": "the convergence note on the series tail",
+    }
 
     def to_json_dict(self) -> dict:
         out = {

@@ -228,7 +228,7 @@ def test_criterion_7_lattice_structure():
             counts = classify_edges(lattice)  # raises on any unclassifiable edge
             assert sum(counts.values()) == len(lattice.covers)
             mob = mobius(lattice)  # raises if any closed-interval sum is nonzero
-            assert mob.from_bottom[0] == 1
+            assert mob[0] == 1
             lattices += 1
             edges += len(lattice.covers)
     print(f"PASS criterion 7: {edges} cover edges across {lattices} lattices "

@@ -202,21 +202,13 @@ def test_report_empty_space_leading_coefficient(capsys):
             == [pt["coefficients"] for pt in payloads[1]["reports"]["1"]["points"]])
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZCC_THREADS", "2")
-    rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1", "--q", "3"])
-    assert rc == 0
-    assert payload["point_count"] == 18
-    monkeypatch.setenv("ZCC_THREADS", "zzz")
-    assert run(["count", "--d", "2", "--n", "2", "--q", "3"]) == 1
-
-
-def test_threads_env_empty_or_overridden_is_not_parsed(capsys, monkeypatch):
-    for env, flags in (("", []), ("zzz", ["--threads", "2"])):
-        monkeypatch.setenv("ZCC_THREADS", env)
-        rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1", "--q", "3",
-                                        *flags])
-        assert rc == 0 and payload["point_count"] == 18
+def test_threads_flag_is_accepted_and_ignored(capsys):
+    argv = ["count", "--d", "2,1", "--n", "1", "--q", "3"]
+    assert run(argv) == 0
+    alone = capsys.readouterr().out
+    assert run(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == alone
+    assert json.loads(alone)["point_count"] == 18
 
 
 @pytest.mark.parametrize("q", ["1000000000039", "2^21", "3^1000000000"])
@@ -313,7 +305,6 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
         "euler-series-large-q", "report-series-and-points"])
 def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
-    env.pop("ZCC_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-c", _TIMED_SCRIPT, *argv.split()],
         env=env, capture_output=True, text=True, check=True, timeout=30)
@@ -342,9 +333,13 @@ def _config(tmp_path, text):
 _BAD_INPUT_ERRORS = {
     **{case: "error: bad config " for case in (
         "config-d-list-string", "config-q-list-float", "config-m-float",
-        "config-n-bool", "config-truncation-float", "config-polys-string")},
+        "config-n-bool", "config-truncation-float", "config-polys-string",
+        "config-misspelt-keys", "config-key-case")},
     "interpolate-negative-topdim": "error: topdim must be >= 0",
 }
+# the end of the error line: the config's first unknown key
+_BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
+                   "config-key-case": ": unknown key 'D_list'"}
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -386,6 +381,11 @@ _BAD_INPUT_ERRORS = {
     lambda tmp: ["report", "--config", _config(
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "polys": "X[1,1]"}')],
     lambda tmp: ["interpolate", "--samples", "2=2,3=6", "--topdim", "-1"],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "trunaction": 0, '
+             '"poly": ["X[1,1]"]}')],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "D_list": [1, 2]}')],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
@@ -394,14 +394,15 @@ _BAD_INPUT_ERRORS = {
         "report-m-zero", "config-negative-truncation", "report-negative-degree",
         "config-d-list-string", "config-q-list-float", "config-m-float",
         "config-n-bool", "config-truncation-float", "config-polys-string",
-        "interpolate-negative-topdim"])
+        "interpolate-negative-topdim", "config-misspelt-keys", "config-key-case"])
 def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     start = _BAD_INPUT_ERRORS.get(request.node.callspec.id, "error: ")
-    assert len(lines) == 1 and lines[0].startswith(start)
+    end = _BAD_INPUT_ENDS.get(request.node.callspec.id, "")
+    assert len(lines) == 1 and lines[0].startswith(start) and lines[0].endswith(end)
 
 
 @pytest.mark.parametrize("make_argv, message", [
@@ -492,7 +493,6 @@ print(json.dumps([code, sorted(set(sys.modules) & set({WATCHED!r}))]))
 
 def _modules_loaded_by(argv) -> set:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
-    env.pop("ZCC_THREADS", None)
     done = subprocess.run(
         [sys.executable, "-c", _LOADED_SCRIPT, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=60)

@@ -10,7 +10,7 @@ from zcc.homology import (BettiVector, SimplicialComplex, complement_betti,
                           complement_contributions, exact_rank,
                           interval_face_counts, interval_homology,
                           order_complex, reduced_homology_ranks)
-from zcc.nlattice import (FinitePoset, MobiusTable, build_lattice,
+from zcc.nlattice import (FinitePoset, build_lattice,
                           lower_interval, mobius, point_count_polynomial)
 
 from test_nlattice import GRID
@@ -228,10 +228,9 @@ def test_characteristic_polynomial_identity_hyperplane_case():
 
 def test_hall_theorem_checked_on_every_interval(monkeypatch):
     # complement_contributions compares each interval's reduced Euler
-    # characteristic with mu(0-hat, I); a wrong Mobius table must be caught
+    # characteristic with mu(0-hat, I); wrong Mobius values must be caught
     def wrong_mobius(L):
-        table = mobius(L)
-        return MobiusTable(table.lattice, tuple(-v for v in table.from_bottom))
+        return tuple(-v for v in mobius(L))
 
     monkeypatch.setattr(homology, "mobius", wrong_mobius)
     with pytest.raises(StructureError, match="Euler characteristic"):
