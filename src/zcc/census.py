@@ -43,24 +43,12 @@ from math import prod
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec
+from .guards import DEFAULT, Guards
 from .nlattice import eval_int_poly
 from .polyarith import factorize, _mul
 from .record import Record, Value
 
-DEFAULT_POINT_GUARD = 10 ** 8
-UNSAFE_POINT_GUARD = 10 ** 10
-# A record takes about 0.3 kB (q = 2, counting the lower-degree tables that
-# stay cached) and 0.55 kB while a census groups its radical sets, so the
-# default keeps a census's records under 150 MiB and the unsafe one under 600 MiB.
-DEFAULT_RECORD_GUARD = 1 << 18
-UNSAFE_RECORD_GUARD = 1 << 20
 BURNSIDE_DEGREE_GUARD = 8
-# Work of the Euler route (euler.py): states^2 coefficient products in each
-# of its passes (one per q and one more), in 64-bit words of a q^|d|-sized
-# coefficient.  At most about 4 s at the default on a 2-vCPU Xeon VM:
-# d = (1,) * 12 at q = 2 is 2^25 units and takes 1.9 s.
-DEFAULT_SERIES_GUARD = 1 << 26
-UNSAFE_SERIES_GUARD = 1 << 30
 _EMPTY = frozenset()
 
 
@@ -356,14 +344,13 @@ def _weigh(P: CharPolynomial, histogram) -> tuple:
     return count, total
 
 
-def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-                        factor_seed: int = 0,
-                        record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
+def enumerate_unordered(spec: CensusSpec, guards: Guards = DEFAULT,
+                        factor_seed: int = 0) -> WeightedCensus:
     """Iterate all m-tuples of monic polynomials of degrees d over F_q."""
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
-    _check_point_guard(spec.field.q, sum(spec.d), guard, "; try burnside mode")
-    _check_record_guard(spec.field, spec.d, record_guard)
+    _check_point_guard(spec.field.q, sum(spec.d), guards.points, "; try burnside mode")
+    _check_record_guard(spec.field, spec.d, guards.records)
     t0 = time.perf_counter()
     histogram = _member_histogram(spec.field, spec.d, spec.n, factor_seed)
     count, total = _weigh(spec.poly, histogram)
@@ -376,13 +363,13 @@ def enumerate_unordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_ordered(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD) -> WeightedCensus:
+def enumerate_ordered(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
     """Count F_q-points of the ordered space; the statistic must be 1."""
     if spec.mode != "ordered":
         raise ValidationError("spec mode must be 'ordered'")
     if not spec.poly.is_one():
         raise ValidationError("ordered census is unweighted")
-    _check_point_guard(spec.field.q, sum(spec.d), guard)
+    _check_point_guard(spec.field.q, sum(spec.d), guards.points)
     q = spec.field.q
     t0 = time.perf_counter()
     columns = []
@@ -452,12 +439,11 @@ def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
                  for ctype, weight in cycle_types_of(d))
 
 
-def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-                   record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
+def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
     """Weighted count via Frobenius-twisted fixed points, class by class.
 
     A j-cycle's choices come from the record tables of the unordered route
-    (degrees up to max(d)), so `record_guard` is checked before any is
+    (degrees up to max(d)), so the record guard is checked before any is
     built.  The fixed-point table carries no statistic; the statistic is
     evaluated at each class's cycle type and paired with it.
     """
@@ -467,8 +453,8 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
     if total_deg > BURNSIDE_DEGREE_GUARD:
         raise GuardError(
             f"|d| = {total_deg} exceeds burnside guard {BURNSIDE_DEGREE_GUARD}")
-    _check_point_guard(spec.field.q, total_deg, guard)
-    _check_record_guard(spec.field, spec.d, record_guard)
+    _check_point_guard(spec.field.q, total_deg, guards.points)
+    _check_record_guard(spec.field, spec.d, guards.records)
     t0 = time.perf_counter()
     classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
     count = sum((w * fixed for _ctype, w, fixed in classes), Fraction(0))
@@ -487,7 +473,7 @@ def burnside_count(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
 
 def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
                         P: CharPolynomial, factor_seed: int = 0,
-                        record_guard: int = DEFAULT_RECORD_GUARD) -> WeightedCensus:
+                        guards: Guards = DEFAULT) -> WeightedCensus:
     """Exact unordered census for m = 2, n = 1 with a single-column statistic.
 
     Counts pairs of monic polynomials with no common irreducible factor by
@@ -501,7 +487,7 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     if len(used) > 1:
         raise ValidationError("fast path requires a single-column statistic")
     col = (used.pop() - 1) if used else 0
-    _check_record_guard(field, (d[col],), record_guard)
+    _check_record_guard(field, (d[col],), guards.records)
     t0 = time.perf_counter()
     q = field.q
     d_other = d[1 - col]
@@ -520,15 +506,13 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
                           time.perf_counter() - t0)
 
 
-def run_census(spec: CensusSpec, guard: int = DEFAULT_POINT_GUARD,
-               factor_seed: int = 0, record_guard: int = DEFAULT_RECORD_GUARD,
-               series_guard: int = DEFAULT_SERIES_GUARD) -> WeightedCensus:
+def run_census(spec: CensusSpec, guards: Guards = DEFAULT,
+               factor_seed: int = 0) -> WeightedCensus:
     if spec.mode == "euler":  # imported here: only this mode loads the route
         from .euler import euler_count
-        return euler_count(spec, series_guard)
+        return euler_count(spec, guards)
     if spec.mode == "ordered":
-        return enumerate_ordered(spec, guard)
+        return enumerate_ordered(spec, guards)
     if spec.mode == "unordered":
-        return enumerate_unordered(spec, guard, factor_seed=factor_seed,
-                                   record_guard=record_guard)
-    return burnside_count(spec, guard, record_guard)
+        return enumerate_unordered(spec, guards, factor_seed=factor_seed)
+    return burnside_count(spec, guards)

@@ -20,10 +20,9 @@ from . import __version__
 from .charpoly import ONE, parse_charpoly
 from .errors import (GuardError, InconsistencyError, StabilizationCapError,
                      StructureError, ValidationError)
-from .ffield import (DEFAULT_SIZE_GUARD, UNSAFE_FIELD_GUARD, make_field,
-                     prime_power)
-from .nlattice import (DEFAULT_LATTICE_GUARD, DIMENSION_GUARD,
-                       UNSAFE_LATTICE_GUARD, build_lattice, classify_edges,
+from .ffield import make_field, prime_power
+from .guards import DEFAULT, UNSAFE
+from .nlattice import (DIMENSION_GUARD, build_lattice, classify_edges,
                        eval_int_poly, mobius, point_count_polynomial)
 
 # The census, homology and stabkit layers are imported by the subcommands that
@@ -80,21 +79,6 @@ def _parse_samples(text: str) -> list:
     return out
 
 
-def _guard(args) -> int:
-    from .census import DEFAULT_POINT_GUARD, UNSAFE_POINT_GUARD
-    return UNSAFE_POINT_GUARD if args.unsafe_guard else DEFAULT_POINT_GUARD
-
-
-def _record_guard(args) -> int:
-    from .census import DEFAULT_RECORD_GUARD, UNSAFE_RECORD_GUARD
-    return UNSAFE_RECORD_GUARD if args.unsafe_guard else DEFAULT_RECORD_GUARD
-
-
-def _series_guard(args) -> int:
-    from .census import DEFAULT_SERIES_GUARD, UNSAFE_SERIES_GUARD
-    return UNSAFE_SERIES_GUARD if args.unsafe_guard else DEFAULT_SERIES_GUARD
-
-
 def _lattice_input(args) -> tuple:
     """(lattice, dim_x) for lattice and betti, refused before any lattice is
     built when dim_x is below 1 or dim_x * |d| exceeds DIMENSION_GUARD."""
@@ -104,12 +88,7 @@ def _lattice_input(args) -> tuple:
     if (dimension := args.dimx * sum(d)) > DIMENSION_GUARD:
         raise GuardError(
             f"dim_x * |d| = {dimension} exceeds the dimension guard {DIMENSION_GUARD}")
-    guard = UNSAFE_LATTICE_GUARD if args.unsafe_guard else DEFAULT_LATTICE_GUARD
-    return build_lattice(d, args.n, guard), args.dimx
-
-
-def _field_guard(args) -> int:
-    return UNSAFE_FIELD_GUARD if args.unsafe_guard else DEFAULT_SIZE_GUARD
+    return build_lattice(d, args.n), args.dimx
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +141,11 @@ def _census_csv(result) -> list:
 def _cmd_census(args) -> int:
     """count (the statistic 1) and weighted (the statistic --poly)."""
     from .census import CensusSpec, run_census
-    field = _parse_q(args.q, _field_guard(args))
+    field = _parse_q(args.q, args.guards.field)
     d = _parse_d(args.d)
     poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
     spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
-    result = run_census(spec, guard=_guard(args), factor_seed=args.factor_seed,
-                        record_guard=_record_guard(args),
-                        series_guard=_series_guard(args))
+    result = run_census(spec, args.guards, factor_seed=args.factor_seed)
     _emit(args, result.to_json_dict(), _census_csv(result))
     return 0
 
@@ -324,10 +301,8 @@ def _cmd_report(args) -> int:
     for text in poly_texts:
         poly = parse_charpoly(text, m=m)
         rep = lefschetz_report(d_list, n, m, poly, q_list,
-                               truncation=truncation, guard=_guard(args),
-                               factor_seed=args.factor_seed,
-                               record_guard=_record_guard(args),
-                               series_guard=_series_guard(args))
+                               truncation=truncation, guards=args.guards,
+                               factor_seed=args.factor_seed)
         reports[text] = rep.to_json_dict()
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
@@ -361,15 +336,13 @@ def _cmd_verify(args) -> int:
         line = "PASS" if ok else "FAIL"
         sys.stderr.write(f"{line} {kind} {params}: {lhs} vs {rhs}\n")
 
-    guard = _guard(args)
-    record_guard = _record_guard(args)
     for q in VERIFY_GRID["q_values"]:
         field = make_field(q)
         for d in VERIFY_GRID["d_vectors"]:
             for n in VERIFY_GRID["n_values"]:
                 params = f"d={d} n={n} q={q}"
                 ordered = enumerate_ordered(
-                    CensusSpec(d, n, field, ONE, "ordered"), guard)
+                    CensusSpec(d, n, field, ONE, "ordered"), args.guards)
                 if not (len(d) == 1 and n == 1):
                     lattice = build_lattice(d, n)
                     nq = eval_int_poly(point_count_polynomial(lattice, 1), q)
@@ -378,11 +351,10 @@ def _cmd_verify(args) -> int:
                 for text in VERIFY_GRID["polys"]:
                     poly = parse_charpoly(text, m=len(d))
                     unordered = enumerate_unordered(
-                        CensusSpec(d, n, field, poly, "unordered"), guard,
-                        factor_seed=args.factor_seed, record_guard=record_guard)
+                        CensusSpec(d, n, field, poly, "unordered"), args.guards,
+                        factor_seed=args.factor_seed)
                     burnside = burnside_count(
-                        CensusSpec(d, n, field, poly, "burnside"), guard,
-                        record_guard)
+                        CensusSpec(d, n, field, poly, "burnside"), args.guards)
                     add("unordered=burnside", params + f" P={text}",
                         (unordered.total, unordered.point_count)
                         == (burnside.total, burnside.point_count),
@@ -477,6 +449,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.guards = UNSAFE if args.unsafe_guard else DEFAULT
         if args.format == "csv" and getattr(args, "json_only", False):
             raise ValidationError("csv output is not supported by this subcommand")
         return args.func(args)

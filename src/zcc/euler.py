@@ -47,9 +47,9 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, isqrt, prod
 
-from .census import (DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
-                     necklace_count)
+from .census import CensusSpec, WeightedCensus, necklace_count
 from .errors import GuardError, InconsistencyError
+from .guards import DEFAULT, Guards
 
 
 class _Box:
@@ -106,7 +106,7 @@ def _words(d, qs) -> int:
     return 1 + sum(d) * max(qs).bit_length() // 64
 
 
-def check_series_guard(d, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> None:
+def check_series_guard(d, P, qs, guard: int = DEFAULT.series) -> None:
     """Refuse, before any series exists, the work of euler_totals: states^2
     coefficient products in each of its passes (one for the K_r, one per q),
     each product of _words words.  The state count is multiplied out only
@@ -230,7 +230,7 @@ def _exp_pass(K: dict, states: list, box: _Box, scale: int) -> dict:
     return G
 
 
-def euler_totals(d, n: int, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> list:
+def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series) -> list:
     """[(sum of P over the members, member count)] of the unordered space of
     degrees d and threshold n, one pair per q in qs; d, n and P are taken as
     validated (CensusSpec, lefschetz_report).
@@ -275,9 +275,10 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT_SERIES_GUARD) -> list:
     return out
 
 
-def euler_count(spec: CensusSpec, guard: int = DEFAULT_SERIES_GUARD) -> WeightedCensus:
+def euler_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
     """The census of an 'euler' spec from the Euler product; only q is read
-    from its field."""
+    from its field, and only the series guard bounds it."""
     t0 = time.perf_counter()
-    [(total, count)] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q], guard)
+    [(total, count)] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q],
+                                    guards.series)
     return WeightedCensus(spec, total, count, "euler-product", time.perf_counter() - t0)

@@ -17,13 +17,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ValidationError
+from .guards import DEFAULT
 from .record import Value
-
-DEFAULT_SIZE_GUARD = 1 << 20
-# The guard under --unsafe-guard.  It stays finite because the canonical-
-# modulus search grows fast with q: about 3 s for 2^24 and more than two
-# minutes for 2^30 on a 2-vCPU Xeon VM.
-UNSAFE_FIELD_GUARD = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -175,7 +170,7 @@ class FieldSpec(Value):
         return self.pow_raw(a, self.q - 2)
 
 
-def make_field(p: int, e: int = 1, size_guard: int = DEFAULT_SIZE_GUARD) -> FieldSpec:
+def make_field(p: int, e: int = 1, size_guard: int = DEFAULT.field) -> FieldSpec:
     """Build F_{p^e} with the canonical modulus.
 
     Repeated calls with equal inputs give identical specs.  The size guard
@@ -193,7 +188,7 @@ def make_field(p: int, e: int = 1, size_guard: int = DEFAULT_SIZE_GUARD) -> Fiel
     return FieldSpec(p=p, e=e, modulus=_canonical_modulus(p, e))
 
 
-def prime_power(q: int, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple[int, int]:
+def prime_power(q: int, size_guard: int = DEFAULT.field) -> tuple[int, int]:
     """(p, e) with q = p^e.  The field size guard is checked before any
     trial division, so a huge q is rejected at once."""
     if q > size_guard:

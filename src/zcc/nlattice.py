@@ -18,9 +18,9 @@ from math import prod
 from .errors import GuardError, StructureError, ValidationError
 from .record import Record, Value
 
-DEFAULT_LATTICE_GUARD = 10
-# The |d| guard under --unsafe-guard; DIMENSION_GUARD bounds |d| as tightly.
-UNSAFE_LATTICE_GUARD = 10 ** 6
+# The |d| guard, never lifted: the lattice grows with the Bell number of |d|,
+# and generation recurses once per ground point.
+LATTICE_GUARD = 10
 # dim_x * |d| is the degree of the point-count polynomial and bounds the top
 # Betti degree: both list that many entries.
 DIMENSION_GUARD = 10 ** 6
@@ -164,7 +164,7 @@ class NEqualsLattice(Record):
 # ---------------------------------------------------------------------------
 
 
-def build_lattice(d, n: int, guard: int = DEFAULT_LATTICE_GUARD) -> NEqualsLattice:
+def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
     """Generate the n-equals partition lattice for the degree vector d.
 
     Admissible partitions are assembled depth-first with canonical block

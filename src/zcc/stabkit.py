@@ -1,8 +1,8 @@
 """Stabilization analysis of exact census families.
 
-Weighted counts at several primes, read off the Euler product (euler.py), are
-interpolated into exact polynomials in q, normalized by the top dimension,
-and compared across the degree sweep.  One sample per statistic is recounted
+Weighted counts at several prime powers and at q = 1, read off the Euler
+product (euler.py), are interpolated into exact polynomials in q, normalized
+by the top dimension, and compared across the degree sweep.  One sample per statistic is recounted
 through the record tables, and any disagreement is an error.
 For the hyperplane case (n = 1, m = 2) the report also assembles the two
 sides of the trace-formula identity: the left side is the normalized census
@@ -15,18 +15,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .census import (DEFAULT_POINT_GUARD, DEFAULT_RECORD_GUARD,
-                     DEFAULT_SERIES_GUARD, CensusSpec, WeightedCensus,
-                     coprime_pair_census, enumerate_unordered)
-from .charpoly import ONE, CharPolynomial, inner_product
-from .errors import InconsistencyError, ValidationError
+from .census import (CensusSpec, WeightedCensus, coprime_pair_census,
+                     enumerate_unordered)
+from .charpoly import CharPolynomial
+from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
+from .guards import DEFAULT, Guards
 from .nlattice import eval_int_poly
 from .polyarith import _trim as _trim_zeros
 from .record import Record
 
 # normalized_coefficients lists topdim + 1 coefficients
 TOPDIM_GUARD = 10 ** 6
+# interpolate_in_q fits at most this many points, never lifted: the fit takes
+# a quadratic number of Fraction operations on ever longer rationals.  The
+# largest report sweep the series guard admits fits m*t + 1 = 280 points
+# (m = 1, t = 279, under --unsafe-guard).
+FIT_GUARD = 512
 # A report recounts, per statistic, the sample (t, q) with the most records
 # q^t that is within this budget and the point guard.
 RECOUNT_RECORDS = 1024
@@ -54,23 +59,19 @@ class InterpolatedPolynomial(Record):
         return Fraction(eval_int_poly(self.coefficients, q))
 
 
-def _lagrange(points) -> list:
-    """Exact Lagrange interpolation; returns low-to-high coefficients."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (qi, vi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (qj, _vj) in enumerate(points):
-            if j == i:
-                continue
-            # basis *= (x - qj)
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= qj * basis[k + 1]
-            denom *= qi - qj
-        scale = Fraction(vi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
+def _newton(points) -> list:
+    """Exact interpolation by Newton's divided differences, expanded by
+    Horner's rule in the Newton basis; returns low-to-high coefficients."""
+    xs = [q for q, _v in points]
+    diffs = [Fraction(v) for _q, v in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    coeffs = []
+    for x, c in zip(reversed(xs), reversed(diffs)):
+        coeffs = [c] + coeffs  # coeffs * (q - x) + c
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= x * coeffs[k + 1]
     return coeffs
 
 
@@ -78,36 +79,38 @@ def _trim(coeffs) -> tuple:
     return tuple(_trim_zeros(list(coeffs))) or (Fraction(0),)
 
 
-def interpolate_in_q(samples, expected_degree: int | None = None,
-                     leading: Fraction = Fraction(1)) -> InterpolatedPolynomial:
+def interpolate_in_q(samples, expected_degree: int | None = None) -> InterpolatedPolynomial:
     """Interpolate exact census samples into a polynomial in q.
 
-    With N >= expected_degree + 2 samples: plain Lagrange on the first
+    With N >= expected_degree + 2 samples: plain interpolation on the first
     D+1 (by increasing q), with every remaining sample checked exactly.
-    With exactly N = D+1 samples the coefficient of q^D is taken to be
-    `leading` (1 for every unweighted point count: the top cell contributes
+    With exactly N = D+1 samples the coefficient of q^D is taken to be 1
+    (as for every unweighted point count: the top cell contributes
     q^topdim), leaving one slack sample as the consistency check.  Any
-    violated check raises "not polynomial of expected degree".
+    violated check raises "not polynomial of expected degree".  More than
+    FIT_GUARD fitted points are refused before any arithmetic.
     """
     pts = [(int(q), Fraction(v)) for q, v in samples]
     if len({q for q, _v in pts}) != len(pts):
         raise ValidationError("duplicate q sample")
     if len(pts) < 2:
         raise ValidationError("need at least 2 samples")
+    fitted = len(pts) if expected_degree is None else min(len(pts), expected_degree + 1)
+    if fitted > FIT_GUARD:
+        raise GuardError(f"{fitted} fitted points exceed guard {FIT_GUARD}")
     pts.sort()
     if expected_degree is None:
-        coeffs = _trim(_lagrange(pts))
+        coeffs = _trim(_newton(pts))
         return InterpolatedPolynomial(coeffs, tuple(pts))
     D = int(expected_degree)
     if D < 0:
         raise ValidationError("expected degree must be >= 0")
     if len(pts) >= D + 2:
         fit_pts, check_pts = pts[:D + 1], pts[D + 1:]
-        coeffs = _trim(_lagrange(fit_pts))
+        coeffs = _trim(_newton(fit_pts))
     elif len(pts) == D + 1:  # D >= 1, as there are at least 2 samples
-        fit_pts = [(q, v - leading * Fraction(q) ** D) for q, v in pts[:D]]
-        low = _lagrange(fit_pts)
-        coeffs = _trim(list(low) + [Fraction(0)] * (D - len(low)) + [leading])
+        fit_pts = [(q, v - Fraction(q) ** D) for q, v in pts[:D]]
+        coeffs = _trim(_newton(fit_pts) + [Fraction(1)])
         check_pts = pts[D:]
     else:
         raise ValidationError(
@@ -272,28 +275,28 @@ class StabilityReport(Record):
 
 
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
-                  guard, factor_seed, record_guard) -> WeightedCensus:
+                  guards, factor_seed) -> WeightedCensus:
     single_column = len(poly.columns_used()) <= 1
     if n == 1 and len(d) == 2 and single_column:
-        return coprime_pair_census(d, n, field, poly, factor_seed, record_guard)
+        return coprime_pair_census(d, n, field, poly, factor_seed, guards)
     spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
-    return enumerate_unordered(spec, guard, factor_seed=factor_seed,
-                               record_guard=record_guard)
+    return enumerate_unordered(spec, guards, factor_seed=factor_seed)
 
 
 def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
-             totals: dict, guard: int, factor_seed: int, record_guard: int) -> None:
+             totals: dict, guards: Guards, factor_seed: int) -> None:
     """Recount the sample with the most records within RECOUNT_RECORDS and
     the point guard through the record tables; raise if it disagrees with
     the Euler product's (total, point count) in `totals`.  Only that q gets
-    a field."""
-    fits = [(q ** t, t, q) for t in set(d_values) for q in q_list
-            if q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guard]
+    a field; its degree t >= 1 keeps q within RECOUNT_RECORDS, and so within
+    every field guard."""
+    fits = [(q ** t, t, q) for t in set(d_values) if t >= 1 for q in q_list
+            if q ** t <= RECOUNT_RECORDS and q ** (m * t) <= guards.points]
     if not fits:
         return
     _records, t, q = max(fits)
-    cen = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guard,
-                        factor_seed, record_guard)
+    cen = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guards,
+                        factor_seed)
     if (cen.total, cen.point_count) != totals[t, q]:
         raise InconsistencyError(
             f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
@@ -302,21 +305,19 @@ def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      truncation: int | None = None,
-                     guard: int = DEFAULT_POINT_GUARD, factor_seed: int = 0,
-                     record_guard: int = DEFAULT_RECORD_GUARD,
-                     series_guard: int = DEFAULT_SERIES_GUARD) -> StabilityReport:
+                     guards: Guards = DEFAULT, factor_seed: int = 0) -> StabilityReport:
     """Assemble the degree sweep d = (t,...,t) for t in d_values.
 
-    Per degree: exact unordered totals at each q from the Euler product
-    (`series_guard` bounds its work, checked for every degree before the
-    first sample), an interpolated polynomial (expected degree m*t, leading
-    coefficient <P, 1>_{S_d}, the average of P over S_d, or 0 when
-    m = n = 1), and normalized coefficients.  Stabilization is detected
-    coefficient-wise across the sweep.  For n = 1, m = 2 the truncated series with the stable
+    Per degree: exact unordered totals at q = 1 and at each q of q_list from
+    the Euler product (the series guard bounds its work, checked for every
+    degree before the first sample), an interpolated polynomial (expected
+    degree m*t, through m*t + 2 or more samples), and normalized
+    coefficients.  Stabilization is detected coefficient-wise across the
+    sweep.  For n = 1, m = 2 the truncated series with the stable
     coefficients is evaluated and exact residuals against each left side are
     reported; otherwise the series side is marked not computed.  One sample
-    is recounted through the record tables (`_recount`), with `guard`,
-    `factor_seed` and `record_guard`.
+    is recounted through the record tables (`_recount`), within the point
+    and record guards, with `factor_seed`.
     """
     # only report and --mode euler load the route
     from .euler import check_series_guard, euler_totals
@@ -339,15 +340,18 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
     for q in q_list:
-        prime_power(q)  # only the recounted q gets a field
+        prime_power(q, guards.field)  # only the recounted q gets a field
     # checked for every t before any d = (t,) * m exists: with two distinct
     # t, some t >= 1 bounds m by the q_list's length
     for t in d_values:
         if len(q_list) < m * t + 1:
             raise ValidationError(
                 f"degree {t} needs at least {m * t + 1} primes in q_list")
+    # q = 1 is one more sample: there M_r(1) is the value of the necklace
+    # polynomial, so the Euler product gives the census polynomial's value
+    qs = (1, *q_list)
     for t in sorted(set(d_values)):
-        check_series_guard((t,) * m, poly, q_list, series_guard)
+        check_series_guard((t,) * m, poly, qs, guards.series)
 
     points = []
     lhs_rows = []
@@ -355,12 +359,11 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     for t in d_values:
         topdim = m * t
         d = (t,) * m
-        for q, result in zip(q_list, euler_totals(d, n, poly, q_list, series_guard)):
+        for q, result in zip(qs, euler_totals(d, n, poly, qs, guards.series)):
             totals[t, q] = result
-        samples = [(q, totals[t, q][0]) for q in q_list]
-        # m = n = 1: every root is a common point, so the space is empty
-        leading = Fraction(0) if m * n == 1 and t >= n else inner_product(poly, ONE, d)
-        poly_q = interpolate_in_q(samples, expected_degree=topdim, leading=leading)
+        samples = [(q, totals[t, q][0]) for q in qs]
+        poly_q = interpolate_in_q(samples, expected_degree=topdim)
+        del samples[0]  # the report lists the q_list's samples only
         normalized = normalized_coefficients(poly_q, topdim)
         points.append(SweepPoint(d=d, topdim=topdim, samples=tuple(samples),
                                  coefficients=poly_q.coefficients,
@@ -368,7 +371,7 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         lhs_rows.append(tuple((q, total / Fraction(q) ** topdim)
                               for q, total in samples))
 
-    _recount(d_values, n, m, poly, q_list, totals, guard, factor_seed, record_guard)
+    _recount(d_values, n, m, poly, q_list, totals, guards, factor_seed)
     stab = detect_stabilization([pt.normalized for pt in points])
     onset_d = d_values[stab.onset] if stab.onset is not None else None
 

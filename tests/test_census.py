@@ -15,6 +15,7 @@ from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
 from zcc.charpoly import ONE, parse_charpoly, partitions_of
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
+from zcc.guards import DEFAULT, Guards
 from zcc.nlattice import build_lattice, eval_int_poly, point_count_polynomial
 from zcc.polyarith import _mul, _trim, factorize
 from zcc.stabkit import lefschetz_report
@@ -25,6 +26,12 @@ F5 = make_field(5)
 X11 = parse_charpoly("X[1,1]")
 X12 = parse_charpoly("X[1,2]")
 X11X21 = parse_charpoly("X[1,1]*X[2,1]")
+
+
+def guards(**bounds):
+    """The default guards with the given bounds replaced."""
+    return Guards(**{name: bounds.get(name, getattr(DEFAULT, name))
+                     for name in Guards.__slots__})
 
 
 def spec(d, n, field, poly, mode):
@@ -305,16 +312,18 @@ def test_squarefree_specialization():
 
 def test_guards():
     with pytest.raises(GuardError, match="burnside"):
-        enumerate_unordered(spec((10,), 2, F5, ONE, "unordered"), guard=1000)
+        enumerate_unordered(spec((10,), 2, F5, ONE, "unordered"), guards(points=1000))
     # the record guard counts one table per distinct degree: 5^4 + 5^1
     with pytest.raises(GuardError, match="630 polynomial records"):
-        enumerate_unordered(spec((4, 4, 1), 1, F5, ONE, "unordered"), record_guard=629)
+        enumerate_unordered(spec((4, 4, 1), 1, F5, ONE, "unordered"),
+                            guards(records=629))
     with pytest.raises(GuardError, match="625 polynomial records"):
-        coprime_pair_census((4, 4), 1, F5, X11, record_guard=624)
+        coprime_pair_census((4, 4), 1, F5, X11, guards=guards(records=624))
     with pytest.raises(GuardError, match="polynomial records"):
-        lefschetz_report([1, 4], 2, 1, ONE, [2, 3, 5, 7, 11], record_guard=624)
+        lefschetz_report([1, 4], 2, 1, ONE, [2, 3, 5, 7, 11],
+                         guards=guards(records=624))
     with pytest.raises(GuardError):
-        enumerate_ordered(spec((10,), 2, F5, ONE, "ordered"), guard=1000)
+        enumerate_ordered(spec((10,), 2, F5, ONE, "ordered"), guards(points=1000))
     with pytest.raises(GuardError):
         burnside_count(spec((9,), 2, F2, ONE, "burnside"))
 
@@ -517,4 +526,4 @@ def test_burnside_record_guard_before_any_table(monkeypatch):
 def test_record_guard_never_forms_the_power():
     with pytest.raises(GuardError,
                        match="^at least 3\\^1000000 polynomial records exceed guard 262144$"):
-        census._check_record_guard(F3, (2, 10 ** 6), census.DEFAULT_RECORD_GUARD)
+        census._check_record_guard(F3, (2, 10 ** 6), DEFAULT.records)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ import time
 import pytest
 
 import zcc
-from zcc import census, cli, homology, nlattice
+from zcc import census, cli, euler, homology, nlattice
 from zcc.cli import _parse_q, run
-from zcc.ffield import UNSAFE_FIELD_GUARD, is_prime
+from zcc.ffield import is_prime
+from zcc.guards import DEFAULT, UNSAFE
 from perfbench_tables import table
 
 
@@ -220,8 +222,8 @@ def test_field_guard_before_factoring(capsys, q):
 
 
 def test_unsafe_guard_lifts_field_guard_to_a_bound(capsys):
-    assert _parse_q("2^21", UNSAFE_FIELD_GUARD).q == 1 << 21
-    assert _parse_q(str(1 << 21), UNSAFE_FIELD_GUARD).q == 1 << 21
+    assert _parse_q("2^21", UNSAFE.field).q == 1 << 21
+    assert _parse_q(str(1 << 21), UNSAFE.field).q == 1 << 21
     for q in ("2^25", str(1 << 25)):
         assert run(["count", "--d", "1", "--n", "1", "--q", q,
                     "--unsafe-guard"]) == 1
@@ -297,12 +299,16 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
     ("count --d 511 --n 2 --q 1048573 --mode euler", 2,
      "series work of 512^2 states x 2 passes x 160 words exceeds guard 67108864"),
     ("report --m 1 --n 2 --d-list 510,511 --q-list " + ",".join(map(str, _LARGE_PRIMES)), 2,
-     "series work of 511^2 states x 513 passes x 160 words exceeds guard 67108864"),
+     "series work of 511^2 states x 514 passes x 160 words exceeds guard 67108864"),
+    ("interpolate --samples " + ",".join(f"{q}=0" for q in range(513)), 2,
+     "513 fitted points exceed guard 512"),
+    ("lattice --d 2000 --n 1 --unsafe-guard", 2, "|d| = 2000 exceeds the lattice guard 10"),
 ], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
         "lattice-small", "burnside-records", "lattice-dimx", "betti-dimx", "report-m",
         "report-m-degree-0", "report-one-distinct-degree", "interpolate-topdim",
         "burnside-points", "euler-series", "euler-series-two-columns",
-        "euler-series-large-q", "report-series-and-points"])
+        "euler-series-large-q", "report-series-and-points", "interpolate-fitted-points",
+        "lattice-unsafe"])
 def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     done = subprocess.run(
@@ -311,6 +317,97 @@ def test_size_guards_never_form_the_size(argv, code, message):
     got_code, err, seconds = json.loads(done.stdout)
     assert (got_code, err) == (code, f"error: {message}\n")
     assert seconds < 1
+
+
+class _Reached(Exception):
+    """Raised by the first step of a census that a guard let through."""
+
+
+# the largest prime within the unsafe field guard, and the first one past it
+_UNSAFE_PRIME = max(q for q in range(UNSAFE.field - 100, UNSAFE.field + 1) if is_prime(q))
+_PAST_UNSAFE_PRIME = min(q for q in range(UNSAFE.field, UNSAFE.field + 100) if is_prime(q))
+_SERIES_QS = ",".join(map(str, _LARGE_PRIMES[:121]))
+
+
+# the guard, a command past its DEFAULT bound and within UNSAFE, the census
+# step it reaches under --unsafe-guard (patched to raise _Reached; None: it
+# runs to exit 0), a command past UNSAFE, and the error line it prints
+@pytest.mark.parametrize("guard, within, step, past, error", [
+    ("field", f"count --d 1 --n 1 --q {_UNSAFE_PRIME} --mode euler", None,
+     f"count --d 1 --n 1 --q {_PAST_UNSAFE_PRIME} --mode euler", "field too large"),
+    ("field", f"weighted --d 1 --n 1 --q {_UNSAFE_PRIME} --poly X[1,1] --mode euler", None,
+     f"weighted --d 1 --n 1 --q {_PAST_UNSAFE_PRIME} --poly X[1,1] --mode euler",
+     "field too large"),
+    ("field", f"report --m 1 --n 2 --d-list 1,2 --q-list 2,3,{_UNSAFE_PRIME}", None,
+     f"report --m 1 --n 2 --d-list 1,2 --q-list 2,3,{_PAST_UNSAFE_PRIME}",
+     "field too large"),
+    ("field", f"report --m 1 --n 2 --d-list 0,1 --q-list 1048583,{_UNSAFE_PRIME}", None,
+     f"report --m 1 --n 2 --d-list 0,1 --q-list 1048583,{_PAST_UNSAFE_PRIME}",
+     "field too large"),
+    ("points", "count --d " + ",".join(["1"] * 27) + " --n 1 --q 2 --mode ordered", None,
+     "count --d 34 --n 1 --q 2", "q^|d| = 2^34 exceeds guard 10000000000; try burnside mode"),
+    ("points", "weighted --d 4,4 --n 1 --q 11 --poly X[1,1] --mode burnside",
+     (census, "_burnside_fixed"),
+     "weighted --d 4,4 --n 1 --q 19 --poly X[1,1] --mode burnside",
+     "q^|d| = 16983563041 exceeds guard 10000000000"),
+    ("records", "count --d 19 --n 2 --q 2", (census, "_member_histogram"),
+     "count --d 21 --n 2 --q 2", "at least 2^21 polynomial records exceed guard 1048576"),
+    ("records", "weighted --d 8 --n 1 --q 5 --poly X[1,1] --mode burnside",
+     (census, "_burnside_fixed"),
+     "weighted --d 8 --n 1 --q 7 --poly X[1,1] --mode burnside",
+     "5764801 polynomial records exceed guard 1048576"),
+    ("series", "count --d 511 --n 2 --q 1048573 --mode euler", (euler, "_states"),
+     "count --d 1000000 --n 1 --q 2 --mode euler",
+     "series work of 1000001^2 states x 2 passes x 31251 words exceeds guard 1073741824"),
+    ("series", "weighted --d 511 --n 2 --q 1048573 --poly X[1,1] --mode euler",
+     (euler, "_states"), "weighted --d 1000000 --n 1 --q 2 --poly X[1,1] --mode euler",
+     "series work of 2000001^2 states x 2 passes x 31251 words exceeds guard 1073741824"),
+    ("series", f"report --m 1 --n 2 --d-list 119,120 --q-list {_SERIES_QS}",
+     (euler, "_states"),
+     "report --m 1 --n 2 --d-list 510,511 --q-list " + ",".join(map(str, _LARGE_PRIMES)),
+     "series work of 511^2 states x 514 passes x 160 words exceeds guard 1073741824"),
+], ids=["field-count", "field-weighted", "field-report", "field-report-degree-0",
+        "points-count", "points-weighted", "records-count", "records-weighted",
+        "series-count", "series-weighted", "series-report"])
+def test_unsafe_guard_reaches_every_lifted_bound(capsys, monkeypatch, guard, within,
+                                                 step, past, error):
+    def reached(*_args):
+        raise _Reached
+
+    assert getattr(DEFAULT, guard) < getattr(UNSAFE, guard)
+    assert run(within.split()) == (1 if guard == "field" else 2)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if guard != "field":  # "field too large" names no bound
+        assert f"guard {getattr(DEFAULT, guard)}" in lines[0]
+    if step is None:
+        assert run(within.split() + ["--unsafe-guard"]) == 0
+    else:
+        monkeypatch.setattr(*step, reached)
+        with pytest.raises(_Reached):
+            run(within.split() + ["--unsafe-guard"])
+    capsys.readouterr()
+    assert run(past.split() + ["--unsafe-guard"]) == (1 if guard == "field" else 2)
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _bound(cell: str) -> int:
+    """The leading `a^b` or `a` of a README table cell."""
+    base, exponent = re.match(r"`?(\d+)(?:\^(\d+))?", cell.strip()).groups()
+    return int(base) ** int(exponent or 1)
+
+
+def test_readme_scope_table_matches_the_guards():
+    rows = [line.split(" | ") for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| ")]
+    for name, label in (("field", "field size"), ("points", "point "),
+                        ("records", "polynomial records"), ("series", "series work")):
+        [row] = [cells for cells in rows if cells[0].startswith("| " + label)]
+        assert (_bound(row[1]), _bound(row[2])) == (
+            getattr(DEFAULT, name), getattr(UNSAFE, name)), row[0]
 
 
 @pytest.mark.parametrize("argv", ["betti --d 4,4 --n 1", "betti --d 3,3,3 --n 1"])

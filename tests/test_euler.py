@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from zcc import euler, stabkit
-from zcc.census import (DEFAULT_SERIES_GUARD, UNSAFE_SERIES_GUARD, CensusSpec,
-                        WeightedCensus, burnside_count, enumerate_unordered,
-                        run_census)
+from zcc.census import (CensusSpec, WeightedCensus, burnside_count,
+                        enumerate_unordered, run_census)
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.cli import run
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import _prime_divisors, make_field, prime_power
+from zcc.guards import DEFAULT, UNSAFE, Guards
 from zcc.stabkit import _census_total, lefschetz_report
 
 from perfbench_tables import table
@@ -143,7 +143,7 @@ def test_report_samples_equal_the_record_tables(job):
         rep = lefschetz_report(d_list, n, m, P, q_list)
         for pt in rep.points:
             for q, total in pt.samples:
-                cen = _census_total(pt.d, n, _field(q), P, 10 ** 8, 0, 1 << 18)
+                cen = _census_total(pt.d, n, _field(q), P, DEFAULT, 0)
                 assert total == cen.total, (pt.d, q, text)
 
 
@@ -162,7 +162,8 @@ def test_report_recounts_the_largest_sample_within_budget(monkeypatch):
     assert calls == [((4,), 5)]  # 625 records
     calls.clear()
     lefschetz_report([3, 4], 1, 2, ONE, [2, 3, 5, 7, 11, 13, 17, 19, 23],
-                     guard=10 ** 5)
+                     guards=Guards(field=DEFAULT.field, points=10 ** 5,
+                                   records=DEFAULT.records, series=DEFAULT.series))
     assert calls == [((3, 3), 5)]  # 7^3 = 343 records, but 7^6 points > 10^5
 
 
@@ -195,21 +196,23 @@ def test_report_checks_every_degree_before_any_sample(monkeypatch):
         raise AssertionError("a sample was taken")
 
     monkeypatch.setattr(euler, "_states", fail)
-    # 8 passes of 9^2 states admit t = 1; t = 2 has 25 states
-    with pytest.raises(GuardError, match=r"series work of 25\^2 states x 8 passes"):
+    # 9 passes of 9^2 states admit t = 1; t = 2 has 25 states
+    with pytest.raises(GuardError, match=r"series work of 25\^2 states x 9 passes"):
         lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]", m=2),
-                         [2, 3, 4, 5, 7, 8, 9], series_guard=9 ** 2 * 8)
+                         [2, 3, 4, 5, 7, 8, 9],
+                         guards=Guards(field=DEFAULT.field, points=DEFAULT.points,
+                                       records=DEFAULT.records, series=9 ** 2 * 9))
 
 
 @pytest.mark.parametrize("m, largest_q, guard", [
-    (7, 13, DEFAULT_SERIES_GUARD), (8, 17, UNSAFE_SERIES_GUARD)])
+    (7, 13, DEFAULT.series), (8, 17, UNSAFE.series)])
 def test_series_guard_admits_every_sweep_the_point_guard_admits(m, largest_q, guard):
     # q^(m t) within the point guard needs m t + 1 field sizes, so m t <= 7
     # (<= 8 unsafe) and every coefficient fits one word; the most states
     # are 3^m, at t = 1 with X[k,1] read in every column, at every such q
     qs = [q for q in range(2, largest_q + 1) if len(_prime_divisors(q)) == 1]
     P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, m + 1)), m=m)
-    euler.check_series_guard((1,) * m, P, qs, guard)
+    euler.check_series_guard((1,) * m, P, [1] + qs, guard)  # as report passes them
 
 
 def test_report_makes_a_field_only_to_recount(monkeypatch):

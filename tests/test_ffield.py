@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import ValidationError
-from zcc.ffield import (UNSAFE_FIELD_GUARD, _canonical_modulus, is_prime,
-                        make_field, prime_power)
+from zcc.ffield import _canonical_modulus, is_prime, make_field, prime_power
+from zcc.guards import UNSAFE
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 4), (2, 4)]
 
@@ -61,7 +61,7 @@ def test_prime_power():
             prime_power(q)
     with pytest.raises(ValidationError, match="field too large"):
         prime_power(1000000000039)  # a prime: rejected before trial division
-    assert prime_power(1 << 21, size_guard=UNSAFE_FIELD_GUARD) == (2, 21)
+    assert prime_power(1 << 21, size_guard=UNSAFE.field) == (2, 21)
     with pytest.raises(ValidationError, match="field too large"):
         prime_power(1 << 21)
 

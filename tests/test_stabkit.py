@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zcc import charpoly, stabkit
 from zcc.census import CensusSpec, enumerate_ordered
 from zcc.charpoly import ONE, parse_charpoly
-from zcc.errors import InconsistencyError, ValidationError
+from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
 from zcc.nlattice import build_lattice, point_count_polynomial
 from zcc.stabkit import (detect_stabilization, interpolate_in_q,
@@ -57,6 +59,54 @@ def test_interpolate_monic_assumption_caught_when_wrong():
     # N = D+1 samples from a non-monic quadratic: slack sample must catch it
     with pytest.raises(InconsistencyError):
         interpolate_in_q([(q, 2 * q ** 2) for q in (2, 3, 5)], expected_degree=2)
+
+
+def _lagrange(points) -> list:
+    """Exact Lagrange interpolation, cubic in the number of points; returns
+    low-to-high coefficients.  The reference for stabkit's interpolation."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (qi, vi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (qj, _vj) in enumerate(points):
+            if j == i:
+                continue
+            # basis *= (x - qj)
+            basis = [Fraction(0)] + basis
+            for k in range(len(basis) - 1):
+                basis[k] -= qj * basis[k + 1]
+            denom *= qi - qj
+        scale = Fraction(vi) / denom
+        for k, b in enumerate(basis):
+            coeffs[k] += scale * b
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 60),
+                          st.fractions(-10 ** 6, 10 ** 6, max_denominator=50)),
+                min_size=1, max_size=12, unique_by=lambda point: point[0]))
+def test_newton_interpolation_equals_lagrange(points):
+    got = stabkit._newton(points)
+    assert got == _lagrange(points)
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+def test_fitted_points_are_bounded_before_any_arithmetic(monkeypatch):
+    def fail(*_args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(stabkit, "_newton", fail)
+    many = [(q, q) for q in range(stabkit.FIT_GUARD + 1)]
+    message = f"^{stabkit.FIT_GUARD + 1} fitted points exceed guard {stabkit.FIT_GUARD}$"
+    with pytest.raises(GuardError, match=message):
+        interpolate_in_q(many)
+    with pytest.raises(GuardError, match=message):
+        interpolate_in_q(many, expected_degree=10 ** 9)
+    # an expected degree fits only its first D + 1 points, and checks the rest
+    monkeypatch.undo()
+    line = interpolate_in_q(many, expected_degree=1)
+    assert line.coefficients == (0, 1)
 
 
 def test_interpolate_without_expected_degree():
@@ -147,6 +197,17 @@ def test_report_rational_maps_p1():
     assert res_d1[3] == 0
     assert all(v == 0 for _q, v in rep.residuals[-1])
     assert rep.series.coefficients[:2] == ((0, 1), (1, -1))
+
+
+def test_report_sums_over_no_class_of_the_symmetric_group(monkeypatch):
+    # the q = 1 sample fixes the interpolant, so no average over S_d is taken
+    def refuse(*_args):
+        raise AssertionError("a sum over the classes of S_d")
+
+    monkeypatch.setattr(charpoly, "cycle_types_of", refuse)
+    for m, n, poly in ((2, 1, X11), (1, 1, ONE), (2, 2, parse_charpoly("2"))):
+        rep = lefschetz_report([1, 2], n, m, poly, [2, 3, 4, 5, 7])
+        assert [pt.samples[0][0] for pt in rep.points] == [2, 2]
 
 
 def test_report_weighted_rational_maps():

@@ -17,6 +17,7 @@ import zcc
 from zcc.census import CensusSpec
 from zcc.charpoly import ONE, CharPolynomial, parse_charpoly
 from zcc.ffield import FieldSpec, make_field
+from zcc.guards import DEFAULT, UNSAFE, Guards
 from zcc.homology import BettiVector
 from zcc.nlattice import LatticePartition
 from zcc.record import Record, Value
@@ -33,6 +34,7 @@ CASES = [
     (LatticePartition, ((((1, 1), (1, 2)),),), ((((1, 1),), ((1, 2),)),)),
     (BettiVector, (0, (1, 2)), (1, (1, 2))),
     (CensusSpec, ((2,), 1, F3, X11, "unordered"), ((2,), 1, F3, X11, "burnside")),
+    (Guards, DEFAULT.__reduce__()[1], UNSAFE.__reduce__()[1]),
 ]
 
 
