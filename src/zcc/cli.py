@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .charpoly import ONE, parse_charpoly
@@ -97,7 +98,42 @@ def _lattice_input(args) -> tuple:
 
 
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
+    for payloads of dicts with string keys, lists, strings, ints, bools and
+    None (anything else raises TypeError), without json's pure-Python
+    indenting encoder."""
+    return _render(payload, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """value's JSON, its nested lines indented after newline."""
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            items = map(str, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_render(value[key], inner)}"
+                 for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not rendered as JSON")
 
 
 def render_csv(rows) -> str:

@@ -51,16 +51,15 @@ def bits(mask: int):
 
 
 class FinitePoset(Record):
-    """A finite strict partial order; above[i] is the bitmask of {j : i < j}."""
+    """A finite strict partial order; above[i] is the bitmask of {j : i < j}.
+    Elements are numbered along a linear extension: i < j only if i < j as
+    integers."""
 
     __slots__ = ("payloads", "above")
 
     @property
     def size(self) -> int:
         return len(self.payloads)
-
-    def less(self, i: int, j: int) -> bool:
-        return bool(self.above[i] >> j & 1)
 
     def below_masks(self) -> tuple:
         below = [0] * self.size
@@ -71,38 +70,27 @@ class FinitePoset(Record):
 
     def cover_pairs(self, below: tuple | None = None) -> list:
         """The sorted pairs (i, j) with i < j and nothing strictly between,
-        from `below`, the poset's below masks, when the caller has them."""
+        from `below`, the poset's below masks, when the caller has them.
+
+        A transitive reduction in one step per cover: the highest element
+        left below j is maximal there, so it is covered by j, and clearing
+        it with everything below it leaves only elements that no cover found
+        so far lies above.  Raises unless the numbering is a linear
+        extension, which the highest-first order relies on.
+        """
+        for i, mask in enumerate(self.above):
+            if mask & ((2 << i) - 1):
+                raise StructureError(
+                    f"element {i} lies below an element numbered at or before it")
         if below is None:
             below = self.below_masks()
-        return [(i, j) for i, mask in enumerate(self.above)
-                for j in bits(mask) if not mask & below[j]]
-
-    @classmethod
-    def from_less_pairs(cls, payloads, pairs) -> "FinitePoset":
-        """Build from generating strict relations; takes the transitive closure."""
-        n = len(payloads)
-        above = [0] * n
-        for i, j in pairs:
-            above[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                mask = above[i]
-                extra = 0
-                for j in bits(mask):
-                    extra |= above[j]
-                if extra | mask != mask:
-                    above[i] = mask | extra
-                    changed = True
-        for i in range(n):
-            if above[i] >> i & 1:
-                raise ValidationError("relation is not antisymmetric")
-        return cls(tuple(payloads), tuple(above))
-
-    @classmethod
-    def antichain(cls, payloads) -> "FinitePoset":
-        return cls(tuple(payloads), (0,) * len(payloads))
+        uppers = [[] for _ in below]  # uppers[i]: the j covering i, ascending
+        for j, rest in enumerate(below):
+            while rest:
+                c = rest.bit_length() - 1
+                uppers[c].append(j)
+                rest = (rest ^ (1 << c)) & ~below[c]
+        return [(i, j) for i, js in enumerate(uppers) for j in js]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +256,32 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
 
 def mobius(L: NEqualsLattice) -> tuple:
     """mu(0-hat, I) per element index, by the defining recursion, checked by
-    multiplicativity (`_check_multiplicative`)."""
-    size = L.size
+    multiplicativity (`_check_multiplicative`).
+
+    The sum over below[j] is taken one value at a time: with_value[v] is the
+    bitmask of the elements found so far to have value v, so the sum is that
+    of v times the number of them in below[j].
+    """
     below = L.below
-    values = [0] * size
+    values = [0] * L.size
     values[0] = 1  # bottom comes first in element order
-    for j in range(1, size):
-        values[j] = -sum(values[x] for x in bits(below[j]))
+    with_value = {1: 1 << 0}  # the bottom, element 0
+    for j in range(1, L.size):
+        mask = below[j]
+        value = -sum(v * (mask & marked).bit_count()
+                     for v, marked in with_value.items())
+        values[j] = value
+        with_value[value] = with_value.get(value, 0) | 1 << j
     _check_multiplicative(L, values)
     return tuple(values)
+
+
+def block_shapes(L: NEqualsLattice) -> list:
+    """Per element, the column counts of its non-singleton blocks, in block
+    order, each a tuple.  [0-hat, I] is the product of the intervals below
+    the one-block elements of I's shapes (`_check_multiplicative`)."""
+    return [[tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
+            for part in L.elements]
 
 
 def _check_multiplicative(L: NEqualsLattice, values) -> None:
@@ -290,8 +295,7 @@ def _check_multiplicative(L: NEqualsLattice, values) -> None:
     I_B has a lower rank than I, so it comes first in element order.
     """
     by_counts: dict = {}
-    for j, (part, value) in enumerate(zip(L.elements, values)):
-        shape = [tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
+    for j, (shape, value) in enumerate(zip(block_shapes(L), values)):
         if len(shape) == 1:
             if by_counts.setdefault(shape[0], value) != value:
                 raise StructureError(
@@ -306,54 +310,60 @@ def _check_multiplicative(L: NEqualsLattice, values) -> None:
 # ---------------------------------------------------------------------------
 
 
-def classify_cover(L: NEqualsLattice, lower: int, upper: int) -> EdgeType:
-    fine = L.elements[lower]
-    coarse = L.elements[upper]
-    fine_of_point = {}
-    for b, block in enumerate(fine.blocks):
-        for pt in block:
-            fine_of_point[pt] = b
-    merged_families = []
-    for block in coarse.blocks:
-        members = sorted({fine_of_point[pt] for pt in block})
-        if len(members) > 1:
-            merged_families.append((block, members))
-    if len(merged_families) != 1:
-        raise StructureError(
-            f"cover {fine} -> {coarse} merges {len(merged_families)} families")
-    block, members = merged_families[0]
-    sizes = [len(fine.blocks[b]) for b in members]
-    singles = sum(1 for s in sizes if s == 1)
-    bigs = sum(1 for s in sizes if s >= 2)
-    if bigs == 0:
-        counts = [0] * L.m
-        for (k, _i) in block:
-            counts[k - 1] += 1
-        # a creation cover makes a minimal admissible non-singleton block:
-        # exactly n per column, except that for n = m = 1 minimality means
-        # size 2 (a 1-element "block" would just be a singleton)
-        if L.n * L.m >= 2:
-            minimal = all(c == L.n for c in counts)
-        else:
-            minimal = len(block) == 2
-        if minimal:
-            return EdgeType.BLOCK_CREATION
-        raise StructureError(
-            f"creation cover {fine} -> {coarse} has column counts {counts}")
-    if bigs == 1 and singles == 1:
-        return EdgeType.SINGLETON_ADDING
-    if bigs == 2 and singles == 0:
-        return EdgeType.BLOCK_MERGING
-    raise StructureError(
-        f"cover {fine} -> {coarse} fits no edge type "
-        f"({bigs} non-singletons, {singles} singletons merged)")
-
-
 def classify_edges(L: NEqualsLattice) -> dict:
-    """Count every cover edge by type; unclassifiable edges raise."""
+    """Count every cover edge by type; unclassifiable edges raise.
+
+    Blocks are bitmasks over the ground points.  A cover makes exactly one
+    new block, the union of the blocks it merges; their sizes give the type,
+    and a creation cover must make a minimal admissible block: exactly n
+    points per column, except that for n = m = 1 minimality means size 2 (a
+    1-element "block" would just be a singleton).
+    """
+    offsets = [0]
+    for dk in L.d:
+        offsets.append(offsets[-1] + dk)
+    columns = [((1 << dk) - 1) << offset for dk, offset in zip(L.d, offsets)]
+    block_sets = [frozenset(sum(1 << (offsets[k - 1] + i - 1) for k, i in block)
+                            for block in part.blocks)
+                  for part in L.elements]
     counts = {t: 0 for t in EdgeType}
     for lower, upper in L.covers:
-        counts[classify_cover(L, lower, upper)] += 1
+        fine = block_sets[lower]
+        coarse = block_sets[upper]
+        made = coarse - fine
+        merged = fine - coarse
+        if len(made) != 1:
+            raise StructureError(
+                f"cover {lower} -> {upper} makes {len(made)} new blocks")
+        (block,) = made
+        union = 0
+        bigs = 0
+        for part in merged:
+            union |= part
+            bigs += part.bit_count() > 1
+        if union != block:
+            raise StructureError(
+                f"cover {lower} -> {upper} makes a block that is not the union "
+                "of the blocks it merges")
+        singles = len(merged) - bigs
+        if bigs == 0:
+            per_column = [(block & column).bit_count() for column in columns]
+            if L.n * L.m >= 2:
+                minimal = all(c == L.n for c in per_column)
+            else:
+                minimal = block.bit_count() == 2
+            if not minimal:
+                raise StructureError(
+                    f"creation cover {lower} -> {upper} has column counts {per_column}")
+            counts[EdgeType.BLOCK_CREATION] += 1
+        elif bigs == 1 and singles == 1:
+            counts[EdgeType.SINGLETON_ADDING] += 1
+        elif bigs == 2 and singles == 0:
+            counts[EdgeType.BLOCK_MERGING] += 1
+        else:
+            raise StructureError(
+                f"cover {lower} -> {upper} fits no edge type "
+                f"({bigs} non-singletons, {singles} singletons merged)")
     return counts
 
 

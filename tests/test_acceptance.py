@@ -16,12 +16,13 @@ from zcc.charpoly import (ONE, all_partitions, evaluate, free_module_character,
                           parse_charpoly, partitions_of, stable_inner_product)
 from zcc.cli import run
 from zcc.ffield import make_field
-from zcc.homology import (SimplicialComplex, complement_betti,
-                          interval_homology, order_complex,
+from zcc.homology import (complement_betti, interval_homology, order_complex,
                           reduced_homology_ranks)
 from zcc.nlattice import (build_lattice, classify_edges, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
 from zcc.stabkit import interpolate_in_q, lefschetz_report
+
+from topology_inputs import from_facets
 
 X11 = parse_charpoly("X[1,1]")
 X12 = parse_charpoly("X[1,2]")
@@ -176,7 +177,7 @@ def test_criterion_5_homology_anchors():
         nv = rng.randint(1, 8)
         facets = [tuple(rng.sample(range(nv), rng.randint(1, min(4, nv))))
                   for _f in range(rng.randint(0, 6))]
-        K = SimplicialComplex.from_facets(nv, facets)
+        K = from_facets(nv, facets)
         assert dict(reduced_homology_ranks(K).items()) == _oracle_ranks(
             nv, K.facets)
         oracle_checks += 1

@@ -8,8 +8,10 @@ import re
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zcc
 from zcc import census, cli, euler, homology, nlattice
@@ -126,6 +128,68 @@ def test_census_byte_determinism(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "e-" not in outs[0] and "E-" not in outs[0]  # no floats anywhere
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(1 << 200), 1 << 200)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_render_json_matches_json_dumps(payload):
+    assert cli.render_json(payload) == _dumps(payload)
+
+
+def test_render_json_edge_cases():
+    payload = {
+        "\u00e9t\u00e9 \"quoted\"\\\n\t\x00\U0001f600": ["caf\u00e9", "\u2028", "/"],
+        "": {"a": {"b": [], "c": {}}, "empty": [[], {}, [[]]]},
+        "flags": [True, False, None, 0, -1],
+        "ints": [-(1 << 70), 1 << 64, -5, 0, (1 << 63) - 1],
+        "mixed": [1, [2, 3], {"k": [4]}, -7, [], "s"],
+        "nested": [[1, 2], [[3]], [{"x": None}]],
+        "Z": 1, "a": 2, "\u00e9": 3, "\x7f": 4,
+    }
+    assert cli.render_json(payload) == _dumps(payload)
+    for scalar in (None, True, False, -3, 1 << 100, "x", [], {}):
+        assert cli.render_json(scalar) == _dumps(scalar)
+    for bad in (1.5, (1, 2), {1: "int key"}):
+        with pytest.raises(TypeError):
+            cli.render_json(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    "count --d 2,1 --n 1 --q 3 --mode ordered",
+    "count --d 2,2 --n 1 --q 4",
+    "count --d 2,2 --n 1 --q 3 --mode burnside",
+    "count --d 2,2 --n 1 --q 3 --mode euler",
+    "weighted --d 2,2 --n 1 --q 3 --poly X[1,1]*X[2,1]",
+    "lattice --d 3,2 --n 1",
+    "betti --d 3,2 --n 1",
+    "interpolate --samples 2=2,3=6,5=20 --topdim 2",
+    "report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys 1;X[1,1]",
+    "verify",
+])
+def test_every_payload_renders_as_json_dumps(capsys, monkeypatch, argv):
+    rendered = []
+    original = cli.render_json
+
+    def checked(payload):
+        text = original(payload)
+        assert text == _dumps(payload)
+        rendered.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "render_json", checked)
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out == "".join(rendered) and len(rendered) == 1
 
 
 def test_csv_projection(capsys):
@@ -249,7 +313,7 @@ def test_record_guard_before_any_record(capsys, argv):
 # and the seconds cli.run took.
 # the 512 largest primes below 2^20: each q of a report is within the field
 # guard, and the q-list admits degree 511
-_LARGE_PRIMES = [q for q in range(1 << 20, 1 << 19, -1) if is_prime(q)][:512]
+_LARGE_PRIMES = list(islice((q for q in range(1 << 20, 1 << 19, -1) if is_prime(q)), 512))
 
 _TIMED_SCRIPT = """
 import contextlib, io, json, sys, time
@@ -649,7 +713,7 @@ def test_poly_nesting_within_limit(capsys):
     assert payload["total"] == "3"
 
 
-def test_betti_computes_each_interval_once(capsys, monkeypatch):
+def test_betti_computes_one_interval_per_block_shape(capsys, monkeypatch):
     calls = []
     original = homology.interval_homology
 
@@ -661,7 +725,15 @@ def test_betti_computes_each_interval_once(capsys, monkeypatch):
     rc, payload = run_json(capsys, ["betti", "--d", "2,2", "--n", "1"])
     assert rc == 0
     assert payload["betti"] == [1, 4, 6, 3]
-    assert sorted(calls) == list(range(1, len(payload["contributions"]) + 1))
+    # the first element of each one-block shape, then the first element with
+    # two non-singleton blocks, which checks the product rule
+    shapes = nlattice.block_shapes(nlattice.build_lattice((2, 2), 1))
+    first = {}
+    for idx, shape in enumerate(shapes):
+        if len(shape) == 1:
+            first.setdefault(shape[0], idx)
+    spot = next(idx for idx, shape in enumerate(shapes) if len(shape) > 1)
+    assert calls == sorted(first.values()) + [spot]
 
 
 def test_lattice_computes_mobius_once(capsys, monkeypatch):

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from zcc import homology
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.homology import (BettiVector, SimplicialComplex, complement_betti,
+from zcc.homology import (BettiVector, codimension, complement_betti,
                           complement_contributions, exact_rank,
                           interval_face_counts, interval_homology,
-                          order_complex, reduced_homology_ranks)
-from zcc.nlattice import (FinitePoset, build_lattice,
-                          lower_interval, mobius, point_count_polynomial)
+                          order_complex, product_rule, reduced_homology_ranks)
+from zcc.nlattice import (block_shapes, build_lattice, lower_interval, mobius,
+                          point_count_polynomial)
 
-from test_nlattice import GRID
+from topology_inputs import antichain, from_facets, from_less_pairs, less
+from test_nlattice import GRID, PRODUCT_LATTICES
 
 
 # -- independent oracle: brute-force faces + sympy ranks ----------------------
@@ -59,26 +60,25 @@ def ranks_dict(bv: BettiVector):
 
 
 def test_named_complexes():
-    empty = SimplicialComplex.from_facets(0, [])
+    empty = from_facets(0, [])
     assert ranks_dict(reduced_homology_ranks(empty)) == {-1: 1}
-    pts = SimplicialComplex.from_facets(3, [(0,), (1,), (2,)])
+    pts = from_facets(3, [(0,), (1,), (2,)])
     assert ranks_dict(reduced_homology_ranks(pts)) == {0: 2}
-    circle = SimplicialComplex.from_facets(3, [(0, 1), (1, 2), (0, 2)])
+    circle = from_facets(3, [(0, 1), (1, 2), (0, 2)])
     assert ranks_dict(reduced_homology_ranks(circle)) == {1: 1}
-    disk = SimplicialComplex.from_facets(3, [(0, 1, 2)])
+    disk = from_facets(3, [(0, 1, 2)])
     assert ranks_dict(reduced_homology_ranks(disk)) == {}
-    sphere = SimplicialComplex.from_facets(
-        4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    sphere = from_facets(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert ranks_dict(reduced_homology_ranks(sphere)) == {2: 1}
 
 
 def test_from_facets_drops_non_maximal():
-    K = SimplicialComplex.from_facets(3, [(0, 1), (0,), (1, 0)])
+    K = from_facets(3, [(0, 1), (0,), (1, 0)])
     assert K.facets == ((0, 1),)
 
 
 def test_face_guard():
-    big = SimplicialComplex.from_facets(20, [tuple(range(20))])
+    big = from_facets(20, [tuple(range(20))])
     with pytest.raises(GuardError):
         reduced_homology_ranks(big, guard=100)
 
@@ -116,13 +116,12 @@ def test_bad_dim_x_refused_before_any_work(monkeypatch):
 
 
 def test_order_complex_examples():
-    assert order_complex(FinitePoset.antichain(())).facets == ()
-    assert order_complex(FinitePoset.antichain("abc")).facets == ((0,), (1,), (2,))
-    chain = FinitePoset.from_less_pairs("ab", [(0, 1)])
+    assert order_complex(antichain(())).facets == ()
+    assert order_complex(antichain("abc")).facets == ((0,), (1,), (2,))
+    chain = from_less_pairs("ab", [(0, 1)])
     assert order_complex(chain).facets == ((0, 1),)
     # diamond: bottom < x, y < top gives two maximal 2-chains
-    diamond = FinitePoset.from_less_pairs(
-        "bxyt", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    diamond = from_less_pairs("bxyt", [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert order_complex(diamond).facets == ((0, 1, 3), (0, 2, 3))
 
 
@@ -135,7 +134,7 @@ def test_order_complex_faces_are_chains():
     chains = set()
     for r in range(1, poset.size + 1):
         for sub in combinations(range(poset.size), r):
-            if all(poset.less(a, b) for a, b in combinations(sub, 2)):
+            if all(less(poset, a, b) for a, b in combinations(sub, 2)):
                 chains.add(sub)
     faces = set()
     for f in K.facets:
@@ -246,6 +245,64 @@ def test_wrong_rank_is_caught(monkeypatch):
         complement_contributions(build_lattice((3, 3), 1), 1)
 
 
+def _direct_contributions(L, ranks, dim_x):
+    """The contributions of every element from its interval's directly
+    computed ranks: what complement_contributions must reproduce."""
+    out = []
+    for idx in range(1, L.size):
+        cd = codimension(L, idx, dim_x)
+        contrib = {}
+        for t, r in ranks[idx].items():
+            contrib[cd - t - 2] = contrib.get(cd - t - 2, 0) + r
+        out.append((idx, cd, contrib))
+    return out
+
+
+@pytest.mark.parametrize("dv, n", PRODUCT_LATTICES)
+def test_product_rule_matches_every_interval(dv, n):
+    L = build_lattice(dv, n)
+    ranks = {idx: dict(interval_homology(L, idx).items()) for idx in range(1, L.size)}
+    shapes = block_shapes(L)
+    one_block = {}
+    for idx in range(1, L.size):
+        if len(shapes[idx]) == 1:
+            one_block.setdefault(shapes[idx][0], ranks[idx])
+    for idx in range(1, L.size):
+        assert product_rule([one_block[c] for c in shapes[idx]]) == ranks[idx], idx
+    for dim_x in (1, 2):
+        assert complement_contributions(L, dim_x) == _direct_contributions(L, ranks, dim_x)
+
+
+def test_product_rule_degrees():
+    # homology in two degrees, so the convolution has more than one term
+    L = build_lattice((4, 4), 2)
+    assert sorted(dict(interval_homology(L, L.size - 1).items())) == [1, 3]
+    # two empty intervals make a 0-sphere; two 0-spheres make the
+    # suspension of a circle
+    assert product_rule([{-1: 1}, {-1: 1}]) == {0: 1}
+    assert product_rule([{0: 1}, {0: 1}]) == {2: 1}
+    assert product_rule([{0: 2}, {1: 3}, {-1: 1}]) == {4: 6}  # an empty factor suspends
+
+
+def test_product_rule_is_checked_directly(monkeypatch):
+    # adding one rank to each of two adjacent degrees of every product of two
+    # or more factors keeps every Euler characteristic, so only the direct
+    # spot check can catch it
+    original = homology.product_rule
+
+    def shifted(factors):
+        ranks = dict(original(factors))
+        if len(factors) > 1:
+            top = max(ranks)
+            ranks[top + 1] = ranks.get(top + 1, 0) + 1
+            ranks[top + 2] = ranks.get(top + 2, 0) + 1
+        return ranks
+
+    monkeypatch.setattr(homology, "product_rule", shifted)
+    with pytest.raises(StructureError, match="the product rule gives reduced homology"):
+        complement_contributions(build_lattice((3, 3), 1), 1)
+
+
 def test_contributions_degrees_positive():
     L = build_lattice((2, 2), 1)
     for _idx, cd, contrib in complement_contributions(L, 1):
@@ -275,7 +332,7 @@ def test_oracle_agreement_random_complexes():
             if nv == 0:
                 continue
             facets.append(tuple(rng.sample(range(nv), size)))
-        K = SimplicialComplex.from_facets(nv, facets)
+        K = from_facets(nv, facets)
         assert ranks_dict(reduced_homology_ranks(K)) == oracle_ranks(nv, K.facets)
 
 
@@ -285,7 +342,7 @@ def test_oracle_agreement_hypothesis(nv, data):
     facets = data.draw(st.lists(
         st.lists(st.integers(0, nv - 1), min_size=1, max_size=4, unique=True),
         min_size=0, max_size=6))
-    K = SimplicialComplex.from_facets(nv, [tuple(f) for f in facets])
+    K = from_facets(nv, [tuple(f) for f in facets])
     assert ranks_dict(reduced_homology_ranks(K)) == oracle_ranks(nv, K.facets)
 
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.nlattice import (EdgeType, FinitePoset, NEqualsLattice,
-                          _check_multiplicative, bell_number, bits,
+from zcc.nlattice import (EdgeType, FinitePoset, LatticePartition,
+                          NEqualsLattice, _check_multiplicative, bell_number, bits,
                           build_lattice, classify_edges, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
+
+from topology_inputs import from_less_pairs, less
 
 # lattices used for structure checks: everything in scope at |d| <= 6
 GRID = ([((dd,), n) for dd in range(1, 7) for n in (1, 2, 3)]
@@ -156,6 +158,29 @@ def test_classification_total_on_grid():
         assert sum(counts.values()) == len(L.covers)
 
 
+def _partition(*blocks):
+    """The partition of points of column 1 with these blocks of row indices."""
+    return LatticePartition(tuple(tuple((1, i) for i in b) for b in blocks))
+
+
+# covers of d = (4,), n = 2 that no lattice has; the last upper element
+# lacks the point (1, 4), so its new block is not the union of merged ones
+@pytest.mark.parametrize("lower, upper, message", [
+    (((1,), (2,), (3,), (4,)), ((1, 2), (3, 4)), "makes 2 new blocks"),
+    (((1,), (2,), (3,), (4,)), ((1, 2, 3), (4,)),
+     r"creation cover .* has column counts \[3\]"),
+    (((1, 2), (3,), (4,)), ((1, 2, 3, 4),),
+     r"fits no edge type \(1 non-singletons, 2 singletons merged\)"),
+    (((1,), (2,), (3,), (4,)), ((1, 2), (3,)),
+     "makes a block that is not the union of the blocks it merges"),
+])
+def test_corrupt_cover_is_caught(lower, upper, message):
+    elements = (_partition(*lower), _partition(*upper))
+    corrupt = NEqualsLattice((4,), 2, elements, (0b10, 0), (0, 0b1), ((0, 1),))
+    with pytest.raises(StructureError, match=message):
+        classify_edges(corrupt)
+
+
 def test_point_count_examples():
     assert point_count_polynomial(build_lattice((2,), 2)) == (0, -1, 1)
     assert point_count_polynomial(build_lattice((1, 1), 1)) == (0, -1, 1)
@@ -200,10 +225,10 @@ def test_lower_interval_examples():
 
 
 def test_finite_poset_closure_and_antisymmetry():
-    P = FinitePoset.from_less_pairs("abc", [(0, 1), (1, 2)])
-    assert P.less(0, 2)
+    P = from_less_pairs("abc", [(0, 1), (1, 2)])
+    assert less(P, 0, 2)
     with pytest.raises(ValidationError):
-        FinitePoset.from_less_pairs("ab", [(0, 1), (1, 0)])
+        from_less_pairs("ab", [(0, 1), (1, 0)])
 
 
 @given(st.integers(0, 1 << 300))
@@ -219,13 +244,43 @@ def random_posets(draw):
                                     st.integers(0, max(n - 1, 0))), max_size=20))
     # orient every pair upward so the closure is antisymmetric
     pairs = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
-    return FinitePoset.from_less_pairs(list(range(n)), pairs)
+    return from_less_pairs(list(range(n)), pairs)
+
+
+def naive_cover_pairs(P):
+    """The cover relation by its definition, over every comparable pair:
+    i < j with no k such that i < k < j."""
+    below = [sum(1 << i for i in range(P.size) if less(P, i, j))
+             for j in range(P.size)]
+    return [(i, j) for i in range(P.size) for j in bits(P.above[i])
+            if not P.above[i] & below[j]]
 
 
 @given(random_posets())
 @settings(max_examples=150, deadline=None)
 def test_cover_pairs_match_naive(P):
-    naive = [(i, j) for i in range(P.size) for j in range(P.size)
-             if P.less(i, j)
-             and not any(P.less(i, k) and P.less(k, j) for k in range(P.size))]
-    assert P.cover_pairs() == naive
+    assert P.cover_pairs() == naive_cover_pairs(P)
+
+
+# the lattices whose covers and interval homology are checked element by element
+PRODUCT_LATTICES = [((2, 2, 2), 1), ((3, 3, 2), 1), ((4, 4), 2), ((7,), 3), ((5,), 2)]
+
+
+@pytest.mark.parametrize("dv, n", PRODUCT_LATTICES)
+def test_lattice_covers_match_naive(dv, n):
+    L = build_lattice(dv, n)
+    assert list(L.covers) == naive_cover_pairs(FinitePoset(L.elements, L.above))
+
+
+def test_cover_pairs_need_a_linear_extension():
+    with pytest.raises(StructureError, match="element 1 lies below an element "
+                                             "numbered at or before it"):
+        FinitePoset("ab", (0, 0b1)).cover_pairs()
+    # a lattice numbered top first: the same order, not a linear extension
+    L = build_lattice((3,), 2)
+    top = L.size - 1
+    flipped = [0] * L.size
+    for i, mask in enumerate(L.above):
+        flipped[top - i] = sum(1 << (top - j) for j in bits(mask))
+    with pytest.raises(StructureError, match="numbered at or before it"):
+        FinitePoset(L.elements[::-1], tuple(flipped)).cover_pairs()

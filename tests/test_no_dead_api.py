@@ -22,11 +22,6 @@ ALLOWED = {
     "free_module_character": "charpoly: representation stability",
     "stable_inner_product": "charpoly: representation stability",
     "irreducible_dimension": "charpoly: representation stability",
-    # builders of small test inputs, kept beside the types they build
-    "from_facets": "homology: builds a complex from its facets",
-    "from_less_pairs": "nlattice: builds a poset from its order relation",
-    "antichain": "nlattice: builds the poset with no relations",
-    "less": "nlattice: the order relation of a built poset",
     "complement_betti": "homology: Betti numbers in one call",
 }
 
