@@ -99,28 +99,35 @@ def _lattice_input(args) -> tuple:
 
 def render_json(payload) -> str:
     """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
-    for payloads of dicts with string keys, lists, strings, ints, bools and
-    None (anything else raises TypeError), without json's pure-Python
-    indenting encoder."""
-    return _render(payload, "\n") + "\n"
+    for payloads of dicts with string keys, lists, tuples, strings, ints,
+    bools and None (anything else raises TypeError), without json's
+    pure-Python indenting encoder."""
+    return _render(payload, "\n", {}) + "\n"
 
 
-def _render(value, newline: str) -> str:
-    """value's JSON, its nested lines indented after newline."""
-    if isinstance(value, list):
+def _render(value, newline: str, seen: dict) -> str:
+    """value's JSON, its nested lines indented after newline.  seen holds the
+    text of each tuple of non-int items, keyed by the items' identities and
+    the indent: the payload keeps the same objects alive for the whole call."""
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
         if all(type(item) is int for item in value):
-            items = map(str, value)
-        else:
-            items = [_render(item, inner) for item in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+            return f"[{inner}{(',' + inner).join(map(str, value))}{newline}]"
+        key = (*map(id, value), newline) if type(value) is tuple else None
+        text = seen.get(key)
+        if text is None:
+            items = [_render(item, inner, seen) for item in value]
+            text = f"[{inner}{(',' + inner).join(items)}{newline}]"
+            if key is not None:
+                seen[key] = text
+        return text
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [f"{encode_basestring_ascii(key)}: {_render(value[key], inner)}"
+        items = [f"{encode_basestring_ascii(key)}: {_render(value[key], inner, seen)}"
                  for key in sorted(value)]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(value, str):
@@ -192,21 +199,21 @@ def _cmd_lattice(args) -> int:
     edges = classify_edges(lattice)
     coeffs = point_count_polynomial(lattice, dim_x, mob)
     payload = {
-        "d": list(lattice.d),
+        "d": lattice.d,
         "n": lattice.n,
         "num_elements": lattice.size,
         "elements": [
             {
-                "blocks": [[list(pt) for pt in block] for block in part.blocks],
+                "blocks": part.blocks,
                 "num_blocks": part.num_blocks,
                 "mobius": mob[i],
             }
             for i, part in enumerate(lattice.elements)
         ],
-        "covers": [list(c) for c in lattice.covers],
+        "covers": lattice.covers,
         "edge_counts": {t.value: c for t, c in edges.items()},
         "mobius_top": mob[-1] if lattice.size else None,
-        "point_count_coefficients": list(coeffs),
+        "point_count_coefficients": coeffs,
     }
     _emit(args, payload)
     return 0
@@ -218,15 +225,14 @@ def _cmd_betti(args) -> int:
     contribs = complement_contributions(lattice, dim_x)
     betti = betti_from_contributions(contribs)
     payload = {
-        "d": list(lattice.d),
+        "d": lattice.d,
         "n": lattice.n,
         "dim_x": dim_x,
         "betti": betti.as_list(),
         "contributions": [
             {
                 "element": idx,
-                "blocks": [[list(pt) for pt in block]
-                           for block in lattice.elements[idx].blocks],
+                "blocks": lattice.elements[idx].blocks,
                 "codimension": cd,
                 "by_degree": {str(i): r for i, r in sorted(contrib.items())},
             }

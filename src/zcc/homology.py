@@ -1,6 +1,10 @@
 """Reduced rational homology of order complexes, and complement Betti numbers.
 
-Homology ranks come from exact ranks of boundary matrices over Q, by
+Every boundary matrix is ranked over GF(2), on bitmask rows.  For an integer
+matrix the rank over Q is at least the rank over GF(2), and every Betti
+number over Q is at least 0, so a degree whose mod-2 Betti number is 0 pins
+the ranks over Q of both its boundaries to their mod-2 ranks.  Only a
+boundary between two degrees with mod-2 homology is ranked again over Q, by
 incremental echelon reduction in integers with unit (+-1) pivots; Fractions
 enter only as a fallback, for a row with no unit entry left.  The Betti
 numbers of the ordered 0-cycle space over complex affine space are assembled
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from .errors import GuardError, StructureError, ValidationError
 from .nlattice import (FinitePoset, NEqualsLattice, bits, block_shapes,
@@ -166,52 +169,71 @@ def exact_rank(rows: list) -> int:
     return len(pivot_cols)
 
 
-def _all_faces(K: SimplicialComplex, guard: int) -> dict:
-    """Faces grouped by dimension: dim -> sorted list of vertex tuples."""
-    faces: set = set()
-    for facet in K.facets:
-        for r in range(1, len(facet) + 1):
-            for combo in combinations(facet, r):
-                faces.add(combo)
-                if len(faces) > guard:
-                    raise GuardError(
-                        f"face count exceeds guard {guard}")
-    by_dim: dict = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for k in by_dim:
-        by_dim[k].sort()
-    return by_dim
+def rank_mod2(rows) -> int:
+    """Rank over GF(2) of row bitmasks, by XOR elimination on leading bits."""
+    pivots: dict = {}  # leading bit -> the stored row that has it
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
+
+
+def _betti(counts, ranks) -> list:
+    """Betti numbers from degree -1, from face counts and boundary ranks."""
+    betti = [c - ranks[i] - ranks[i + 1] for i, c in enumerate(counts)]
+    if min(betti) < 0:
+        raise StructureError(f"boundary ranks give negative Betti numbers {betti}")
+    return betti
 
 
 def reduced_homology_ranks(K: SimplicialComplex,
                            guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
     """Ranks of reduced homology over Q; the empty complex has rank 1 in
-    degree -1."""
-    by_dim = _all_faces(K, guard)
-    if not by_dim:
+    degree -1.  One top-down pass indexes each k-face's boundary (k-1)-faces
+    the first time they appear and ranks that boundary mod 2 as bitmasks;
+    the mod-2 ranks are used where they are pinned (see the module docstring)."""
+    if not K.facets:
         return BettiVector.make(-1, (1,))
-    maxdim = max(by_dim)
-    index: dict = {k: {f: i for i, f in enumerate(by_dim[k])} for k in by_dim}
-
-    boundary_rank: dict = {}
-    # augmentation C_0 -> C_{-1}
-    boundary_rank[0] = 1 if by_dim.get(0) else 0
-    for k in range(1, maxdim + 1):
-        rows = [dict() for _ in by_dim[k - 1]]
-        for col, face in enumerate(by_dim[k]):
-            for i in range(len(face)):
+    if len(K.facets) > guard:
+        raise GuardError(f"face count exceeds guard {guard}")
+    maxdim = max(map(len, K.facets)) - 1
+    faces = [[] for _ in range(maxdim + 1)]  # faces[k]: the k-faces
+    for facet in K.facets:
+        faces[len(facet) - 1].append(facet)
+    # ranks[k + 1] is the rank of the k-th boundary; the augmentation's is 1
+    ranks = [0, 1] + [0] * (maxdim + 1)
+    for k in range(maxdim, 0, -1):
+        lower = faces[k - 1]
+        index = {face: i for i, face in enumerate(lower)}
+        rows = []  # per k-face, its boundary mod 2 as a bitmask over lower
+        for face in faces[k]:
+            row = 0
+            for i in range(k + 1):
                 sub = face[:i] + face[i + 1:]
-                rows[index[k - 1][sub]][col] = (-1) ** i
-        boundary_rank[k] = exact_rank(rows)
-    boundary_rank[maxdim + 1] = 0
+                j = index.get(sub)
+                if j is None:
+                    j = index[sub] = len(lower)
+                    lower.append(sub)
+                row |= 1 << j
+            rows.append(row)
+        if sum(map(len, faces)) > guard:
+            raise GuardError(f"face count exceeds guard {guard}")
+        ranks[k + 1] = rank_mod2(rows)
 
-    ranks = [1 - boundary_rank[0]]  # degree -1
-    for k in range(0, maxdim + 1):
-        ranks.append(len(by_dim.get(k, ())) - boundary_rank[k] - boundary_rank[k + 1])
-    if min(ranks) < 0:
-        raise StructureError(f"boundary ranks give negative Betti numbers {ranks}")
-    return BettiVector.make(-1, ranks)
+    counts = [1] + [len(level) for level in faces]  # by degree + 1, like ranks
+    betti_mod2 = _betti(counts, ranks)
+    for k in range(1, maxdim + 1):
+        if betti_mod2[k] and betti_mod2[k + 1]:
+            index = {face: i for i, face in enumerate(faces[k - 1])}
+            ranks[k + 1] = exact_rank(
+                [{index[face[:i] + face[i + 1:]]: (-1) ** i for i in range(k + 1)}
+                 for face in faces[k]])
+    return BettiVector.make(-1, _betti(counts, ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +346,3 @@ def betti_from_contributions(contributions) -> BettiVector:
             total[i] = total.get(i, 0) + r
     top = max(total)
     return BettiVector.make(0, [total.get(i, 0) for i in range(top + 1)])
-
-
-def complement_betti(L: NEqualsLattice, dim_x: int = 1,
-                     guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Betti numbers of the ordered 0-cycle space over complex affine space."""
-    return betti_from_contributions(complement_contributions(L, dim_x, guard))

@@ -11,9 +11,10 @@ inclusion-exclusion over the arrangement's intersection poset.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import prod
+from operator import or_
 
 from .errors import GuardError, StructureError, ValidationError
 from .record import Record, Value
@@ -221,7 +222,9 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
     # the elements in which points a < b share a block.  I <= J iff every
     # point of each block of I shares J's block with the block's first point,
     # so above[i] is an AND of these sets; the only J with I <= J and as
-    # many blocks as I is I itself.
+    # many blocks as I is I itself.  Dually, I <= J iff I keeps apart every
+    # pair that J keeps apart, so below[j] is everything outside the OR of
+    # the sets of the pairs apart in J, except J itself.
     index_of_point = {pt: i for i, pt in enumerate(ground)}
     point_blocks = [[[index_of_point[pt] for pt in block]
                      for block in part.blocks if len(block) > 1]
@@ -243,8 +246,14 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
                 mask &= together[first, pt]
         above.append(mask)
 
+    below = []
+    for j, blocks_j in enumerate(point_blocks):
+        kept = {pair for block in blocks_j for pair in combinations(block, 2)}
+        below.append(everything ^ (1 << j) ^ reduce(
+            or_, (mask for pair, mask in together.items() if pair not in kept), 0))
+    below = tuple(below)
+
     poset = FinitePoset(tuple(found), tuple(above))
-    below = poset.below_masks()  # the only time they are built for this lattice
     return NEqualsLattice(d=d, n=n, elements=poset.payloads, above=poset.above,
                           below=below, covers=tuple(poset.cover_pairs(below)))
 

@@ -16,13 +16,12 @@ from zcc.charpoly import (ONE, all_partitions, evaluate, free_module_character,
                           parse_charpoly, partitions_of, stable_inner_product)
 from zcc.cli import run
 from zcc.ffield import make_field
-from zcc.homology import (complement_betti, interval_homology, order_complex,
-                          reduced_homology_ranks)
+from zcc.homology import interval_homology, order_complex, reduced_homology_ranks
 from zcc.nlattice import (build_lattice, classify_edges, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
 from zcc.stabkit import interpolate_in_q, lefschetz_report
 
-from topology_inputs import from_facets
+from topology_inputs import complement_betti, from_facets
 
 X11 = parse_charpoly("X[1,1]")
 X12 = parse_charpoly("X[1,2]")

@@ -6,22 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from zcc import homology
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.homology import (BettiVector, codimension, complement_betti,
-                          complement_contributions, exact_rank,
-                          interval_face_counts, interval_homology,
-                          order_complex, product_rule, reduced_homology_ranks)
+from zcc.homology import (BettiVector, codimension, complement_contributions,
+                          exact_rank, interval_face_counts, interval_homology,
+                          order_complex, product_rule, rank_mod2,
+                          reduced_homology_ranks)
 from zcc.nlattice import (block_shapes, build_lattice, lower_interval, mobius,
                           point_count_polynomial)
 
-from topology_inputs import antichain, from_facets, from_less_pairs, less
+from topology_inputs import (antichain, complement_betti, from_facets,
+                             from_less_pairs, less)
 from test_nlattice import GRID, PRODUCT_LATTICES
 
 
-# -- independent oracle: brute-force faces + sympy ranks ----------------------
+# -- references: brute-force faces, sympy ranks, and exact ranks throughout ----
 
 
-def oracle_ranks(num_vertices, facets):
-    from sympy import Matrix
+def faces_by_dim(facets):
+    """Every face of the complex with these facets, as dim -> sorted tuples."""
     faces = set()
     for f in facets:
         f = tuple(sorted(set(f)))
@@ -32,24 +33,41 @@ def oracle_ranks(num_vertices, facets):
         by_dim.setdefault(len(f) - 1, []).append(f)
     for k in by_dim:
         by_dim[k].sort()
+    return by_dim
+
+
+def _ranks_from(by_dim, boundary_rank):
+    """Reduced homology ranks {degree: rank} from the faces and a function
+    ranking the boundary of the k-faces from its integer matrix, given as
+    one {(k-1)-face index: sign} dict per k-face."""
     if not by_dim:
         return {-1: 1}
     maxdim = max(by_dim)
-    rank = {0: 1 if by_dim.get(0) else 0, maxdim + 1: 0}
+    rank = {0: 1, maxdim + 1: 0}
     for k in range(1, maxdim + 1):
-        rows = by_dim[k - 1]
-        cols = by_dim[k]
-        idx = {f: i for i, f in enumerate(rows)}
-        M = [[0] * len(cols) for _ in rows]
-        for c, face in enumerate(cols):
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1:]
-                M[idx[sub]][c] = (-1) ** i
-        rank[k] = Matrix(M).rank()
+        index = {f: i for i, f in enumerate(by_dim[k - 1])}
+        rank[k] = boundary_rank(
+            [{index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(k + 1)}
+             for f in by_dim[k]], len(by_dim[k - 1]))
     out = {-1: 1 - rank[0]}
     for k in range(0, maxdim + 1):
-        out[k] = len(by_dim.get(k, ())) - rank[k] - rank[k + 1]
+        out[k] = len(by_dim[k]) - rank[k] - rank[k + 1]
     return {k: v for k, v in out.items() if v}
+
+
+def oracle_ranks(num_vertices, facets):
+    from sympy import Matrix
+
+    def sympy_rank(rows, width):
+        return Matrix([[row.get(c, 0) for c in range(width)] for row in rows]).rank()
+
+    return _ranks_from(faces_by_dim(facets), sympy_rank)
+
+
+def exact_reference_ranks(K):
+    """Every boundary ranked over Q by exact_rank: the route that the mod-2
+    pinning must reproduce."""
+    return _ranks_from(faces_by_dim(K.facets), lambda rows, _width: exact_rank(rows))
 
 
 def ranks_dict(bv: BettiVector):
@@ -88,7 +106,7 @@ def test_interval_face_counts_match_faces():
         L = build_lattice(dv, n)
         counts = interval_face_counts(L)
         for i in range(1, L.size):
-            faces = homology._all_faces(order_complex(lower_interval(L, i)), 10 ** 9)
+            faces = faces_by_dim(order_complex(lower_interval(L, i)).facets)
             assert counts[i] == sum(len(f) for f in faces.values()), (dv, n, i)
 
 
@@ -238,11 +256,17 @@ def test_hall_theorem_checked_on_every_interval(monkeypatch):
 
 def test_wrong_rank_is_caught(monkeypatch):
     # the Euler characteristic does not depend on the boundary ranks, so an
-    # inflated rank is caught by the negative Betti number it leaves behind
-    original = homology.exact_rank
-    monkeypatch.setattr(homology, "exact_rank", lambda rows: original(rows) + 1)
-    with pytest.raises(StructureError, match="negative Betti"):
-        complement_contributions(build_lattice((3, 3), 1), 1)
+    # inflated rank is caught by the negative Betti number it leaves behind:
+    # over GF(2) on (3,3)/1, which never reaches exact_rank, and over Q on
+    # RP^2, whose 2-boundary is ranked again over Q
+    for name, original, run in [
+            ("rank_mod2", rank_mod2,
+             lambda: complement_contributions(build_lattice((3, 3), 1), 1)),
+            ("exact_rank", exact_rank, lambda: reduced_homology_ranks(RP2))]:
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, name, lambda rows, original=original: original(rows) + 1)
+            with pytest.raises(StructureError, match="negative Betti"):
+                run()
 
 
 def _direct_contributions(L, ranks, dim_x):
@@ -333,7 +357,8 @@ def test_oracle_agreement_random_complexes():
                 continue
             facets.append(tuple(rng.sample(range(nv), size)))
         K = from_facets(nv, facets)
-        assert ranks_dict(reduced_homology_ranks(K)) == oracle_ranks(nv, K.facets)
+        ranks = ranks_dict(reduced_homology_ranks(K))
+        assert ranks == oracle_ranks(nv, K.facets) == exact_reference_ranks(K)
 
 
 @given(st.integers(2, 8), st.data())
@@ -343,7 +368,75 @@ def test_oracle_agreement_hypothesis(nv, data):
         st.lists(st.integers(0, nv - 1), min_size=1, max_size=4, unique=True),
         min_size=0, max_size=6))
     K = from_facets(nv, [tuple(f) for f in facets])
-    assert ranks_dict(reduced_homology_ranks(K)) == oracle_ranks(nv, K.facets)
+    ranks = ranks_dict(reduced_homology_ranks(K))
+    assert ranks == oracle_ranks(nv, K.facets) == exact_reference_ranks(K)
+
+
+# one interval of each block shape with at most this many faces is also
+# ranked by sympy, whose dense ranks are slow past a few hundred faces
+SYMPY_FACES = 160
+
+
+@pytest.mark.parametrize("dv, n", PRODUCT_LATTICES)
+def test_mod2_pinning_matches_exact_ranks_on_every_interval(dv, n):
+    L = build_lattice(dv, n)
+    faces = interval_face_counts(L)
+    shapes = block_shapes(L)
+    seen = set()
+    for idx in range(1, L.size):
+        K = order_complex(lower_interval(L, idx))
+        ranks = ranks_dict(reduced_homology_ranks(K))
+        assert ranks == exact_reference_ranks(K), (dv, n, idx)
+        shape = tuple(sorted(shapes[idx]))
+        if faces[idx] <= SYMPY_FACES and shape not in seen:
+            seen.add(shape)
+            assert ranks == oracle_ranks(K.num_vertices, K.facets), (dv, n, idx)
+
+
+# the 6-vertex real projective plane: H~ over Q is 0, but mod 2 H1 = H2 = 1
+RP2 = from_facets(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                      (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+
+
+def _counting_exact_rank(monkeypatch):
+    calls = []
+    original = homology.exact_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(homology, "exact_rank", counting)
+    return calls
+
+
+def test_torsion_is_ranked_again_over_q(monkeypatch):
+    # the mod-2 ranks leave H1 = H2 = 1, so the 2-boundary (10 triangles)
+    # is ranked over Q, and the rational answer is that of a point
+    mod2 = _ranks_from(faces_by_dim(RP2.facets), lambda rows, _width: rank_mod2(
+        [sum(1 << c for c in row) for row in rows]))
+    assert mod2 == {1: 1, 2: 1}
+    calls = _counting_exact_rank(monkeypatch)
+    assert ranks_dict(reduced_homology_ranks(RP2)) == {}
+    assert calls == [10]
+    assert oracle_ranks(RP2.num_vertices, RP2.facets) == {}
+    assert exact_reference_ranks(RP2) == {}
+
+
+def test_exact_rank_reached_only_between_two_mod2_degrees(monkeypatch):
+    calls = _counting_exact_rank(monkeypatch)
+    complement_contributions(build_lattice((3, 3), 1), 1)
+    assert calls == []
+    complement_contributions(build_lattice((7,), 3), 1)
+    assert len(calls) == 2
+
+
+def test_rank_mod2_small():
+    assert rank_mod2([]) == 0
+    assert rank_mod2([0b11, 0b11]) == 1
+    assert rank_mod2([0b01, 0b10, 0b11]) == 2
+    # the circle's boundary has rank 2 over both fields
+    assert rank_mod2([0b011, 0b110, 0b101]) == 2
 
 
 def test_betti_vector_normalization():

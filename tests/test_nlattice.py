@@ -130,6 +130,13 @@ def test_corrupted_mobius_value_is_caught():
         _check_multiplicative(L, values)
 
 
+@pytest.mark.parametrize("dv, n", [((4, 4), 1), ((3, 3, 2), 1), ((7,), 3),
+                                   ((2, 2, 2), 1), ((5,), 1), ((3, 3), 2)])
+def test_below_masks_from_pair_masks_match_the_order(dv, n):
+    L = build_lattice(dv, n)
+    assert L.below == FinitePoset(L.elements, L.above).below_masks()
+
+
 def test_corrupted_below_mask_is_caught():
     L = build_lattice((3, 3), 1)
     j = _multi_block_element(L)

@@ -22,7 +22,6 @@ ALLOWED = {
     "free_module_character": "charpoly: representation stability",
     "stable_inner_product": "charpoly: representation stability",
     "irreducible_dimension": "charpoly: representation stability",
-    "complement_betti": "homology: Betti numbers in one call",
 }
 
 

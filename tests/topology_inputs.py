@@ -2,12 +2,14 @@
 
 zcc builds its posets from lattices and its complexes from posets; these
 reach the same types directly: a poset from generating strict relations, the
-order relation of a built poset, and a complex from its facets.
+order relation of a built poset, and a complex from its facets.  Also the
+Betti numbers of a lattice's complement in one call.
 """
 
 from zcc.errors import ValidationError
-from zcc.homology import SimplicialComplex
-from zcc.nlattice import FinitePoset, bits
+from zcc.homology import (DEFAULT_FACE_GUARD, BettiVector, SimplicialComplex,
+                          betti_from_contributions, complement_contributions)
+from zcc.nlattice import FinitePoset, NEqualsLattice, bits
 
 
 def from_less_pairs(payloads, pairs) -> FinitePoset:
@@ -51,3 +53,9 @@ def from_facets(num_vertices: int, facets) -> SimplicialComplex:
         if f and (f[0] < 0 or f[-1] >= num_vertices):
             raise ValidationError(f"facet {f} out of vertex range")
     return SimplicialComplex(num_vertices, tuple(maximal))
+
+
+def complement_betti(L: NEqualsLattice, dim_x: int = 1,
+                     guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
+    """Betti numbers of the ordered 0-cycle space over complex affine space."""
+    return betti_from_contributions(complement_contributions(L, dim_x, guard))
