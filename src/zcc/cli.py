@@ -5,14 +5,15 @@ All persisted output is canonical JSON (sorted keys, exact rationals as
 "a/b" strings, integers as JSON integers, never floats) or a lossy CSV
 projection.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 validation error, 2 guard or inconsistency error.
+Exit codes: 0 success, 1 validation or write error, 2 guard or inconsistency error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -97,39 +98,74 @@ def _lattice_input(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def render_json(payload) -> str:
-    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
-    for payloads of dicts with string keys, lists, tuples, strings, ints,
-    bools and None (anything else raises TypeError), without json's
-    pure-Python indenting encoder."""
-    return _render(payload, "\n", {}) + "\n"
+BATCH = 128  # items of a long list or tuple rendered and written at a time
+
+
+def render_json(payload, write) -> None:
+    """Pass json.dumps(payload, indent=2, sort_keys=True) + "\\n" to write in
+    pieces, without json's pure-Python indenting encoder: dicts key by key, a
+    list or tuple longer than BATCH one batch at a time, so at most one batch
+    of text is held at once.  Payloads hold dicts with string keys, lists,
+    tuples, strings, ints, bools and None (anything else raises TypeError).
+    What write raises propagates; _emit turns an OSError into exit 1."""
+    _stream(payload, "\n", write)
+    write("\n")
+
+
+@functools.cache
+def _frame(opener: str, newline: str) -> tuple:
+    """(inner, head, separator, tail) of a non-empty list ("[") or dict ("{")."""
+    inner = newline + "  "
+    return inner, opener + inner, "," + inner, newline + ("]" if opener == "[" else "}")
+
+
+def _key(key: str) -> str:
+    return encode_basestring_ascii(key) + ": "
+
+
+def _stream(value, newline: str, write) -> None:
+    """Write _render(value, newline): a non-empty dict member by member, a list
+    or tuple longer than BATCH one batch at a time with a cache per batch."""
+    if isinstance(value, dict) and value:
+        inner, head, separator, tail = _frame("{", newline)
+        for i, key in enumerate(sorted(value)):
+            write((separator if i else head) + _key(key))
+            _stream(value[key], inner, write)
+        write(tail)
+    elif isinstance(value, (list, tuple)) and len(value) > BATCH:
+        inner, head, separator, tail = _frame("[", newline)
+        for start in range(0, len(value), BATCH):
+            seen = {}
+            write((separator if start else head) + separator.join(
+                [_render(item, inner, seen) for item in value[start:start + BATCH]]))
+        write(tail)
+    else:
+        write(_render(value, newline, {}))
 
 
 def _render(value, newline: str, seen: dict) -> str:
     """value's JSON, its nested lines indented after newline.  seen holds the
     text of each tuple of non-int items, keyed by the items' identities and
-    the indent: the payload keeps the same objects alive for the whole call."""
+    the indent: the payload keeps the same objects alive while seen is used."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = newline + "  "
+        inner, head, separator, tail = _frame("[", newline)
         if all(type(item) is int for item in value):
-            return f"[{inner}{(',' + inner).join(map(str, value))}{newline}]"
+            return head + separator.join(map(str, value)) + tail
         key = (*map(id, value), newline) if type(value) is tuple else None
         text = seen.get(key)
         if text is None:
-            items = [_render(item, inner, seen) for item in value]
-            text = f"[{inner}{(',' + inner).join(items)}{newline}]"
+            text = head + separator.join([_render(item, inner, seen) for item in value]) + tail
             if key is not None:
                 seen[key] = text
         return text
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = newline + "  "
-        items = [f"{encode_basestring_ascii(key)}: {_render(value[key], inner, seen)}"
-                 for key in sorted(value)]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        inner, head, separator, tail = _frame("{", newline)
+        return head + separator.join([_key(key) + _render(value[key], inner, seen)
+                                      for key in sorted(value)]) + tail
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -143,31 +179,29 @@ def _render(value, newline: str, seen: dict) -> str:
     raise TypeError(f"{type(value).__name__} is not rendered as JSON")
 
 
-def render_csv(rows) -> str:
-    import csv  # only CSV output pays for it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _emit(args, payload, csv_rows=None) -> None:
     """Write the JSON payload, or csv_rows under --format csv (run() refuses
-    csv up front for the subcommands that have no rows)."""
-    if args.format == "csv":
-        text = render_csv(csv_rows)
-    else:
-        text = render_json(payload)
-    if args.output:
+    csv up front for the subcommands that have no rows), to --output or
+    stdout.  A write that fails is a ValidationError, so the run exits 1.
+    --output is opened before rendering, so a failed run leaves it partial."""
+    try:
+        handle = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot write {args.output!r}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+            if args.format == "csv":
+                import csv  # only CSV output pays for it
+                csv.writer(handle, lineterminator="\n").writerows(csv_rows)
+            else:
+                render_json(payload, handle.write)
+            handle.flush()
+        finally:
+            if args.output:
+                handle.close()
+    except OSError as exc:
+        if not args.output and sys.stdout is sys.__stdout__:
+            # the flush at exit must not fail again on bytes left buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = repr(args.output) if args.output else "stdout"
+        raise ValidationError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _census_csv(result) -> list:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import functools
 import hashlib
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -134,6 +136,12 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _rendered(payload) -> str:
+    pieces = []
+    cli.render_json(payload, pieces.append)
+    return "".join(pieces)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(1 << 200), 1 << 200)
     | st.text(),
@@ -145,7 +153,7 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 @settings(max_examples=200, deadline=None)
 def test_render_json_matches_json_dumps(payload):
-    assert cli.render_json(payload) == _dumps(payload)
+    assert _rendered(payload) == _dumps(payload)
 
 
 def test_render_json_edge_cases():
@@ -159,15 +167,54 @@ def test_render_json_edge_cases():
         "tuples": (((1, 2), (3,)), ((1, 2), (3,)), [(1, 2)], ((True, 1), (1, True))),
         "Z": 1, "a": 2, "\u00e9": 3, "\x7f": 4,
     }
-    assert cli.render_json(payload) == _dumps(payload)
+    assert _rendered(payload) == _dumps(payload)
     point = (1, 2)
     shared = ((point, (True,)), (point, (1,)), ((point, (True,)),))
-    assert cli.render_json([shared, [shared]]) == _dumps([shared, [shared]])
+    assert _rendered([shared, [shared]]) == _dumps([shared, [shared]])
     for scalar in (None, True, False, -3, 1 << 100, "x", [], {}, (), (1, 2)):
-        assert cli.render_json(scalar) == _dumps(scalar)
+        assert _rendered(scalar) == _dumps(scalar)
     for bad in (1.5, ((1.5,),), {1: "int key"}):
         with pytest.raises(TypeError):
-            cli.render_json(bad)
+            _rendered(bad)
+
+
+def test_render_json_across_batches():
+    batch = cli.BATCH
+    point = (1, 2)
+    shared = ((point, (True,)), (point, (1,)))
+    pairs = [(k, -k) for k in range(2 * batch + 5)]
+    pairs[batch + 2] = (1, 2, 3)
+    pairs[3] = (True, 0)           # a bool is not rendered as an int
+    payload = {
+        "items": [[k, str(k), {"k": None}] for k in range(3 * batch + 1)],
+        "shared": (shared,) * (batch + 2),
+        # the same tuple at one indent in the first batch, deeper in the next
+        "indents": (shared,) * batch + ([shared], shared),
+        "pairs": tuple(pairs),
+        "tail": (point,) * batch + ((point, point),),
+    }
+    assert _rendered(payload) == _dumps(payload)
+
+
+def test_lattice_render_holds_a_fraction_of_its_output(monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, csv_rows=None:
+                        payloads.append(payload))
+    assert run(["lattice", "--d", "4,4", "--n", "1"]) == 0
+    written = 0
+
+    def count(text):
+        nonlocal written
+        written += len(text)
+
+    tracemalloc.start()
+    try:
+        cli.render_json(payloads[0], count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == 1_673_637
+    assert peak < written // 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,15 +233,66 @@ def test_every_payload_renders_as_json_dumps(capsys, monkeypatch, argv):
     rendered = []
     original = cli.render_json
 
-    def checked(payload):
-        text = original(payload)
+    def checked(payload, write):
+        pieces = []
+        original(payload, pieces.append)
+        text = "".join(pieces)
         assert text == _dumps(payload)
         rendered.append(text)
-        return text
+        for piece in pieces:
+            write(piece)
 
     monkeypatch.setattr(cli, "render_json", checked)
     assert run(argv.split()) == 0
     assert capsys.readouterr().out == "".join(rendered) and len(rendered) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", ["count --d 2 --n 1 --q 3", "lattice --d 4,4 --n 1",
+                                  "verify"])
+def test_full_stdout_exits_1_with_one_error_line(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "zcc.cli", *argv.split()],
+                              stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=60)
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines() if not line.startswith("PASS ")]
+    assert errors == ["error: cannot write stdout: No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_that_keeps_failed_bytes_exits_1():
+    # _pyio's buffered writer keeps the bytes a failed write could not pass
+    # on, so the interpreter's flush at exit would fail again.
+    script = ("import sys, _pyio; from zcc import cli; "
+              "sys.stdout = sys.__stdout__ = _pyio.open(1, 'w', closefd=False); "
+              "sys.exit(cli.run(['count', '--d', '2', '--n', '1', '--q', '3']))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-c", script], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_stdout_write_exits_1(capsys, monkeypatch, failing):
+    class Stdout:
+        def write(self, text):
+            pass
+
+        def flush(self):
+            pass
+
+    def fail(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    stdout = Stdout()
+    setattr(stdout, failing, fail)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["count", "--d", "2", "--n", "1", "--q", "3"]) == 1
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
 def test_csv_projection(capsys):
