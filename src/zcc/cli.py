@@ -238,14 +238,14 @@ def _cmd_lattice(args) -> int:
         "num_elements": lattice.size,
         "elements": [
             {
-                "blocks": part.blocks,
-                "num_blocks": part.num_blocks,
+                "blocks": part,
+                "num_blocks": len(part),
                 "mobius": mob[i],
             }
             for i, part in enumerate(lattice.elements)
         ],
         "covers": lattice.covers,
-        "edge_counts": {t.value: c for t, c in edges.items()},
+        "edge_counts": edges,
         "mobius_top": mob[-1] if lattice.size else None,
         "point_count_coefficients": coeffs,
     }
@@ -262,18 +262,18 @@ def _cmd_betti(args) -> int:
         "d": lattice.d,
         "n": lattice.n,
         "dim_x": dim_x,
-        "betti": betti.as_list(),
+        "betti": betti,
         "contributions": [
             {
                 "element": idx,
-                "blocks": lattice.elements[idx].blocks,
+                "blocks": lattice.elements[idx],
                 "codimension": cd,
                 "by_degree": {str(i): r for i, r in sorted(contrib.items())},
             }
             for idx, cd, contrib in contribs
         ],
     }
-    rows = [["degree", "rank"]] + [[i, b] for i, b in enumerate(betti.as_list())]
+    rows = [["degree", "rank"]] + [[i, b] for i, b in enumerate(betti)]
     _emit(args, payload, rows)
     return 0
 

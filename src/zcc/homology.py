@@ -38,11 +38,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import GuardError, StructureError, ValidationError
-from .nlattice import (FinitePoset, NEqualsLattice, bits, block_shapes,
+from .nlattice import (NEqualsLattice, bits, block_shapes, cover_pairs,
                        lower_interval, mobius)
-from .record import Record, Value
+from .record import Record
 
-DEFAULT_FACE_GUARD = 10 ** 5
+# The face guard on every order complex, never lifted.  Read at call time, so
+# tests can lower it.
+FACE_GUARD = 10 ** 5
 
 
 class SimplicialComplex(Record):
@@ -52,52 +54,19 @@ class SimplicialComplex(Record):
                  "facets": "sorted tuples of vertex indices, inclusion-maximal"}
 
 
-class BettiVector(Value):
-    """Integer ranks indexed from `start` (reduced homology starts at -1).
-    Immutable; equal ranks from the same start compare equal."""
-
-    __slots__ = ("start", "ranks")
-
-    @classmethod
-    def make(cls, start: int, ranks) -> "BettiVector":
-        ranks = list(ranks)
-        while ranks and ranks[-1] == 0:
-            ranks.pop()
-        while ranks and ranks[0] == 0:
-            ranks.pop(0)
-            start += 1
-        if not ranks:
-            start = 0
-        return cls(start, tuple(ranks))
-
-    def rank(self, degree: int) -> int:
-        i = degree - self.start
-        if 0 <= i < len(self.ranks):
-            return self.ranks[i]
-        return 0
-
-    def items(self):
-        return [(self.start + i, r) for i, r in enumerate(self.ranks) if r]
-
-    def as_list(self, start: int = 0, upto: int | None = None) -> list:
-        if upto is None:
-            upto = self.start + len(self.ranks) - 1
-        return [self.rank(i) for i in range(start, max(upto, start) + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Order complexes
 # ---------------------------------------------------------------------------
 
 
-def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """Vertices = poset elements, faces = chains, facets = maximal chains."""
-    n = poset.size
+def order_complex(below) -> SimplicialComplex:
+    """Vertices = poset elements, faces = chains, facets = maximal chains, of
+    the poset with below masks `below` (see `nlattice.cover_pairs`)."""
+    n = len(below)
     if n == 0:
         return SimplicialComplex(0, ())
-    below = poset.below_masks()
     successors = [[] for _ in range(n)]  # minimal elements strictly above i
-    for i, j in poset.cover_pairs(below):
+    for i, j in cover_pairs(below):
         successors[i].append(j)
 
     chains_from: dict = {}
@@ -191,16 +160,16 @@ def _betti(counts, ranks) -> list:
     return betti
 
 
-def reduced_homology_ranks(K: SimplicialComplex,
-                           guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Ranks of reduced homology over Q; the empty complex has rank 1 in
-    degree -1.  One top-down pass indexes each k-face's boundary (k-1)-faces
-    the first time they appear and ranks that boundary mod 2 as bitmasks;
-    the mod-2 ranks are used where they are pinned (see the module docstring)."""
+def reduced_homology_ranks(K: SimplicialComplex) -> dict:
+    """The nonzero ranks {degree: rank} of reduced homology over Q; the empty
+    complex has rank 1 in degree -1.  One top-down pass indexes each k-face's
+    boundary (k-1)-faces the first time they appear and ranks that boundary
+    mod 2 as bitmasks; the mod-2 ranks are used where they are pinned (see
+    the module docstring)."""
     if not K.facets:
-        return BettiVector.make(-1, (1,))
-    if len(K.facets) > guard:
-        raise GuardError(f"face count exceeds guard {guard}")
+        return {-1: 1}
+    if len(K.facets) > FACE_GUARD:
+        raise GuardError(f"face count exceeds guard {FACE_GUARD}")
     maxdim = max(map(len, K.facets)) - 1
     faces = [[] for _ in range(maxdim + 1)]  # faces[k]: the k-faces
     for facet in K.facets:
@@ -221,8 +190,8 @@ def reduced_homology_ranks(K: SimplicialComplex,
                     lower.append(sub)
                 row |= 1 << j
             rows.append(row)
-        if sum(map(len, faces)) > guard:
-            raise GuardError(f"face count exceeds guard {guard}")
+        if sum(map(len, faces)) > FACE_GUARD:
+            raise GuardError(f"face count exceeds guard {FACE_GUARD}")
         ranks[k + 1] = rank_mod2(rows)
 
     counts = [1] + [len(level) for level in faces]  # by degree + 1, like ranks
@@ -233,7 +202,7 @@ def reduced_homology_ranks(K: SimplicialComplex,
             ranks[k + 1] = exact_rank(
                 [{index[face[:i] + face[i + 1:]]: (-1) ** i for i in range(k + 1)}
                  for face in faces[k]])
-    return BettiVector.make(-1, _betti(counts, ranks))
+    return {k - 1: b for k, b in enumerate(_betti(counts, ranks)) if b}
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +210,17 @@ def reduced_homology_ranks(K: SimplicialComplex,
 # ---------------------------------------------------------------------------
 
 
-def interval_homology(L: NEqualsLattice, idx: int,
-                      guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Reduced homology of the order complex of the open interval (0-hat, I),
-    I the element of index idx."""
+def interval_homology(L: NEqualsLattice, idx: int) -> dict:
+    """Reduced homology ranks {degree: rank} of the order complex of the open
+    interval (0-hat, I), I the element of index idx."""
     if idx == 0:
         raise ValidationError("interval homology below the bottom is undefined")
-    return reduced_homology_ranks(order_complex(lower_interval(L, idx)), guard)
+    return reduced_homology_ranks(order_complex(lower_interval(L, idx)))
 
 
 def codimension(L: NEqualsLattice, idx: int, dim_x: int) -> int:
     """Real codimension in (C^dim_x)^d of the subspace indexed by I."""
-    return 2 * dim_x * (L.ground_size - L.elements[idx].num_blocks)
+    return 2 * dim_x * (L.ground_size - len(L.elements[idx]))
 
 
 def interval_face_counts(L: NEqualsLattice) -> list:
@@ -284,8 +252,7 @@ def product_rule(factors) -> dict:
     return ranks
 
 
-def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
-                             guard: int = DEFAULT_FACE_GUARD) -> list:
+def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
     """Per-element Betti contributions: (index, cd, {cohomological degree: rank}).
 
     The face guard is checked on every interval before any homology runs.
@@ -298,14 +265,14 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
     """
     if dim_x < 1:
         raise ValidationError("dim_x must be >= 1")
-    if max(interval_face_counts(L)) > guard:
-        raise GuardError(f"face count exceeds guard {guard}")
+    if max(interval_face_counts(L)) > FACE_GUARD:
+        raise GuardError(f"face count exceeds guard {FACE_GUARD}")
     mu = mobius(L)
     shapes = block_shapes(L)
     one_block: dict = {}  # one-block column counts -> reduced homology ranks
     for idx, shape in enumerate(shapes):
         if len(shape) == 1 and shape[0] not in one_block:
-            one_block[shape[0]] = dict(interval_homology(L, idx, guard).items())
+            one_block[shape[0]] = interval_homology(L, idx)
     spot = next((idx for idx, shape in enumerate(shapes) if len(shape) > 1), None)
     by_shapes: dict = {}  # sorted block shapes -> reduced homology ranks
     out = []
@@ -315,7 +282,7 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
             by_shapes[key] = product_rule([one_block[c] for c in key])
         iv = by_shapes[key]
         if idx == spot:
-            direct = dict(interval_homology(L, idx, guard).items())
+            direct = interval_homology(L, idx)
             if iv != direct:
                 raise StructureError(
                     f"the product rule gives reduced homology {iv} below element "
@@ -338,11 +305,11 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1,
     return out
 
 
-def betti_from_contributions(contributions) -> BettiVector:
-    """Sum per-element contributions, plus H^0 = 1, into a Betti vector."""
+def betti_from_contributions(contributions) -> list:
+    """Sum per-element contributions, plus H^0 = 1, into the Betti numbers
+    from degree 0 to the top nonzero one."""
     total: dict = {0: 1}
     for _idx, _cd, contrib in contributions:
         for i, r in contrib.items():
             total[i] = total.get(i, 0) + r
-    top = max(total)
-    return BettiVector.make(0, [total.get(i, 0) for i in range(top + 1)])
+    return [total.get(i, 0) for i in range(max(total) + 1)]

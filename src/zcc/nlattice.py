@@ -10,17 +10,17 @@ inclusion-exclusion over the arrangement's intersection poset.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import prod
 from operator import or_
 
 from .errors import GuardError, StructureError, ValidationError
-from .record import Record, Value
+from .record import Record
 
 # The |d| guard, never lifted: the lattice grows with the Bell number of |d|,
-# and generation recurses once per ground point.
+# and generation recurses once per ground point.  Read at call time, so tests
+# can lower it.
 LATTICE_GUARD = 10
 # dim_x * |d| is the degree of the point-count polynomial and bounds the top
 # Betti degree: both list that many entries.
@@ -47,90 +47,40 @@ def bits(mask: int):
 
 
 # ---------------------------------------------------------------------------
-# Generic finite posets (used for lattice intervals and order complexes)
+# Posets as below masks (lattices, their intervals, order complexes)
 # ---------------------------------------------------------------------------
 
 
-class FinitePoset(Record):
-    """A finite strict partial order; above[i] is the bitmask of {j : i < j}.
-    Elements are numbered along a linear extension: i < j only if i < j as
-    integers."""
+def cover_pairs(below) -> list:
+    """The sorted pairs (i, j) with i < j and nothing strictly between, from
+    below[j], the bitmask of {i : i < j}, of a poset numbered along a linear
+    extension: i < j only if i < j as integers.
 
-    __slots__ = ("payloads", "above")
-
-    @property
-    def size(self) -> int:
-        return len(self.payloads)
-
-    def below_masks(self) -> tuple:
-        below = [0] * self.size
-        for i, mask in enumerate(self.above):
-            for j in bits(mask):
-                below[j] |= 1 << i
-        return tuple(below)
-
-    def cover_pairs(self, below: tuple | None = None) -> list:
-        """The sorted pairs (i, j) with i < j and nothing strictly between,
-        from `below`, the poset's below masks, when the caller has them.
-
-        A transitive reduction in one step per cover: the highest element
-        left below j is maximal there, so it is covered by j, and clearing
-        it with everything below it leaves only elements that no cover found
-        so far lies above.  Raises unless the numbering is a linear
-        extension, which the highest-first order relies on.
-        """
-        for i, mask in enumerate(self.above):
-            if mask & ((2 << i) - 1):
-                raise StructureError(
-                    f"element {i} lies below an element numbered at or before it")
-        if below is None:
-            below = self.below_masks()
-        uppers = [[] for _ in below]  # uppers[i]: the j covering i, ascending
-        for j, rest in enumerate(below):
-            while rest:
-                c = rest.bit_length() - 1
-                uppers[c].append(j)
-                rest = (rest ^ (1 << c)) & ~below[c]
-        return [(i, j) for i, js in enumerate(uppers) for j in js]
-
-
-# ---------------------------------------------------------------------------
-# Lattice elements
-# ---------------------------------------------------------------------------
-
-
-class LatticePartition(Value):
-    """A set partition of the column-tagged ground set, in canonical form:
-    each block sorted, blocks ordered by their least element.  Immutable and
-    compared by value."""
-
-    __slots__ = ("blocks",)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def column_counts(self, m: int) -> list:
-        out = []
-        for block in self.blocks:
-            counts = [0] * m
-            for (k, _i) in block:
-                counts[k - 1] += 1
-            out.append(counts)
-        return out
-
-
-class EdgeType(Enum):
-    BLOCK_CREATION = "block_creation"
-    SINGLETON_ADDING = "singleton_adding"
-    BLOCK_MERGING = "block_merging"
+    A transitive reduction in one step per cover: the highest element left
+    below j is maximal there, so it is covered by j, and clearing it with
+    everything below it leaves only elements that no cover found so far lies
+    above.  Raises unless the numbering is a linear extension, which the
+    highest-first order relies on.
+    """
+    for j, mask in enumerate(below):
+        if mask >> j:
+            raise StructureError(
+                f"element {j} lies above an element numbered at or after it")
+    uppers = [[] for _ in below]  # uppers[i]: the j covering i, ascending
+    for j, rest in enumerate(below):
+        while rest:
+            c = rest.bit_length() - 1
+            uppers[c].append(j)
+            rest = (rest ^ (1 << c)) & ~below[c]
+    return [(i, j) for i, js in enumerate(uppers) for j in js]
 
 
 class NEqualsLattice(Record):
     __slots__ = {
         "d": "the degree vector", "n": "the threshold",
-        "elements": "LatticePartition, bottom first, by rank",
-        "above": "above[i] = bitmask of {j : elements[i] < elements[j]}",
+        "elements": "canonical block tuples, bottom first, by rank: each "
+                    "block a sorted tuple of (column, index) points, blocks "
+                    "ordered by their least point",
         "below": "below[j] = bitmask of {i : elements[i] < elements[j]}",
         "covers": "(lower index, upper index) pairs",
     }
@@ -153,7 +103,7 @@ class NEqualsLattice(Record):
 # ---------------------------------------------------------------------------
 
 
-def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
+def build_lattice(d, n: int) -> NEqualsLattice:
     """Generate the n-equals partition lattice for the degree vector d.
 
     Admissible partitions are assembled depth-first with canonical block
@@ -166,9 +116,10 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
     if n < 1:
         raise ValidationError("threshold n must be >= 1")
     total = sum(d)
-    if total > guard:  # the Bell number is cheap only for a small |d|
+    if total > LATTICE_GUARD:  # the Bell number is cheap only for a small |d|
         bound = f"; up to ~{bell_number(total)} set partitions" if total <= 100 else ""
-        raise GuardError(f"|d| = {total} exceeds the lattice guard {guard}{bound}")
+        raise GuardError(
+            f"|d| = {total} exceeds the lattice guard {LATTICE_GUARD}{bound}")
 
     m = len(d)
     ground = [(k + 1, i + 1) for k, dk in enumerate(d) for i in range(dk)]
@@ -179,7 +130,7 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
         suffix[idx] = list(suffix[idx + 1])
         suffix[idx][col_of[idx]] += 1
 
-    found: list[LatticePartition] = []
+    found: list[tuple] = []
     blocks: list[list[int]] = []
     counts: list[list[int]] = []
 
@@ -197,8 +148,7 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
         if not feasible(idx):
             return
         if idx == total:
-            found.append(LatticePartition(
-                tuple(tuple(ground[i] for i in block) for block in blocks)))
+            found.append(tuple(tuple(ground[i] for i in block) for block in blocks))
             return
         k = col_of[idx]
         for block, cnt in zip(blocks, counts):
@@ -216,18 +166,15 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
         counts.pop()
 
     rec(0)
-    found.sort(key=lambda part: (total - part.num_blocks, part.blocks))
+    found.sort(key=lambda part: (total - len(part), part))
 
     # Refinement order by bitsets over the elements: together[a, b] marks
-    # the elements in which points a < b share a block.  I <= J iff every
-    # point of each block of I shares J's block with the block's first point,
-    # so above[i] is an AND of these sets; the only J with I <= J and as
-    # many blocks as I is I itself.  Dually, I <= J iff I keeps apart every
-    # pair that J keeps apart, so below[j] is everything outside the OR of
-    # the sets of the pairs apart in J, except J itself.
+    # the elements in which points a < b share a block.  I <= J iff I keeps
+    # apart every pair that J keeps apart, so below[j] is everything outside
+    # the OR of the sets of the pairs apart in J, except J itself.
     index_of_point = {pt: i for i, pt in enumerate(ground)}
     point_blocks = [[[index_of_point[pt] for pt in block]
-                     for block in part.blocks if len(block) > 1]
+                     for block in part if len(block) > 1]
                     for part in found]
     together: dict = {}
     for j, blocks_j in enumerate(point_blocks):
@@ -238,24 +185,13 @@ def build_lattice(d, n: int, guard: int = LATTICE_GUARD) -> NEqualsLattice:
 
     size = len(found)
     everything = (1 << size) - 1
-    above = []
-    for i, blocks_i in enumerate(point_blocks):
-        mask = everything ^ (1 << i)
-        for first, *rest in blocks_i:
-            for pt in rest:
-                mask &= together[first, pt]
-        above.append(mask)
-
     below = []
     for j, blocks_j in enumerate(point_blocks):
         kept = {pair for block in blocks_j for pair in combinations(block, 2)}
         below.append(everything ^ (1 << j) ^ reduce(
             or_, (mask for pair, mask in together.items() if pair not in kept), 0))
-    below = tuple(below)
-
-    poset = FinitePoset(tuple(found), tuple(above))
-    return NEqualsLattice(d=d, n=n, elements=poset.payloads, above=poset.above,
-                          below=below, covers=tuple(poset.cover_pairs(below)))
+    return NEqualsLattice(d=d, n=n, elements=tuple(found), below=tuple(below),
+                          covers=tuple(cover_pairs(below)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +225,9 @@ def block_shapes(L: NEqualsLattice) -> list:
     """Per element, the column counts of its non-singleton blocks, in block
     order, each a tuple.  [0-hat, I] is the product of the intervals below
     the one-block elements of I's shapes (`_check_multiplicative`)."""
-    return [[tuple(c) for c in part.column_counts(L.m) if sum(c) > 1]
+    columns = range(1, L.m + 1)
+    return [[tuple(sum(k == c for k, _i in block) for c in columns)
+             for block in part if len(block) > 1]
             for part in L.elements]
 
 
@@ -320,7 +258,8 @@ def _check_multiplicative(L: NEqualsLattice, values) -> None:
 
 
 def classify_edges(L: NEqualsLattice) -> dict:
-    """Count every cover edge by type; unclassifiable edges raise.
+    """Count every cover edge by type ("block_creation", "singleton_adding",
+    "block_merging"); unclassifiable edges raise.
 
     Blocks are bitmasks over the ground points.  A cover makes exactly one
     new block, the union of the blocks it merges; their sizes give the type,
@@ -333,9 +272,9 @@ def classify_edges(L: NEqualsLattice) -> dict:
         offsets.append(offsets[-1] + dk)
     columns = [((1 << dk) - 1) << offset for dk, offset in zip(L.d, offsets)]
     block_sets = [frozenset(sum(1 << (offsets[k - 1] + i - 1) for k, i in block)
-                            for block in part.blocks)
+                            for block in part)
                   for part in L.elements]
-    counts = {t: 0 for t in EdgeType}
+    counts = {"block_creation": 0, "singleton_adding": 0, "block_merging": 0}
     for lower, upper in L.covers:
         fine = block_sets[lower]
         coarse = block_sets[upper]
@@ -364,11 +303,11 @@ def classify_edges(L: NEqualsLattice) -> dict:
             if not minimal:
                 raise StructureError(
                     f"creation cover {lower} -> {upper} has column counts {per_column}")
-            counts[EdgeType.BLOCK_CREATION] += 1
+            counts["block_creation"] += 1
         elif bigs == 1 and singles == 1:
-            counts[EdgeType.SINGLETON_ADDING] += 1
+            counts["singleton_adding"] += 1
         elif bigs == 2 and singles == 0:
-            counts[EdgeType.BLOCK_MERGING] += 1
+            counts["block_merging"] += 1
         else:
             raise StructureError(
                 f"cover {lower} -> {upper} fits no edge type "
@@ -396,7 +335,7 @@ def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1,
     # the top coefficient is mu(0-hat, 0-hat) = 1, so nothing needs trimming
     coeffs = [0] * (dim_x * L.ground_size + 1)
     for i, part in enumerate(L.elements):
-        coeffs[dim_x * part.num_blocks] += mob[i]
+        coeffs[dim_x * len(part)] += mob[i]
     return tuple(coeffs)
 
 
@@ -407,18 +346,12 @@ def eval_int_poly(coeffs, q: int) -> int:
     return acc
 
 
-def lower_interval(L: NEqualsLattice, idx: int) -> FinitePoset:
-    """The open interval (0-hat, I) below the element of index idx, with its
-    induced order."""
+def lower_interval(L: NEqualsLattice, idx: int) -> tuple:
+    """The open interval (0-hat, I) below the element of index idx, as the
+    below masks of its elements, renumbered in lattice order."""
     if not 0 <= idx < L.size:
         raise ValidationError(f"element index {idx} out of range")
-    below = L.below[idx]
-    members = [x for x in bits(below) if x != 0]  # exclude the bottom
-    pos = {orig: new for new, orig in enumerate(members)}
-    above = []
-    for orig in members:
-        sub = 0
-        for other in bits(L.above[orig] & below):
-            sub |= 1 << pos[other]
-        above.append(sub)
-    return FinitePoset(tuple(L.elements[i] for i in members), tuple(above))
+    below = L.below
+    members = [x for x in bits(below[idx]) if x != 0]  # without the bottom, bit 0
+    bit = {orig: 1 << new for new, orig in enumerate(members)}
+    return tuple(sum(bit[x] for x in bits(below[orig] & ~1)) for orig in members)

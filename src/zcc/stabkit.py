@@ -153,8 +153,7 @@ class StabilizationResult(Record):
         "stable_from": "per position: start index of the final constant run",
         "stable_values": "per position: the final value",
         "unstable_positions": "positions whose final run has length 1",
-        "onset": "first index where all requested positions are settled",
-        "depth": "the last position that onset covers",
+        "onset": "first index where every position is settled",
     }
 
     def stable_value(self, i: int):
@@ -163,13 +162,13 @@ class StabilizationResult(Record):
         return self.stable_values[i]
 
 
-def detect_stabilization(vectors, depth: int | None = None) -> StabilizationResult:
+def detect_stabilization(vectors) -> StabilizationResult:
     """Per-coefficient stability of a sequence of normalized vectors.
 
     For each position the largest suffix on which the value is constant is
     found; a position whose constant suffix has length 1 never stabilized
     within the sweep and is flagged.  The onset is the first index from
-    which every position up to `depth` is constant.
+    which every position is constant, None if a position is flagged.
     """
     vecs = [tuple(v) for v in vectors]
     if len(vecs) < 2:
@@ -189,16 +188,9 @@ def detect_stabilization(vectors, depth: int | None = None) -> StabilizationResu
         stable_values.append(final)
         if start == last:
             unstable.append(i)
-    if depth is None:
-        depth = width - 1
-    depth = min(depth, width - 1)
-    requested = range(depth + 1)
-    if any(i in unstable for i in requested):
-        onset = None
-    else:
-        onset = max(stable_from[i] for i in requested) if depth >= 0 else 0
+    onset = None if unstable else max(stable_from, default=0)
     return StabilizationResult(tuple(stable_from), tuple(stable_values),
-                               tuple(unstable), onset, depth)
+                               tuple(unstable), onset)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,7 @@ def test_criterion_4_hyperplane_lefschetz_identity():
             count = enumerate_ordered(
                 CensusSpec(dv, 1, field, ONE, "ordered")).point_count
             lhs = Fraction(count, q ** total_deg)
-            rhs = sum(Fraction((-1) ** i * betti.rank(i), q ** i)
-                      for i in range(total_deg + 1))
+            rhs = sum(Fraction((-1) ** i * b, q ** i) for i, b in enumerate(betti))
             assert lhs == rhs, (dv, q, lhs, rhs)
             assert lhs - rhs == 0
     print("PASS criterion 4: hyperplane Lefschetz identity exact "
@@ -163,13 +162,13 @@ def _oracle_ranks(num_vertices, facets):
 
 def test_criterion_5_homology_anchors():
     """Betti anchors, atom intervals, and the brute-force rank oracle."""
-    assert complement_betti(build_lattice((1, 1), 1), 1).as_list() == [1, 1]
-    assert complement_betti(build_lattice((3,), 2), 1).as_list() == [1, 3, 2]
+    assert complement_betti(build_lattice((1, 1), 1), 1) == [1, 1]
+    assert complement_betti(build_lattice((3,), 2), 1) == [1, 3, 2]
     for dv, n in [((4,), 2), ((2, 2), 1), ((3, 2), 1), ((2, 2), 2)]:
         lattice = build_lattice(dv, n)
         atoms = [hi for lo, hi in lattice.covers if lo == 0]
         for i in atoms:
-            assert dict(interval_homology(lattice, i).items()) == {-1: 1}
+            assert interval_homology(lattice, i) == {-1: 1}
     rng = random.Random(1729)
     oracle_checks = 0
     for _trial in range(30):
@@ -177,15 +176,14 @@ def test_criterion_5_homology_anchors():
         facets = [tuple(rng.sample(range(nv), rng.randint(1, min(4, nv))))
                   for _f in range(rng.randint(0, 6))]
         K = from_facets(nv, facets)
-        assert dict(reduced_homology_ranks(K).items()) == _oracle_ranks(
-            nv, K.facets)
+        assert reduced_homology_ranks(K) == _oracle_ranks(nv, K.facets)
         oracle_checks += 1
     lattice = build_lattice((4,), 2)
     for i in range(1, lattice.size):
         poset = lower_interval(lattice, i)
-        if poset.size <= 8:
+        if len(poset) <= 8:
             K = order_complex(poset)
-            assert dict(reduced_homology_ranks(K).items()) == _oracle_ranks(
+            assert reduced_homology_ranks(K) == _oracle_ranks(
                 K.num_vertices, K.facets)
             oracle_checks += 1
     print(f"PASS criterion 5: anchors (1,1) and (1,3,2); atom intervals rank 1 "

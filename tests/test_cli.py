@@ -717,28 +717,6 @@ def test_dropped_key_set_in_fold_index_exits_2(capsys, monkeypatch):
     assert captured.err.startswith("error: point index of column 1 misses key sets")
 
 
-@pytest.mark.parametrize("argv", [
-    ["lattice", "--d", "3,2", "--n", "1"],
-    ["betti", "--d", "3,2", "--n", "1"],
-])
-def test_below_masks_never_run_on_the_whole_lattice(capsys, monkeypatch, argv):
-    # build_lattice gets its below masks from its pair masks; only the
-    # smaller interval posets of betti walk their order relation
-    sizes = []
-    original = nlattice.FinitePoset.below_masks
-
-    def counting(poset):
-        sizes.append(poset.size)
-        return original(poset)
-
-    monkeypatch.setattr(nlattice.FinitePoset, "below_masks", counting)
-    assert run(argv) == 0
-    capsys.readouterr()
-    whole = nlattice.build_lattice((3, 2), 1).size
-    assert all(size < whole for size in sizes)
-    assert bool(sizes) == (argv[0] == "betti")
-
-
 WATCHED = ("zcc.census", "zcc.euler", "zcc.homology", "zcc.polyarith", "zcc.stabkit",
            "multiprocessing", "concurrent.futures", "hashlib", "dataclasses", "csv")
 POOL = {"multiprocessing", "concurrent.futures"}

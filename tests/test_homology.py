@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zcc import homology
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.homology import (BettiVector, codimension, complement_contributions,
+from zcc.homology import (codimension, complement_contributions,
                           exact_rank, interval_face_counts, interval_homology,
                           order_complex, product_rule, rank_mod2,
                           reduced_homology_ranks)
@@ -70,24 +70,20 @@ def exact_reference_ranks(K):
     return _ranks_from(faces_by_dim(K.facets), lambda rows, _width: exact_rank(rows))
 
 
-def ranks_dict(bv: BettiVector):
-    return dict(bv.items())
-
-
 # -- basic complexes -----------------------------------------------------------
 
 
 def test_named_complexes():
     empty = from_facets(0, [])
-    assert ranks_dict(reduced_homology_ranks(empty)) == {-1: 1}
+    assert reduced_homology_ranks(empty) == {-1: 1}
     pts = from_facets(3, [(0,), (1,), (2,)])
-    assert ranks_dict(reduced_homology_ranks(pts)) == {0: 2}
+    assert reduced_homology_ranks(pts) == {0: 2}
     circle = from_facets(3, [(0, 1), (1, 2), (0, 2)])
-    assert ranks_dict(reduced_homology_ranks(circle)) == {1: 1}
+    assert reduced_homology_ranks(circle) == {1: 1}
     disk = from_facets(3, [(0, 1, 2)])
-    assert ranks_dict(reduced_homology_ranks(disk)) == {}
+    assert reduced_homology_ranks(disk) == {}
     sphere = from_facets(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    assert ranks_dict(reduced_homology_ranks(sphere)) == {2: 1}
+    assert reduced_homology_ranks(sphere) == {2: 1}
 
 
 def test_from_facets_drops_non_maximal():
@@ -95,10 +91,11 @@ def test_from_facets_drops_non_maximal():
     assert K.facets == ((0, 1),)
 
 
-def test_face_guard():
+def test_face_guard(monkeypatch):
+    monkeypatch.setattr(homology, "FACE_GUARD", 100)
     big = from_facets(20, [tuple(range(20))])
-    with pytest.raises(GuardError):
-        reduced_homology_ranks(big, guard=100)
+    with pytest.raises(GuardError, match="face count exceeds guard 100"):
+        reduced_homology_ranks(big)
 
 
 def test_interval_face_counts_match_faces():
@@ -117,10 +114,11 @@ def test_face_guard_runs_before_any_homology(monkeypatch):
     monkeypatch.setattr(homology, "interval_homology", no_homology)
     L = build_lattice((3, 3), 1)
     largest = max(interval_face_counts(L))
-    with pytest.raises(GuardError, match=f"face count exceeds guard {largest - 1}"):
-        complement_contributions(L, guard=largest - 1)
     with pytest.raises(GuardError, match="face count exceeds guard"):
         complement_contributions(build_lattice((3, 3, 3), 1))
+    monkeypatch.setattr(homology, "FACE_GUARD", largest - 1)
+    with pytest.raises(GuardError, match=f"face count exceeds guard {largest - 1}"):
+        complement_contributions(L)
 
 
 def test_bad_dim_x_refused_before_any_work(monkeypatch):
@@ -134,12 +132,12 @@ def test_bad_dim_x_refused_before_any_work(monkeypatch):
 
 
 def test_order_complex_examples():
-    assert order_complex(antichain(())).facets == ()
-    assert order_complex(antichain("abc")).facets == ((0,), (1,), (2,))
-    chain = from_less_pairs("ab", [(0, 1)])
+    assert order_complex(antichain(0)).facets == ()
+    assert order_complex(antichain(3)).facets == ((0,), (1,), (2,))
+    chain = from_less_pairs(2, [(0, 1)])
     assert order_complex(chain).facets == ((0, 1),)
     # diamond: bottom < x, y < top gives two maximal 2-chains
-    diamond = from_less_pairs("bxyt", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    diamond = from_less_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert order_complex(diamond).facets == ((0, 1, 3), (0, 2, 3))
 
 
@@ -150,8 +148,8 @@ def test_order_complex_faces_are_chains():
     poset = lower_interval(L, top)
     K = order_complex(poset)
     chains = set()
-    for r in range(1, poset.size + 1):
-        for sub in combinations(range(poset.size), r):
+    for r in range(1, len(poset) + 1):
+        for sub in combinations(range(len(poset)), r):
             if all(less(poset, a, b) for a, b in combinations(sub, 2)):
                 chains.add(sub)
     faces = set()
@@ -187,24 +185,24 @@ def test_exact_rank_matches_sympy(nrows, ncols, values, data):
 
 def test_anchor_single_hyperplane():
     L = build_lattice((1, 1), 1)
-    assert complement_betti(L, 1).as_list() == [1, 1]
+    assert complement_betti(L, 1) == [1, 1]
 
 
 def test_anchor_conf3():
     L = build_lattice((3,), 2)
-    assert complement_betti(L, 1).as_list() == [1, 3, 2]
+    assert complement_betti(L, 1) == [1, 3, 2]
 
 
 def test_anchor_conf2_c2():
     L = build_lattice((2,), 2)
-    assert complement_betti(L, 2).as_list() == [1, 0, 0, 1]
+    assert complement_betti(L, 2) == [1, 0, 0, 1]
 
 
 def test_interval_homology_examples():
     L2 = build_lattice((2,), 2)
-    assert ranks_dict(interval_homology(L2, 1)) == {-1: 1}
+    assert interval_homology(L2, 1) == {-1: 1}
     L3 = build_lattice((3,), 2)
-    assert ranks_dict(interval_homology(L3, L3.size - 1)) == {0: 2}
+    assert interval_homology(L3, L3.size - 1) == {0: 2}
     with pytest.raises(ValidationError):
         interval_homology(L3, 0)
 
@@ -215,7 +213,7 @@ def test_atom_intervals_are_empty():
         atoms = [hi for lo, hi in L.covers if lo == 0]
         assert atoms
         for i in atoms:
-            assert ranks_dict(interval_homology(L, i)) == {-1: 1}
+            assert interval_homology(L, i) == {-1: 1}
 
 
 def test_conf_betti_are_stirling_numbers():
@@ -226,7 +224,7 @@ def test_conf_betti_are_stirling_numbers():
     }
     for d, b in expected.items():
         L = build_lattice((d,), 2)
-        assert complement_betti(L, 1).as_list() == b
+        assert complement_betti(L, 1) == b
 
 
 def test_characteristic_polynomial_identity_hyperplane_case():
@@ -237,7 +235,8 @@ def test_characteristic_polynomial_identity_hyperplane_case():
         b = complement_betti(L, 1)
         coeffs = point_count_polynomial(L, 1)
         total = sum(dv)
-        signed = [(-1) ** i * b.rank(i) for i in range(total + 1)]
+        b += [0] * (total + 1 - len(b))
+        signed = [(-1) ** i * b[i] for i in range(total + 1)]
         from_poly = [coeffs[total - i] if total - i < len(coeffs) else 0
                      for i in range(total + 1)]
         assert signed == from_poly, dv
@@ -285,7 +284,7 @@ def _direct_contributions(L, ranks, dim_x):
 @pytest.mark.parametrize("dv, n", PRODUCT_LATTICES)
 def test_product_rule_matches_every_interval(dv, n):
     L = build_lattice(dv, n)
-    ranks = {idx: dict(interval_homology(L, idx).items()) for idx in range(1, L.size)}
+    ranks = {idx: interval_homology(L, idx) for idx in range(1, L.size)}
     shapes = block_shapes(L)
     one_block = {}
     for idx in range(1, L.size):
@@ -300,7 +299,7 @@ def test_product_rule_matches_every_interval(dv, n):
 def test_product_rule_degrees():
     # homology in two degrees, so the convolution has more than one term
     L = build_lattice((4, 4), 2)
-    assert sorted(dict(interval_homology(L, L.size - 1).items())) == [1, 3]
+    assert sorted(interval_homology(L, L.size - 1)) == [1, 3]
     # two empty intervals make a 0-sphere; two 0-spheres make the
     # suspension of a circle
     assert product_rule([{-1: 1}, {-1: 1}]) == {0: 1}
@@ -339,10 +338,10 @@ def test_oracle_agreement_on_lattice_intervals():
         L = build_lattice(dv, n)
         for i in range(1, L.size):
             poset = lower_interval(L, i)
-            if poset.size > 8:
+            if len(poset) > 8:
                 continue
             K = order_complex(poset)
-            assert ranks_dict(reduced_homology_ranks(K)) == oracle_ranks(
+            assert reduced_homology_ranks(K) == oracle_ranks(
                 K.num_vertices, K.facets), (dv, n, i)
 
 
@@ -357,7 +356,7 @@ def test_oracle_agreement_random_complexes():
                 continue
             facets.append(tuple(rng.sample(range(nv), size)))
         K = from_facets(nv, facets)
-        ranks = ranks_dict(reduced_homology_ranks(K))
+        ranks = reduced_homology_ranks(K)
         assert ranks == oracle_ranks(nv, K.facets) == exact_reference_ranks(K)
 
 
@@ -368,7 +367,7 @@ def test_oracle_agreement_hypothesis(nv, data):
         st.lists(st.integers(0, nv - 1), min_size=1, max_size=4, unique=True),
         min_size=0, max_size=6))
     K = from_facets(nv, [tuple(f) for f in facets])
-    ranks = ranks_dict(reduced_homology_ranks(K))
+    ranks = reduced_homology_ranks(K)
     assert ranks == oracle_ranks(nv, K.facets) == exact_reference_ranks(K)
 
 
@@ -385,7 +384,7 @@ def test_mod2_pinning_matches_exact_ranks_on_every_interval(dv, n):
     seen = set()
     for idx in range(1, L.size):
         K = order_complex(lower_interval(L, idx))
-        ranks = ranks_dict(reduced_homology_ranks(K))
+        ranks = reduced_homology_ranks(K)
         assert ranks == exact_reference_ranks(K), (dv, n, idx)
         shape = tuple(sorted(shapes[idx]))
         if faces[idx] <= SYMPY_FACES and shape not in seen:
@@ -417,7 +416,7 @@ def test_torsion_is_ranked_again_over_q(monkeypatch):
         [sum(1 << c for c in row) for row in rows]))
     assert mod2 == {1: 1, 2: 1}
     calls = _counting_exact_rank(monkeypatch)
-    assert ranks_dict(reduced_homology_ranks(RP2)) == {}
+    assert reduced_homology_ranks(RP2) == {}
     assert calls == [10]
     assert oracle_ranks(RP2.num_vertices, RP2.facets) == {}
     assert exact_reference_ranks(RP2) == {}
@@ -438,10 +437,3 @@ def test_rank_mod2_small():
     # the circle's boundary has rank 2 over both fields
     assert rank_mod2([0b011, 0b110, 0b101]) == 2
 
-
-def test_betti_vector_normalization():
-    assert BettiVector.make(-1, (0, 2, 0)) == BettiVector(0, (2,))
-    assert BettiVector.make(0, ()).rank(0) == 0
-    bv = BettiVector.make(0, (1, 3, 2))
-    assert bv.as_list(0, 4) == [1, 3, 2, 0, 0]
-    assert bv.items() == [(0, 1), (1, 3), (2, 2)]

@@ -1,12 +1,14 @@
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.nlattice import (EdgeType, FinitePoset, LatticePartition,
-                          NEqualsLattice, _check_multiplicative, bell_number, bits,
-                          build_lattice, classify_edges, eval_int_poly,
+from zcc import nlattice
+from zcc.nlattice import (NEqualsLattice, _check_multiplicative, bell_number, bits,
+                          build_lattice, classify_edges, cover_pairs, eval_int_poly,
                           lower_interval, mobius, point_count_polynomial)
 
 from topology_inputs import from_less_pairs, less
@@ -22,11 +24,11 @@ GRID = ([((dd,), n) for dd in range(1, 7) for n in (1, 2, 3)]
 def test_build_examples():
     L = build_lattice((2,), 2)
     assert L.size == 2
-    assert [e.num_blocks for e in L.elements] == [2, 1]
+    assert [len(e) for e in L.elements] == [2, 1]
 
     L = build_lattice((1, 1), 1)
     assert L.size == 2
-    assert L.elements[1].blocks == (((1, 1), (2, 1)),)
+    assert L.elements[1] == (((1, 1), (2, 1)),)
 
     L = build_lattice((3,), 2)
     assert L.size == 5  # every partition of a 3-set qualifies
@@ -35,8 +37,8 @@ def test_build_examples():
 def test_bottom_is_first_and_all_singletons():
     for dv, n in GRID:
         L = build_lattice(dv, n)
-        assert all(len(b) == 1 for b in L.elements[0].blocks)
-        assert all(L.ground_size - L.elements[i].num_blocks > 0
+        assert all(len(b) == 1 for b in L.elements[0])
+        assert all(L.ground_size - len(L.elements[i]) > 0
                    for i in range(1, L.size))
 
 
@@ -45,7 +47,8 @@ def test_block_admissibility():
         L = build_lattice(dv, n)
         m = len(dv)
         for part in L.elements:
-            for block, counts in zip(part.blocks, part.column_counts(m)):
+            for block in part:
+                counts = [sum(k == c for k, _i in block) for c in range(1, m + 1)]
                 assert len(block) == 1 or all(c >= n for c in counts)
 
 
@@ -54,42 +57,19 @@ def test_n2_m1_is_full_partition_lattice():
         assert build_lattice((dd,), 2).size == bell_number(dd)
 
 
-def test_guard():
+def test_guard(monkeypatch):
     with pytest.raises(GuardError, match="guard"):
         build_lattice((11,), 2)
-    build_lattice((4, 4), 2, guard=8)
+    monkeypatch.setattr(nlattice, "LATTICE_GUARD", 8)
+    build_lattice((4, 4), 2)
+    with pytest.raises(GuardError, match="exceeds the lattice guard 8"):
+        build_lattice((4, 5), 2)
 
 
 def test_covers_generate_order():
     for dv, n in [((4,), 2), ((2, 2), 1), ((3, 2), 1), ((5,), 2), ((2, 2), 2)]:
         L = build_lattice(dv, n)
-        reach = [0] * L.size
-        for lo, hi in L.covers:
-            reach[lo] |= 1 << hi
-        changed = True
-        while changed:
-            changed = False
-            for i in range(L.size):
-                mask, extra = reach[i], 0
-                for j in range(L.size):
-                    if mask >> j & 1:
-                        extra |= reach[j]
-                if extra | mask != mask:
-                    reach[i] |= extra
-                    changed = True
-        assert tuple(reach) == L.above
-
-
-def test_above_matches_naive_refinement():
-    # I < J iff I != J and every block of I lies inside one block of J
-    for dv, n in GRID + [((3, 3, 2), 1)]:
-        L = build_lattice(dv, n)
-        for i in range(L.size):
-            fine = [set(block) for block in L.elements[i].blocks]
-            for j in range(L.size):
-                coarse = [set(block) for block in L.elements[j].blocks]
-                refines = all(any(b <= c for c in coarse) for b in fine)
-                assert bool(L.above[i] >> j & 1) == (i != j and refines), (dv, n, i, j)
+        assert from_less_pairs(L.size, L.covers) == L.below
 
 
 def test_mobius_examples():
@@ -110,7 +90,7 @@ def test_mobius_recursion_vanishes_everywhere():
 
 def _multi_block_element(L):
     return next(j for j, part in enumerate(L.elements)
-                if sum(len(block) > 1 for block in part.blocks) == 2)
+                if sum(len(block) > 1 for block in part) == 2)
 
 
 def test_corrupted_mobius_value_is_caught():
@@ -124,17 +104,53 @@ def test_corrupted_mobius_value_is_caught():
     # a one-block element disagreeing with another of its column counts
     values = list(mobius(L))
     one_block = [j for j, part in enumerate(L.elements)
-                 if [len(b) for b in part.blocks if len(b) > 1] == [2]]
+                 if [len(b) for b in part if len(b) > 1] == [2]]
     values[one_block[1]] = 5
     with pytest.raises(StructureError, match="one-block elements"):
         _check_multiplicative(L, values)
+
+
+def _refinement_order(L) -> list:
+    """Per element j, the bitmask of the elements i that strictly refine it:
+    i != j and every block of i lies inside one block of j."""
+    size = L.size
+    inside = {}  # (point, v) -> the elements whose block number v holds the point
+    for j, part in enumerate(L.elements):
+        for v, block in enumerate(part):
+            for point in block:
+                inside[point, v] = inside.get((point, v), 0) | 1 << j
+    labels = range(L.ground_size)
+    below = [0] * size
+    for i, part in enumerate(L.elements):
+        coarser = ((1 << size) - 1) ^ (1 << i)  # the j that i strictly refines
+        for block in part:
+            if len(block) > 1:  # a singleton lies inside some block of every j
+                coarser &= reduce(or_, (reduce(and_, (inside.get((p, v), 0) for p in block))
+                                        for v in labels))
+        for j in bits(coarser):
+            below[j] |= 1 << i
+    return below
+
+
+def test_below_matches_naive_refinement():
+    for dv, n in GRID:
+        L = build_lattice(dv, n)
+        assert list(L.below) == _refinement_order(L), (dv, n)
 
 
 @pytest.mark.parametrize("dv, n", [((4, 4), 1), ((3, 3, 2), 1), ((7,), 3),
                                    ((2, 2, 2), 1), ((5,), 1), ((3, 3), 2)])
 def test_below_masks_from_pair_masks_match_the_order(dv, n):
     L = build_lattice(dv, n)
-    assert L.below == FinitePoset(L.elements, L.above).below_masks()
+    below = _refinement_order(L)
+    assert list(L.below) == below
+    # (0-hat, I): the elements other than 0-hat that strictly refine I, in
+    # lattice order, each with the members of the interval that refine it
+    for idx in range(L.size):
+        members = [i for i in range(1, L.size) if below[idx] >> i & 1]
+        bit = {x: 1 << a for a, x in enumerate(members)}
+        expected = tuple(sum(bit[x] for x in bits(below[y]) if x in bit) for y in members)
+        assert lower_interval(L, idx) == expected, idx
 
 
 def test_corrupted_below_mask_is_caught():
@@ -143,19 +159,16 @@ def test_corrupted_below_mask_is_caught():
     below = list(L.below)
     below[j] &= ~1  # drop the bottom, whose Mobius value is 1
     with pytest.raises(StructureError, match="Mobius value"):
-        mobius(NEqualsLattice(L.d, L.n, L.elements, L.above, tuple(below), L.covers))
+        mobius(NEqualsLattice(L.d, L.n, L.elements, tuple(below), L.covers))
 
 
 def test_classify_edges_examples():
     counts = classify_edges(build_lattice((2,), 2))
-    assert counts == {EdgeType.BLOCK_CREATION: 1, EdgeType.SINGLETON_ADDING: 0,
-                      EdgeType.BLOCK_MERGING: 0}
+    assert counts == {"block_creation": 1, "singleton_adding": 0, "block_merging": 0}
     counts = classify_edges(build_lattice((3,), 2))
-    assert counts[EdgeType.BLOCK_CREATION] == 3
-    assert counts[EdgeType.SINGLETON_ADDING] == 3
-    assert counts[EdgeType.BLOCK_MERGING] == 0
+    assert counts == {"block_creation": 3, "singleton_adding": 3, "block_merging": 0}
     counts = classify_edges(build_lattice((4,), 2))
-    assert counts[EdgeType.BLOCK_MERGING] == 3  # the {12}{34} -> {1234} merges
+    assert counts["block_merging"] == 3  # the {12}{34} -> {1234} merges
 
 
 def test_classification_total_on_grid():
@@ -167,7 +180,7 @@ def test_classification_total_on_grid():
 
 def _partition(*blocks):
     """The partition of points of column 1 with these blocks of row indices."""
-    return LatticePartition(tuple(tuple((1, i) for i in b) for b in blocks))
+    return tuple(tuple((1, i) for i in b) for b in blocks)
 
 
 # covers of d = (4,), n = 2 that no lattice has; the last upper element
@@ -183,7 +196,7 @@ def _partition(*blocks):
 ])
 def test_corrupt_cover_is_caught(lower, upper, message):
     elements = (_partition(*lower), _partition(*upper))
-    corrupt = NEqualsLattice((4,), 2, elements, (0b10, 0), (0, 0b1), ((0, 1),))
+    corrupt = NEqualsLattice((4,), 2, elements, (0, 0b1), ((0, 1),))
     with pytest.raises(StructureError, match=message):
         classify_edges(corrupt)
 
@@ -220,22 +233,21 @@ def test_point_count_dimx_scaling():
 
 def test_lower_interval_examples():
     L2 = build_lattice((2,), 2)
-    assert lower_interval(L2, 1).size == 0
-    assert lower_interval(L2, 0).size == 0  # open interval below the bottom
+    assert lower_interval(L2, 1) == ()
+    assert lower_interval(L2, 0) == ()  # open interval below the bottom
     L3 = build_lattice((3,), 2)
-    iv = lower_interval(L3, L3.size - 1)
-    assert iv.size == 3
-    assert iv.above == (0, 0, 0)  # antichain of the three pair-partitions
+    assert lower_interval(L3, L3.size - 1) == (0, 0, 0)  # the three pair-partitions
     for idx in (-1, L3.size):
         with pytest.raises(ValidationError, match="out of range"):
             lower_interval(L3, idx)
 
 
 def test_finite_poset_closure_and_antisymmetry():
-    P = from_less_pairs("abc", [(0, 1), (1, 2)])
+    P = from_less_pairs(3, [(0, 1), (1, 2)])
+    assert P == (0, 0b1, 0b11)
     assert less(P, 0, 2)
     with pytest.raises(ValidationError):
-        from_less_pairs("ab", [(0, 1), (1, 0)])
+        from_less_pairs(2, [(0, 1), (1, 0)])
 
 
 @given(st.integers(0, 1 << 300))
@@ -251,22 +263,23 @@ def random_posets(draw):
                                     st.integers(0, max(n - 1, 0))), max_size=20))
     # orient every pair upward so the closure is antisymmetric
     pairs = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
-    return from_less_pairs(list(range(n)), pairs)
+    return from_less_pairs(n, pairs)
 
 
-def naive_cover_pairs(P):
+def naive_cover_pairs(below):
     """The cover relation by its definition, over every comparable pair:
     i < j with no k such that i < k < j."""
-    below = [sum(1 << i for i in range(P.size) if less(P, i, j))
-             for j in range(P.size)]
-    return [(i, j) for i in range(P.size) for j in bits(P.above[i])
-            if not P.above[i] & below[j]]
+    size = len(below)
+    above = [sum(1 << j for j in range(size) if less(below, i, j))
+             for i in range(size)]
+    return [(i, j) for i in range(size) for j in bits(above[i])
+            if not above[i] & below[j]]
 
 
 @given(random_posets())
 @settings(max_examples=150, deadline=None)
-def test_cover_pairs_match_naive(P):
-    assert P.cover_pairs() == naive_cover_pairs(P)
+def test_cover_pairs_match_naive(below):
+    assert cover_pairs(below) == naive_cover_pairs(below)
 
 
 # the lattices whose covers and interval homology are checked element by element
@@ -276,18 +289,18 @@ PRODUCT_LATTICES = [((2, 2, 2), 1), ((3, 3, 2), 1), ((4, 4), 2), ((7,), 3), ((5,
 @pytest.mark.parametrize("dv, n", PRODUCT_LATTICES)
 def test_lattice_covers_match_naive(dv, n):
     L = build_lattice(dv, n)
-    assert list(L.covers) == naive_cover_pairs(FinitePoset(L.elements, L.above))
+    assert list(L.covers) == naive_cover_pairs(L.below)
 
 
 def test_cover_pairs_need_a_linear_extension():
-    with pytest.raises(StructureError, match="element 1 lies below an element "
-                                             "numbered at or before it"):
-        FinitePoset("ab", (0, 0b1)).cover_pairs()
+    with pytest.raises(StructureError, match="element 0 lies above an element "
+                                             "numbered at or after it"):
+        cover_pairs((0b10, 0))
     # a lattice numbered top first: the same order, not a linear extension
     L = build_lattice((3,), 2)
     top = L.size - 1
     flipped = [0] * L.size
-    for i, mask in enumerate(L.above):
-        flipped[top - i] = sum(1 << (top - j) for j in bits(mask))
-    with pytest.raises(StructureError, match="numbered at or before it"):
-        FinitePoset(L.elements[::-1], tuple(flipped)).cover_pairs()
+    for j, mask in enumerate(L.below):
+        flipped[top - j] = sum(1 << (top - i) for i in bits(mask))
+    with pytest.raises(StructureError, match="numbered at or after it"):
+        cover_pairs(flipped)

@@ -172,7 +172,6 @@ def test_detect_stabilization_flags_moving_tail():
     assert r.stable_from == (0, 2)
     assert r.unstable_positions == (1,)
     assert r.onset is None
-    assert detect_stabilization([(1, 1), (1, 2), (1, 3)], depth=0).onset == 0
 
 
 def test_detect_stabilization_requires_two_vectors():

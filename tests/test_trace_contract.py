@@ -46,6 +46,25 @@ def test_every_import_site_binds_its_wrapped_function():
         assert bound is not None and bound is by_name.get(name), site
 
 
+def _trace(tmp_path, commands) -> tuple:
+    """(the spans that fire, the summed result counts) over traced runs of
+    these commands."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
+    env.pop("ZCC_THREADS", None)
+    fired = set()
+    counts = {}
+    for i, argv in enumerate(commands):
+        spans = tmp_path / f"{i}.json"
+        subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
+                        *argv.split()], env=env, capture_output=True, check=True,
+                       timeout=120)
+        trace = json.loads(spans.read_text(encoding="utf-8"))
+        fired |= {span["name"] for span in trace["spans"] if span["calls"]}
+        for key, value in trace["counts"].items():
+            counts[key] = counts.get(key, 0) + value
+    return fired, counts
+
+
 # Every span the sweep workload expects must fire on these two reports: the
 # first recounts through coprime_pair_census, the second through
 # enumerate_unordered.
@@ -54,16 +73,22 @@ SWEEP_REPORTS = ("report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys X[
 
 
 def test_every_expected_sweep_span_fires(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
-    env.pop("ZCC_THREADS", None)
-    fired = set()
-    for i, argv in enumerate(SWEEP_REPORTS):
-        spans = tmp_path / f"{i}.json"
-        subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
-                        *argv.split()], env=env, capture_output=True, check=True,
-                       timeout=120)
-        trace = json.loads(spans.read_text(encoding="utf-8"))
-        fired |= {span["name"] for span in trace["spans"] if span["calls"]}
+    fired, _counts = _trace(tmp_path, SWEEP_REPORTS)
     expected = table("run.py", "EXPECTED_SPANS")["sweep"]
     assert expected
     assert not set(expected) - fired
+
+
+# Every span the topology workload expects must fire on these two jobs (the
+# second reaches exact_rank), and the counts that traced_cli reads off the
+# lattice and the order complexes must come out positive.
+TOPOLOGY_JOBS = ("lattice --d 3,3,2 --n 1", "betti --d 7 --n 3")
+
+
+def test_every_expected_topology_span_fires(tmp_path):
+    fired, counts = _trace(tmp_path, TOPOLOGY_JOBS)
+    expected = table("run.py", "EXPECTED_SPANS")["topology"]
+    assert expected
+    assert not set(expected) - fired
+    for key in ("nlattice.elements", "nlattice.covers", "homology.facets"):
+        assert counts.get(key, 0) > 0, key

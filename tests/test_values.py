@@ -18,8 +18,6 @@ from zcc.census import CensusSpec
 from zcc.charpoly import ONE, CharPolynomial, parse_charpoly
 from zcc.ffield import FieldSpec, make_field
 from zcc.guards import DEFAULT, UNSAFE, Guards
-from zcc.homology import BettiVector
-from zcc.nlattice import LatticePartition
 from zcc.record import Record, Value
 
 SOURCE = pathlib.Path(zcc.__file__).resolve().parent
@@ -31,8 +29,6 @@ X11 = parse_charpoly("X[1,1]")
 CASES = [
     (FieldSpec, (3, 1, (0,)), (2, 2, (1, 1))),
     (CharPolynomial, (X11.m, X11.terms), (ONE.m, ONE.terms)),
-    (LatticePartition, ((((1, 1), (1, 2)),),), ((((1, 1),), ((1, 2),)),)),
-    (BettiVector, (0, (1, 2)), (1, (1, 2))),
     (CensusSpec, ((2,), 1, F3, X11, "unordered"), ((2,), 1, F3, X11, "burnside")),
     (Guards, DEFAULT.__reduce__()[1], UNSAFE.__reduce__()[1]),
 ]

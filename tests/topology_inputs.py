@@ -1,47 +1,46 @@
 """Small posets and complexes for the tests, built from plain relations.
 
 zcc builds its posets from lattices and its complexes from posets; these
-reach the same types directly: a poset from generating strict relations, the
-order relation of a built poset, and a complex from its facets.  Also the
-Betti numbers of a lattice's complement in one call.
+reach the same types directly: a poset's below masks from generating strict
+relations, the order relation they encode, and a complex from its facets.
+Also the Betti numbers of a lattice's complement in one call.
 """
 
 from zcc.errors import ValidationError
-from zcc.homology import (DEFAULT_FACE_GUARD, BettiVector, SimplicialComplex,
-                          betti_from_contributions, complement_contributions)
-from zcc.nlattice import FinitePoset, NEqualsLattice, bits
+from zcc.homology import (SimplicialComplex, betti_from_contributions,
+                          complement_contributions)
+from zcc.nlattice import NEqualsLattice, bits
 
 
-def from_less_pairs(payloads, pairs) -> FinitePoset:
-    """The poset generated by the strict relations `pairs`; takes the
-    transitive closure."""
-    n = len(payloads)
-    above = [0] * n
+def from_less_pairs(size: int, pairs) -> tuple:
+    """The below masks of the poset on 0 .. size - 1 generated by the strict
+    relations `pairs`; takes the transitive closure."""
+    below = [0] * size
     for i, j in pairs:
-        above[i] |= 1 << j
+        below[j] |= 1 << i
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            mask = above[i]
+        for j in range(size):
+            mask = below[j]
             extra = 0
-            for j in bits(mask):
-                extra |= above[j]
+            for i in bits(mask):
+                extra |= below[i]
             if extra | mask != mask:
-                above[i] = mask | extra
+                below[j] = mask | extra
                 changed = True
-    for i in range(n):
-        if above[i] >> i & 1:
+    for j in range(size):
+        if below[j] >> j & 1:
             raise ValidationError("relation is not antisymmetric")
-    return FinitePoset(tuple(payloads), tuple(above))
+    return tuple(below)
 
 
-def antichain(payloads) -> FinitePoset:
-    return FinitePoset(tuple(payloads), (0,) * len(payloads))
+def antichain(size: int) -> tuple:
+    return (0,) * size
 
 
-def less(poset: FinitePoset, i: int, j: int) -> bool:
-    return bool(poset.above[i] >> j & 1)
+def less(below, i: int, j: int) -> bool:
+    return bool(below[j] >> i & 1)
 
 
 def from_facets(num_vertices: int, facets) -> SimplicialComplex:
@@ -55,7 +54,7 @@ def from_facets(num_vertices: int, facets) -> SimplicialComplex:
     return SimplicialComplex(num_vertices, tuple(maximal))
 
 
-def complement_betti(L: NEqualsLattice, dim_x: int = 1,
-                     guard: int = DEFAULT_FACE_GUARD) -> BettiVector:
-    """Betti numbers of the ordered 0-cycle space over complex affine space."""
-    return betti_from_contributions(complement_contributions(L, dim_x, guard))
+def complement_betti(L: NEqualsLattice, dim_x: int = 1) -> list:
+    """Betti numbers of the ordered 0-cycle space over complex affine space,
+    from degree 0 to the top nonzero one."""
+    return betti_from_contributions(complement_contributions(L, dim_x))
