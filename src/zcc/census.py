@@ -34,18 +34,18 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
-from .ffield import FieldSpec
+from .ffield import FieldSpec, packing
 from .guards import DEFAULT, Guards
-from .nlattice import eval_int_poly
-from .polyarith import factorize, _mul
+from .polyarith import factorize
 from .record import Record, Value
 
 BURNSIDE_DEGREE_GUARD = 8
@@ -111,57 +111,93 @@ def _factored_monics(field: FieldSpec, degree: int, irreducibles: tuple):
     """Every product of the given irreducible keys of the given total degree.
 
     `irreducibles` holds (degree, coeffs) keys in increasing order.  Yields
-    (full vector, factors) with factors the ascending ((degree, coeffs),
-    multiplicity) pairs; each multiset is walked once, its product built by
-    one multiplication from its prefix.
+    (slot, factors, signature): the product's slot in product(range(q),
+    repeat=degree) order, its ascending ((degree, coeffs), multiplicity)
+    factors and their sorted (degree, multiplicity) pairs.  Each multiset is
+    walked once, its product one int multiplication of its prefix's, packed
+    and never reduced until its slot is read.
+
+    The packed lanes never carry: a product of monic factors f_i of total
+    degree d, lifted to Z[x, a], has every coefficient at most
+    prod f_i(1, 1), and f(1, 1) <= 1 + j e (p - 1) <= q^j for f of degree j,
+    so every lane is at most q^d.  Its a-degree is at most d (e - 1).
     """
-    fulls = [list(coeffs) + [1] for _j, coeffs in irreducibles]
-
-    def walk(start, left, vec, factors):
-        if not left:
-            yield vec, factors
-            return
+    if not degree:
+        yield 0, (), ()  # the empty product, 1
+        return
+    kernel = packing(field.p, field.modulus, degree,
+                     degree * (field.e - 1) + 1, field.q ** degree)
+    read = kernel.read
+    lifted = [kernel.lift(coeffs + (1,)) for _j, coeffs in irreducibles]
+    degrees = [j for j, _coeffs in irreducibles]
+    # the multisets still to extend: (first key they may take, degree left,
+    # packed product, factors, signature)
+    stack = [(0, degree, kernel.lift((1,)), (), ())]
+    shared = {}  # one object per distinct signature
+    while stack:
+        start, left, packed, factors, signature = stack.pop()
+        # the products that end in one key of the degree left share a signature
+        last = _grown(signature, (left, 1))
+        last = shared.setdefault(last, last)
+        for i in range(max(start, bisect_left(degrees, left)),
+                       bisect_left(degrees, left + 1)):
+            yield read(packed * lifted[i]), factors + ((irreducibles[i], 1),), last
+        # the others take a key of degree j <= left / 2: m >= 2 copies of it
+        # end them, and fewer leave room for the keys after it (degree >= j)
         for i in range(start, len(irreducibles)):
-            key = irreducibles[i]
-            j = key[0]
-            if j > left:
-                return
-            power = vec
+            j = degrees[i]
+            if 2 * j > left:
+                break
+            power = packed
             for m in range(1, left // j + 1):
-                power = _mul(field, power, fulls[i])
-                yield from walk(i + 1, left - m * j, power, factors + ((key, m),))
+                power *= lifted[i]
+                grown = _grown(signature, (j, m))
+                grown = shared.setdefault(grown, grown)
+                if left == m * j:
+                    yield read(power), factors + ((irreducibles[i], m),), grown
+                elif left - m * j >= j:
+                    stack.append((i + 1, left - m * j, power,
+                                  factors + ((irreducibles[i], m),), grown))
 
-    yield from walk(0, degree, [1], ())
+
+def _grown(signature: tuple, pair: tuple) -> tuple:
+    """The signature with one more (degree, multiplicity) pair, whose degree
+    is at least that of every pair in it: only a pair of the same degree and
+    a higher multiplicity can sort after it."""
+    if signature and signature[-1] > pair:
+        return tuple(sorted(signature + (pair,)))
+    return signature + (pair,)
 
 
 @lru_cache(maxsize=None)
 def _factor_table(field: FieldSpec, degree: int) -> tuple:
-    """The sorted ((degree, coeffs), multiplicity) factors of every monic
-    polynomial of the given degree, in product(range(q), repeat=degree)
-    order, built as the products of the irreducibles of lower degree; the
-    slots left over are this degree's irreducibles, each its own factor.
+    """(records, signatures) of every monic polynomial of the given degree,
+    in product(range(q), repeat=degree) order: its sorted ((degree, coeffs),
+    multiplicity) factors and their sorted (degree, multiplicity) pairs,
+    built as the products of the irreducibles of lower degree; the slots left
+    over are this degree's irreducibles, each its own factor.
 
     Checked: no two products coincide, and M_degree(q) slots are left over.
     """
     q = field.q
     lower = tuple(key for j in range(1, degree) for key in _irreducibles(field, j))
     table = [None] * q ** degree
-    for vec, factors in _factored_monics(field, degree, lower):
-        # the slot in product(range(q), repeat=degree) order: the non-leading
-        # coefficients are base-q digits, the constant term the most significant
-        slot = eval_int_poly(vec[-2::-1], q)
+    signatures = [((degree, 1),)] * q ** degree
+    for slot, factors, signature in _factored_monics(field, degree, lower):
         if table[slot] is not None:
             raise InconsistencyError(
                 f"two factorizations give the monic polynomial in slot {slot}")
         table[slot] = factors
+        signatures[slot] = signature
     found = table.count(None)
     expected = necklace_count(q, degree) if degree else 0  # 1 is a unit
     if found != expected:
         raise InconsistencyError(
             f"found {found} irreducibles of degree {degree} over F_{q}, "
             f"not M_{degree}(q) = {expected}")
-    return tuple((((degree, _slot_coeffs(slot, q, degree)), 1),) if factors is None
-                 else factors for slot, factors in enumerate(table))
+    records = tuple((((degree, coeffs), 1),) if factors is None else factors
+                    for factors, coeffs in zip(table, product(range(q), repeat=degree)))
+    return records, tuple(signatures)
 
 
 def _slot_coeffs(slot: int, q: int, degree: int) -> tuple:
@@ -174,13 +210,8 @@ def _slot_coeffs(slot: int, q: int, degree: int) -> tuple:
 def _irreducibles(field: FieldSpec, degree: int) -> tuple:
     """The monic irreducibles of the given degree >= 1 as ascending (degree,
     coeffs) keys: the factor-table slots whose factor has the full degree."""
-    return tuple(factors[0][0] for factors in _factor_table(field, degree)
+    return tuple(factors[0][0] for factors in _factor_table(field, degree)[0]
                  if factors[0][0][0] == degree)
-
-
-def _signature(factors: tuple) -> tuple:
-    """The sorted (degree, multiplicity) pairs of a record's factors."""
-    return tuple(sorted((key[0], m) for key, m in factors))
 
 
 def _check_point_guard(q: int, size: int, guard: int, hint: str = "") -> None:
@@ -218,7 +249,7 @@ def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
     record that `seed` picks equals its factorization by `factorize`.  The
     seed never changes the records, only which one is checked.
     """
-    table = _factor_table(field, degree)
+    table = _factor_table(field, degree)[0]
     slot = _spot_slot(seed, len(table))
     coeffs = _slot_coeffs(slot, field.q, degree)
     if factorize(field, coeffs, seed=seed) != table[slot]:
@@ -258,13 +289,23 @@ def averaged_class_value(P: CharPolynomial, signatures: tuple) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _column_groups(records, n: int) -> dict:
+def _column_groups(records, signatures, n: int) -> dict:
     """The records grouped by signature, then by n-fold radical set:
-    signature -> {radical set: multiplicity}."""
-    groups = defaultdict(Counter)
-    for factors in records:
-        groups[_signature(factors)][frozenset(key for key, m in factors if m >= n)] += 1
-    return dict(groups)
+    signature -> {radical set: multiplicity}.  The records of a signature
+    whose top multiplicity is below n all have the empty radical set, so
+    only the others are read."""
+    groups = {}
+    tall = set()  # the signatures with a multiplicity >= n
+    for signature, count in Counter(signatures).items():
+        if max((m for _j, m in signature), default=0) < n:
+            groups[signature] = Counter({_EMPTY: count})
+        else:
+            groups[signature] = Counter()
+            tall.add(signature)
+    for factors, signature in compress(zip(records, signatures),
+                                       map(tall.__contains__, signatures)):
+        groups[signature][frozenset(key for key, m in factors if m >= n)] += 1
+    return groups
 
 
 def _point_index(keys) -> dict:
@@ -331,7 +372,8 @@ def _fold(columns) -> Counter:
 def _member_histogram(field, d, n, seed=0) -> Counter:
     """Per-column signature tuple -> number of member tuples; columns of
     equal degree share one grouping of their record table."""
-    groups = {dk: _column_groups(poly_records(field, dk, seed), n) for dk in set(d)}
+    groups = {dk: _column_groups(poly_records(field, dk, seed),
+                                 _factor_table(field, dk)[1], n) for dk in set(d)}
     return _fold([groups[dk] for dk in d])
 
 
@@ -461,7 +503,7 @@ def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus
     total = sum((w * evaluate(spec.poly, ctype) * fixed
                  for ctype, w, fixed in classes), Fraction(0))
     if count.denominator != 1:
-        raise ValidationError("burnside point count is not an integer")
+        raise InconsistencyError("burnside point count is not an integer")
     return WeightedCensus(spec, total, int(count), "burnside-frobenius",
                           time.perf_counter() - t0)
 
@@ -491,9 +533,9 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     t0 = time.perf_counter()
     q = field.q
     d_other = d[1 - col]
-    records = poly_records(field, d[col], factor_seed)
+    poly_records(field, d[col], factor_seed)
     histogram = Counter()
-    for sig, mult in Counter(map(_signature, records)).items():
+    for sig, mult in Counter(_factor_table(field, d[col])[1]).items():
         # inclusion-exclusion over the sets of distinct factors, one factor
         # per (degree, multiplicity) pair of the signature; the other column
         # enters the signature tuple as `()`, since P does not read it

@@ -4,8 +4,10 @@ Elements are represented by their coordinate vector in the power basis of a
 canonical modulus: the lexicographically least monic irreducible of degree e
 over F_p, coefficients compared low-to-high degree.  An element is that
 vector packed into a single raw int (base-p digits, constant term least
-significant), which keeps prime-field arithmetic at native speed;
-FieldSpec.decode and encode convert between the two forms.
+significant), which keeps prime-field arithmetic at native speed.  Products
+over F_{p^e}, of elements and of polynomials, go through one kernel,
+`Packing`: the base-p digits are lifted to integer lanes of one int, so one
+int product multiplies them.
 
 Deterministic by construction: the same (p, e) always yields the same
 modulus, so serialized data round-trips across runs.
@@ -89,22 +91,6 @@ class FieldSpec(Value):
     def q(self) -> int:
         return self.p ** self.e
 
-    # -- packing ------------------------------------------------------------
-
-    def decode(self, raw: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            raw, r = divmod(raw, p)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, coeffs) -> int:
-        raw = 0
-        for c in reversed(coeffs):
-            raw = raw * self.p + c
-        return raw
-
     # -- arithmetic on raw ints ----------------------------------------------
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
@@ -119,7 +105,7 @@ class FieldSpec(Value):
             mult *= p
         return out
 
-    # the prime-field one-liners are the hot path of every record table
+    # the prime-field one-liners are the hot path of polynomial division
     def add_raw(self, a: int, b: int) -> int:
         return (a + b) % self.p if self.e == 1 else self._digitwise(a, b, 1)
 
@@ -127,27 +113,12 @@ class FieldSpec(Value):
         return (a - b) % self.p if self.e == 1 else self._digitwise(a, b, -1)
 
     def mul_raw(self, a: int, b: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (a * b) % p
-        if a == 0 or b == 0:
-            return 0
-        va = self.decode(a)
-        vb = self.decode(b)
-        e = self.e
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(va):
-            if ai:
-                for j, bj in enumerate(vb):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        mod = self.modulus
-        for k in range(2 * e - 2, e - 1, -1):
-            c = conv[k]
-            if c:
-                conv[k] = 0
-                for i, mi in enumerate(mod):
-                    conv[k - e + i] = (conv[k - e + i] - c * mi) % p
-        return self.encode(conv[:e])
+            return (a * b) % self.p
+        # 2e - 1 lanes, each a sum of at most e products of digits below p
+        kernel = packing(self.p, self.modulus, 1, 2 * self.e - 1,
+                         self.e * (self.p - 1) ** 2)
+        return kernel.read(kernel.lift((a,)) * kernel.lift((b,)))
 
     def pow_raw(self, a: int, k: int) -> int:
         if k < 0:
@@ -168,6 +139,87 @@ class FieldSpec(Value):
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow_raw(a, self.q - 2)
+
+
+# ---------------------------------------------------------------------------
+# Packed integer products: the one multiplication kernel
+# ---------------------------------------------------------------------------
+
+
+class Packing:
+    """Polynomials over F_{p^e} packed into ints, so that one int product
+    multiplies them.
+
+    A polynomial lifts to Z[x, a], each coefficient's base-p digits becoming
+    its a-coefficients, and packs into one int by Kronecker substitution:
+    a = 2^width, x = 2^(width * lanes).  An int product of packed
+    polynomials is their exact product over Z while every a-degree stays
+    below `lanes` and no lane exceeds the caller's `bound`.  `read`
+    multiplies it by `fold`, the rows a^k mod m(a) laid out so that one lane
+    per base-p digit of each of the first `count` coefficients receives that
+    digit's folded sum, and takes those lanes mod p.  A lane of the folded
+    product sums at most one row digit (below p, and a unit digit in the
+    rows k < e) times a lane per row, so `width` holds
+    bound * (1 + (lanes - e) * (p - 1)) and nothing carries.
+    """
+
+    __slots__ = ("p", "width", "stride", "mask", "fold", "shifts")
+
+    def __init__(self, p: int, modulus: tuple, count: int, lanes: int, bound: int):
+        e = len(modulus)
+        self.p = p
+        self.width = width = (bound * (1 + (lanes - e) * (p - 1))).bit_length()
+        self.stride = lanes * width
+        self.mask = (1 << width) - 1
+        rows = [(1,) + (0,) * (e - 1)]  # the digits of a^k mod m(a)
+        for _ in range(1, lanes):
+            top = rows[-1][-1]
+            rows.append(tuple((low - top * c) % p for low, c in
+                              zip((0,) + rows[-1][:-1], modulus)))
+        # Digit j of row k sits at lane lanes - 1 - k + j * span of fold, so
+        # lane i * lanes + k of a product meets it at lane
+        # i * lanes + lanes - 1 + j * span, and nothing else does: a span of
+        # (count + 2) * lanes - 1 keeps the digits apart for products of up
+        # to count + 1 x-coefficients (the census reads all but the leading 1).
+        span = (count + 2) * lanes - 1
+        self.fold = sum(row[j] << ((lanes - 1 - k + j * span) * width)
+                        for k, row in enumerate(rows) for j in range(e))
+        # most significant first: the constant's top digit down to the last
+        # coefficient's lowest
+        self.shifts = tuple((i * lanes + lanes - 1 + j * span) * width
+                            for i in range(count) for j in reversed(range(e)))
+
+    def lift(self, poly) -> int:
+        """The packed lift of a dense polynomial (raw ints, low-to-high)."""
+        p, width, stride = self.p, self.width, self.stride
+        packed = 0
+        for c in reversed(poly):
+            packed <<= stride
+            shift = 0
+            while c:
+                c, digit = divmod(c, p)
+                packed |= digit << shift
+                shift += width
+        return packed
+
+    def read(self, packed: int) -> int:
+        """The first `count` coefficients of the reduced product read as one
+        base-q number, the constant term the most significant: the raw
+        element itself for count 1."""
+        folded = packed * self.fold
+        p, mask = self.p, self.mask
+        value = 0
+        for shift in self.shifts:
+            value = value * p + (folded >> shift & mask) % p
+        return value
+
+
+@lru_cache(maxsize=None)
+def packing(p: int, modulus: tuple, count: int, lanes: int, bound: int) -> Packing:
+    """The Packing of F_{p^e}, e = len(modulus), for products whose lanes are
+    at most `bound`, reading their first `count` coefficients.  Keyed by the
+    field's own fields: hashing a FieldSpec costs about a microsecond."""
+    return Packing(p, modulus, count, lanes, bound)
 
 
 def make_field(p: int, e: int = 1, size_guard: int = DEFAULT.field) -> FieldSpec:

@@ -15,8 +15,8 @@ class Guards(Value):
 # field: it stays finite under --unsafe-guard because the canonical-modulus
 # search grows fast with q: about 3 s for 2^24 and more than two minutes for
 # 2^30 on a 2-vCPU Xeon VM.
-# records: a record takes about 0.3 kB (q = 2, counting the lower-degree
-# tables that stay cached) and 0.55 kB while a census groups its radical
+# records: a record takes about 0.31 kB (q = 2, counting the lower-degree
+# tables that stay cached) and 0.56 kB while a census groups its radical
 # sets, so the default keeps a census's records under 150 MiB and the unsafe
 # one under 600 MiB.
 # series: states^2 coefficient products in each of the Euler route's passes

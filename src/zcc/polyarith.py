@@ -17,12 +17,9 @@ factorizations are reproducible across runs and processes.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:  # ffield runs its modulus search on this module's kernel
-    from .ffield import FieldSpec
+from .ffield import FieldSpec, packing
 
 # ---------------------------------------------------------------------------
 # Dense vector arithmetic (raw coefficient lists, low-to-high, trimmed)
@@ -62,14 +59,17 @@ def _scale(F: FieldSpec, a, c):
 
 
 def _mul(F: FieldSpec, a, b):
+    """a * b by one int product on the packed kernel: a coefficient of the
+    lifted product sums at most min(len) * e products of digits below p."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add_raw(out[i + j], F.mul_raw(ai, bj))
+    n = len(a) + len(b) - 1
+    kernel = packing(F.p, F.modulus, n, 2 * F.e - 1,
+                     min(len(a), len(b)) * F.e * (F.p - 1) ** 2)
+    value = kernel.read(kernel.lift(a) * kernel.lift(b))
+    out = [0] * n
+    for i in reversed(range(n)):
+        value, out[i] = divmod(value, F.q)
     return _trim(out)
 
 

@@ -7,12 +7,14 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_reference import decode, encode
 from zcc import census, ffield
 from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
                         coprime_pair_census, enumerate_ordered,
                         enumerate_unordered, necklace_count,
                         poly_records, run_census)
 from zcc.charpoly import ONE, parse_charpoly, partitions_of
+from zcc.cli import run as cli_run
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
 from zcc.guards import DEFAULT, Guards
@@ -224,7 +226,7 @@ def subfield_embedding(base, ext):
     for (j, coeffs), _m in factorize(ext, base.modulus):
         assert j == 1, "modulus does not split in the extension"
         roots.append(ext.sub_raw(0, coeffs[0]))
-    root = min(roots, key=ext.decode)
+    root = min(roots, key=lambda raw: decode(ext, raw))
     powers = [1]
     for _ in range(base.e - 1):
         powers.append(ext.mul_raw(powers[-1], root))
@@ -237,10 +239,10 @@ def twisted_choice_walk(base, j):
     polynomial over F_q built in the extension field and mapped back: the
     reference for the tallied choice table."""
     ext = make_field(base.p, base.e * j)
-    columns = [ext.decode(w) for w in subfield_embedding(base, ext)]
+    columns = [decode(ext, w) for w in subfield_embedding(base, ext)]
 
     def back(raw):
-        return base.encode(solve_mod_p(columns, ext.decode(raw), base.p))
+        return encode(base, solve_mod_p(columns, decode(ext, raw), base.p))
 
     out = []
     for x in range(ext.q):
@@ -444,10 +446,10 @@ def test_corrupt_record_is_caught(fresh_tables, monkeypatch):
     walk = census._factored_monics
 
     def corrupting(field, degree, irreducibles):
-        for vec, factors in walk(field, degree, irreducibles):
-            if vec == [1, 3, 3, 1]:  # (x+1)^3, slot 1*25 + 3*5 + 3
+        for slot, factors, signature in walk(field, degree, irreducibles):
+            if slot == 43:  # (x+1)^3 = x^3 + 3x^2 + 3x + 1, slot 1*25 + 3*5 + 3
                 factors = factors + (((3, (1, 1, 1)), 1),)
-            yield vec, factors
+            yield slot, factors, signature
 
     monkeypatch.setattr(census, "_factored_monics", corrupting)
     seed = next(s for s in range(10 ** 4) if census._spot_slot(s, 5 ** 3) == 43)
@@ -459,10 +461,10 @@ def test_wrong_product_is_caught(fresh_tables, monkeypatch):
     walk = census._factored_monics
 
     def shifting(field, degree, irreducibles):
-        for vec, factors in walk(field, degree, irreducibles):
-            if vec == [1, 1, 1, 1]:  # (x+1)^3 lands on x^3's slot
-                vec = [0, 0, 0, 1]
-            yield vec, factors
+        for slot, factors, signature in walk(field, degree, irreducibles):
+            if slot == 7:  # (x+1)^3 = x^3 + x^2 + x + 1 lands on x^3's slot
+                slot = 0
+            yield slot, factors, signature
 
     monkeypatch.setattr(census, "_factored_monics", shifting)
     with pytest.raises(InconsistencyError, match="two factorizations"):
@@ -527,3 +529,19 @@ def test_record_guard_never_forms_the_power():
     with pytest.raises(GuardError,
                        match="^at least 3\\^1000000 polynomial records exceed guard 262144$"):
         census._check_record_guard(F3, (2, 10 ** 6), DEFAULT.records)
+
+
+def test_fractional_burnside_count_is_an_inconsistency(monkeypatch, capsys):
+    # a class table whose weighted fixed-point count is not an integer is an
+    # internal inconsistency (exit 2), not bad input (exit 1)
+    def fractional(field, d, n):
+        return ((((2,),), Fraction(1, 2), 1),)
+
+    monkeypatch.setattr(census, "_burnside_fixed", fractional)
+    with pytest.raises(InconsistencyError,
+                       match="^burnside point count is not an integer$"):
+        burnside_count(spec((2,), 1, F3, ONE, "burnside"))
+    assert cli_run(["count", "--d", "2", "--n", "1", "--q", "3", "--mode", "burnside"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: burnside point count is not an integer\n"

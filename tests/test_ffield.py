@@ -1,9 +1,11 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_reference import convolution_mul_raw, decode, encode
 from zcc.errors import ValidationError
 from zcc.ffield import _canonical_modulus, is_prime, make_field, prime_power
 from zcc.guards import UNSAFE
@@ -75,11 +77,11 @@ def test_enumerate_is_lex_and_complete():
     # order read from the top coordinate down; encode inverts decode
     for p, e in SMALL_FIELDS:
         F = make_field(p, e)
-        els = [F.decode(x) for x in range(F.q)]
+        els = [decode(F, x) for x in range(F.q)]
         assert els[0] == (0,) * e
         assert sorted(els) == sorted(product(range(p), repeat=e))
         assert [x[::-1] for x in els] == sorted(x[::-1] for x in els)
-        assert [F.encode(x) for x in els] == list(range(F.q))
+        assert [encode(F, x) for x in els] == list(range(F.q))
 
 
 def test_element_sum_pairs_to_zero():
@@ -92,7 +94,7 @@ def test_element_sum_pairs_to_zero():
 
 def test_spec_arithmetic_examples():
     F4 = make_field(2, 2)
-    t = F4.encode((0, 1))
+    t = encode(F4, (0, 1))
     assert t == 2
     assert F4.mul_raw(t, F4.add_raw(t, 1)) == 1  # t(t+1) = t^2+t = 1
     assert F4.pow_raw(t, 4) == t
@@ -100,8 +102,8 @@ def test_spec_arithmetic_examples():
     assert F3.inv_raw(2) == 2
     assert F3.sub_raw(0, 1) == 2
     F9 = make_field(3, 2)
-    assert F9.decode(F9.encode((2, 1))) == (2, 1)
-    assert F9.sub_raw(0, F9.encode((2, 1))) == F9.encode((1, 2))
+    assert decode(F9, encode(F9, (2, 1))) == (2, 1)
+    assert F9.sub_raw(0, encode(F9, (2, 1))) == encode(F9, (1, 2))
 
 
 def test_axioms_exhaustive_small_fields():
@@ -160,3 +162,25 @@ def test_frobenius_is_additive(data):
 
     assert frob(F.add_raw(a, b)) == F.add_raw(frob(a), frob(b))
     assert frob(F.mul_raw(a, b)) == F.mul_raw(frob(a), frob(b))
+
+
+# -- the packed multiplication kernel -------------------------------------------
+
+EXTENSIONS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+              for e in range(2, 10) if p ** e <= 3 ** 6]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS, ids=lambda v: str(v))
+def test_mul_raw_matches_the_convolution(p, e):
+    # every pair up to q = 256 (unordered: the int product is commutative),
+    # and above that a seeded sample of 4,000 pairs; every pair up to
+    # 3^6 = 729 would cost about 7 s more
+    F = make_field(p, e)
+    q = F.q
+    if q <= 256:
+        pairs = [(a, b) for a in range(q) for b in range(a, q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(4000)]
+    assert ([F.mul_raw(a, b) for a, b in pairs]
+            == [convolution_mul_raw(F, a, b) for a, b in pairs])

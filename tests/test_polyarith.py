@@ -1,13 +1,15 @@
+import random
 from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcc.census import _signature
+from field_reference import schoolbook_mul
 from zcc.errors import ValidationError
-from zcc.ffield import make_field
-from zcc.polyarith import (_gcd, _mul, _rem, factorize,
+from zcc.ffield import make_field, packing
+from zcc.guards import DEFAULT
+from zcc.polyarith import (_gcd, _mul, _rem, _trim, factorize,
                            squarefree_decomposition)
 
 F2 = make_field(2)
@@ -20,6 +22,11 @@ X1 = [1, 1]
 X2 = [2, 1]
 X2_1 = [1, 0, 1]     # x^2 + 1, irreducible over F_3
 X1_SQ = [1, 2, 1]    # (x + 1)^2 over F_3
+
+
+def signature(factors):
+    """The sorted (degree, multiplicity) pairs of a record's factors."""
+    return tuple(sorted((key[0], m) for key, m in factors))
 
 
 def expand(field, factors):
@@ -111,15 +118,15 @@ def test_cycle_type_examples():
     # Frobenius permutes the roots with one j-cycle per root of a degree-j
     # factor; a record's signature lists those (j, multiplicity) pairs
     mixed = _mul(F3, X2_1, X1_SQ)
-    assert _signature(factorize(F3, mixed[:-1])) == ((1, 2), (2, 1))  # (2, 1, 1)
-    assert _signature(factorize(F2, (1, 1, 0, 0))) == ((4, 1),)
+    assert signature(factorize(F3, mixed[:-1])) == ((1, 2), (2, 1))  # (2, 1, 1)
+    assert signature(factorize(F2, (1, 1, 0, 0))) == ((4, 1),)
     split = _mul(F3, _mul(F3, [0, 1], X1), X2)
-    assert _signature(factorize(F3, split[:-1])) == ((1, 1), (1, 1), (1, 1))
+    assert signature(factorize(F3, split[:-1])) == ((1, 1), (1, 1), (1, 1))
 
 
 def test_cycle_type_sums_to_degree():
     for coeffs in product(range(2), repeat=6):
-        assert sum(j * m for j, m in _signature(factorize(F2, coeffs))) == 6
+        assert sum(j * m for j, m in signature(factorize(F2, coeffs))) == 6
 
 
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
@@ -142,3 +149,47 @@ def test_gcd_divides_both(c1, c2):
     assert h[-1] == 1
     assert _rem(F3, f, h) == []
     assert _rem(F3, g, h) == []
+
+
+# -- the packed product against the schoolbook one ------------------------------
+
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F4, F8, F9], ids=lambda F: f"F{F.q}")
+def test_mul_matches_schoolbook(field):
+    rng = random.Random(field.q)
+    for _ in range(300):
+        a = [rng.randrange(field.q) for _ in range(rng.randrange(0, 12))]
+        b = [rng.randrange(field.q) for _ in range(rng.randrange(0, 12))]
+        a, b = _trim(a), _trim(b)
+        assert _mul(field, a, b) == schoolbook_mul(field, a, b)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F4, F8, F9], ids=lambda F: f"F{F.q}")
+def test_mul_fills_its_lanes_exactly(field):
+    # every digit p - 1: the middle lanes of the product reach the bound
+    # min(len) * e * (p - 1)^2 itself, so a lane one bit narrower carries
+    top = field.q - 1
+    for n in range(1, 20):
+        a, b = [top] * n, [top] * (n + 3)
+        assert _mul(field, a, b) == schoolbook_mul(field, a, b)
+
+
+@pytest.mark.parametrize("field", [F2, make_field(3), F4, F8, F9], ids=lambda F: f"F{F.q}")
+def test_record_walk_lanes_never_carry(field):
+    # the census walk's packing at the largest degree the record guard admits,
+    # on the product of d linear factors whose lifted digits are all p - 1
+    q = field.q
+    d = max(k for k in range(1, 40) if q ** k <= DEFAULT.records)
+    kernel = packing(field.p, field.modulus, d, d * (field.e - 1) + 1, q ** d)
+    linear = [q - 1, 1]
+    packed, expected = kernel.lift([1]), [1]
+    for _ in range(d):
+        packed *= kernel.lift(linear)
+        expected = schoolbook_mul(field, expected, linear)
+    slot = 0  # the coefficients as base-q digits, the constant most significant
+    for c in expected[:-1]:
+        slot = slot * q + c
+    assert kernel.read(packed) == slot

@@ -92,3 +92,20 @@ def test_every_expected_topology_span_fires(tmp_path):
     assert not set(expected) - fired
     for key in ("nlattice.elements", "nlattice.covers", "homology.facets"):
         assert counts.get(key, 0) > 0, key
+
+
+# Every span the census workload expects must fire on these jobs: a count
+# over an extension field, a weighted census, the Burnside and ordered
+# routes, and verify.
+CENSUS_JOBS = ("count --d 2,2 --n 1 --q 4",
+               "weighted --d 2,1 --n 1 --q 3 --poly X[1,1]^2-X[2,1]",
+               "count --d 2,1 --n 1 --q 3 --mode burnside",
+               "count --d 2,2 --n 1 --q 2 --mode ordered",
+               "verify")
+
+
+def test_every_expected_census_span_fires(tmp_path):
+    fired, _counts = _trace(tmp_path, CENSUS_JOBS)
+    expected = table("run.py", "EXPECTED_SPANS")["census"]
+    assert expected
+    assert not set(expected) - fired
