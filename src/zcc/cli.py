@@ -281,17 +281,16 @@ def _cmd_betti(args) -> int:
 def _cmd_interpolate(args) -> int:
     from .stabkit import interpolate_in_q, normalized_coefficients
     samples = _parse_samples(args.samples)
-    poly = interpolate_in_q(samples, expected_degree=args.expected_degree)
+    coeffs = interpolate_in_q(samples, expected_degree=args.expected_degree)
     payload = {
-        "samples": [[q, str(v)] for q, v in poly.samples],
-        "degree": poly.degree,
-        "coefficients": [str(c) for c in poly.coefficients],
+        "samples": [[q, str(v)] for q, v in sorted(samples)],
+        "degree": len(coeffs) - 1,
+        "coefficients": [str(c) for c in coeffs],
     }
     if args.topdim is not None:
         payload["normalized"] = [
-            str(c) for c in normalized_coefficients(poly, args.topdim)]
-    rows = [["power", "coefficient"]] + [
-        [k, str(c)] for k, c in enumerate(poly.coefficients)]
+            str(c) for c in normalized_coefficients(coeffs, args.topdim)]
+    rows = [["power", "coefficient"]] + [[k, str(c)] for k, c in enumerate(coeffs)]
     _emit(args, payload, rows)
     return 0
 
@@ -376,10 +375,9 @@ def _cmd_report(args) -> int:
     reports = {}
     for text in poly_texts:
         poly = parse_charpoly(text, m=m)
-        rep = lefschetz_report(d_list, n, m, poly, q_list,
-                               truncation=truncation, guards=args.guards,
-                               factor_seed=args.factor_seed)
-        reports[text] = rep.to_json_dict()
+        reports[text] = lefschetz_report(d_list, n, m, poly, q_list,
+                                         truncation=truncation, guards=args.guards,
+                                         factor_seed=args.factor_seed)
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
         for pt in reports[text]["points"]:

@@ -6,9 +6,11 @@ number over Q is at least 0, so a degree whose mod-2 Betti number is 0 pins
 the ranks over Q of both its boundaries to their mod-2 ranks.  Only a
 boundary between two degrees with mod-2 homology is ranked again over Q, by
 incremental echelon reduction in integers with unit (+-1) pivots; Fractions
-enter only as a fallback, for a row with no unit entry left.  The Betti
-numbers of the ordered 0-cycle space over complex affine space are assembled
-from the homology of the open lattice intervals (0-hat, I).
+enter only as a fallback, for a row with no unit entry left.  Each rank over
+Q is witnessed modulo two word-size primes: a rank mod p never exceeds it, so
+it is refuted when both primes give another rank.  The Betti numbers of the
+ordered 0-cycle space over complex affine space are assembled from the
+homology of the open lattice intervals (0-hat, I).
 
 Only a few intervals are computed directly: one per one-block column-count
 shape (the first element whose only non-singleton block has those counts),
@@ -20,7 +22,9 @@ homeomorphisms of posets", 1988), so every other interval's homology follows
 by the product rule H~_r = sum_{i + j = r - 2} h_i * h'_j.  The spot check
 raises if the rule disagrees with the direct computation, and every
 interval's reduced Euler characteristic is checked against its Mobius value
-(Philip Hall's theorem) at run time.
+(Philip Hall's theorem) at run time.  When every subspace is an
+intersection of hyperplanes (n * m <= 2, dim_x = 1) the Betti numbers must
+also be those Orlik-Solomon read off the point count N(q).
 
 An element I of codimension cd (real codimension of its subspace,
 2 * dim_x * (|d| - #blocks)) contributes its reduced homology in degree
@@ -39,12 +43,14 @@ from heapq import heapify, heappop, heappush
 
 from .errors import GuardError, StructureError, ValidationError
 from .nlattice import (NEqualsLattice, bits, block_shapes, cover_pairs,
-                       lower_interval, mobius)
+                       lower_interval, mobius, point_count_polynomial)
 from .record import Record
 
 # The face guard on every order complex, never lifted.  Read at call time, so
 # tests can lower it.
 FACE_GUARD = 10 ** 5
+# Every rank over Q is checked modulo these primes (see reduced_homology_ranks).
+WITNESS_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)
 
 
 class SimplicialComplex(Record):
@@ -152,6 +158,29 @@ def rank_mod2(rows) -> int:
     return len(pivots)
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of integer row dicts {col: value}, by elimination on
+    each row's largest column; never above the rank over Q."""
+    pivots: dict = {}  # pivot column -> its row, scaled so that entry is 1
+    for row in sorted(rows, key=len):
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inverse = pow(row[col], -1, p)
+                pivots[col] = {c: v * inverse % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                new = (row.get(c, 0) - factor * v) % p
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def _betti(counts, ranks) -> list:
     """Betti numbers from degree -1, from face counts and boundary ranks."""
     betti = [c - ranks[i] - ranks[i + 1] for i, c in enumerate(counts)]
@@ -196,13 +225,27 @@ def reduced_homology_ranks(K: SimplicialComplex) -> dict:
 
     counts = [1] + [len(level) for level in faces]  # by degree + 1, like ranks
     betti_mod2 = _betti(counts, ranks)
+    ranked = {}  # boundary -> its integer rows, ranked over Q
     for k in range(1, maxdim + 1):
         if betti_mod2[k] and betti_mod2[k + 1]:
             index = {face: i for i, face in enumerate(faces[k - 1])}
-            ranks[k + 1] = exact_rank(
-                [{index[face[:i] + face[i + 1:]]: (-1) ** i for i in range(k + 1)}
-                 for face in faces[k]])
-    return {k - 1: b for k, b in enumerate(_betti(counts, ranks)) if b}
+            ranked[k + 1] = [{index[face[:i] + face[i + 1:]]: (-1) ** i
+                              for i in range(k + 1)} for face in faces[k]]
+            ranks[k + 1] = exact_rank(ranked[k + 1])
+    betti = _betti(counts, ranks)
+    # rank mod p never exceeds the rank over Q and equals it for all but
+    # finitely many p, so two primes that both disagree refute the rank
+    for j, rows in ranked.items():
+        witnesses = {}
+        for p in WITNESS_PRIMES:
+            witnesses[p] = rank_mod_p(rows, p)
+            if witnesses[p] == ranks[j]:
+                break
+        else:
+            found = " and ".join(f"{r} modulo {p}" for p, r in witnesses.items())
+            raise StructureError(
+                f"a boundary of rank {ranks[j]} over Q has rank {found}")
+    return {k - 1: b for k, b in enumerate(betti) if b}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +304,10 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
     every other interval follows by `product_rule`; the first element with
     two or more non-singleton blocks is also computed directly, and must
     agree.  Every interval is checked against Philip Hall's theorem: the
-    reduced Euler characteristic of (0-hat, I) equals mu(0-hat, I).
+    reduced Euler characteristic of (0-hat, I) equals mu(0-hat, I).  For a
+    hyperplane arrangement the summed Betti numbers are checked against
+    Orlik-Solomon, which catches an error that keeps every Euler
+    characteristic.
     """
     if dim_x < 1:
         raise ValidationError("dim_x must be >= 1")
@@ -302,6 +348,18 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
                     f"lands in cohomological degree {i}")
             contrib[i] = contrib.get(i, 0) + r
         out.append((idx, cd, contrib))
+    if dim_x == 1 and L.m * L.n <= 2:
+        # every subspace is then an intersection of hyperplanes, whose Betti
+        # numbers Orlik-Solomon read off the point count N(q) from mu:
+        # b_c = (-1)^c [q^(|d| - c)] N(q)
+        N = point_count_polynomial(L, 1, mu)
+        expected = [(-1) ** c * N[-1 - c] for c in range(len(N))]
+        while expected[-1] == 0:
+            expected.pop()
+        betti = betti_from_contributions(out)
+        if betti != expected:
+            raise StructureError(f"Betti numbers {betti}, but Orlik-Solomon "
+                                 f"gives {expected} from the Mobius function")
     return out
 
 

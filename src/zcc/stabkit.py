@@ -22,8 +22,6 @@ from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
 from .guards import DEFAULT, Guards
 from .nlattice import eval_int_poly
-from .polyarith import _trim as _trim_zeros
-from .record import Record
 
 # normalized_coefficients lists topdim + 1 coefficients
 TOPDIM_GUARD = 10 ** 6
@@ -47,18 +45,6 @@ TAIL_NOTE = ("series tail beyond the computed truncation is controlled by the "
 # ---------------------------------------------------------------------------
 
 
-class InterpolatedPolynomial(Record):
-    __slots__ = {"coefficients": "Fractions, low-to-high, trimmed",
-                 "samples": "((q, value), ...) as supplied (sorted by q)"}
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, q) -> Fraction:
-        return Fraction(eval_int_poly(self.coefficients, q))
-
-
 def _newton(points) -> list:
     """Exact interpolation by Newton's divided differences, expanded by
     Horner's rule in the Newton basis; returns low-to-high coefficients."""
@@ -76,11 +62,16 @@ def _newton(points) -> list:
 
 
 def _trim(coeffs) -> tuple:
-    return tuple(_trim_zeros(list(coeffs))) or (Fraction(0),)
+    """The coefficients without trailing zeros; the zero polynomial is (0,)."""
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
-def interpolate_in_q(samples, expected_degree: int | None = None) -> InterpolatedPolynomial:
-    """Interpolate exact census samples into a polynomial in q.
+def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
+    """Interpolate exact census samples into a polynomial in q: its trimmed
+    coefficients, Fractions, low to high.
 
     With N >= expected_degree + 2 samples: plain interpolation on the first
     D+1 (by increasing q), with every remaining sample checked exactly.
@@ -100,8 +91,7 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> Interpolate
         raise GuardError(f"{fitted} fitted points exceed guard {FIT_GUARD}")
     pts.sort()
     if expected_degree is None:
-        coeffs = _trim(_newton(pts))
-        return InterpolatedPolynomial(coeffs, tuple(pts))
+        return _trim(_newton(pts))
     D = int(expected_degree)
     if D < 0:
         raise ValidationError("expected degree must be >= 0")
@@ -115,32 +105,29 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> Interpolate
     else:
         raise ValidationError(
             f"need at least {D + 1} samples for expected degree {D}")
-    poly = InterpolatedPolynomial(coeffs, tuple(pts))
-    if poly.degree > D:
+    if len(coeffs) - 1 > D:
         raise InconsistencyError("not polynomial of expected degree",
-                                 trace={"degree": poly.degree, "expected": D})
-    bad = [(q, v, poly(q)) for q, v in check_pts if poly(q) != v]
+                                 trace={"degree": len(coeffs) - 1, "expected": D})
+    bad = [(q, v, value) for q, v in check_pts
+           if (value := eval_int_poly(coeffs, q)) != v]
     if bad:
         raise InconsistencyError("not polynomial of expected degree",
                                  trace={"mismatches": bad})
-    return poly
+    return coeffs
 
 
-def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
-    """(c_0, c_1, ...) with f(q) / q^topdim = sum c_i q^(-i), zero-padded;
-    a negative topdim, or one above TOPDIM_GUARD, is refused before any is
+def normalized_coefficients(coeffs: tuple, topdim: int) -> tuple:
+    """(c_0, c_1, ..., c_topdim) with f(q) / q^topdim = sum c_i q^(-i), for f
+    the polynomial with low-to-high coefficients `coeffs`, zero-padded; a
+    negative topdim, or one above TOPDIM_GUARD, is refused before any is
     built."""
     if topdim < 0:
         raise ValidationError("topdim must be >= 0")
     if topdim > TOPDIM_GUARD:
         raise ValidationError(f"topdim {topdim} exceeds guard {TOPDIM_GUARD}")
-    if f.degree > topdim:
+    if len(coeffs) - 1 > topdim:
         raise ValidationError("count exceeds dimension bound")
-    out = []
-    for i in range(topdim + 1):
-        k = topdim - i
-        out.append(f.coefficients[k] if k < len(f.coefficients) else Fraction(0))
-    return tuple(out)
+    return (tuple(coeffs) + (Fraction(0),) * (topdim + 1 - len(coeffs)))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +135,15 @@ def normalized_coefficients(f: InterpolatedPolynomial, topdim: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class StabilizationResult(Record):
-    __slots__ = {
-        "stable_from": "per position: start index of the final constant run",
-        "stable_values": "per position: the final value",
-        "unstable_positions": "positions whose final run has length 1",
-        "onset": "first index where every position is settled",
-    }
-
-    def stable_value(self, i: int):
-        if i in self.unstable_positions or i >= len(self.stable_values):
-            return None
-        return self.stable_values[i]
-
-
-def detect_stabilization(vectors) -> StabilizationResult:
-    """Per-coefficient stability of a sequence of normalized vectors.
+def detect_stabilization(vectors) -> tuple:
+    """Per-coefficient stability of a sequence of normalized vectors:
+    (stable_from, stable_values, onset).
 
     For each position the largest suffix on which the value is constant is
-    found; a position whose constant suffix has length 1 never stabilized
-    within the sweep and is flagged.  The onset is the first index from
-    which every position is constant, None if a position is flagged.
+    found: stable_from is its start index, stable_values its value.  A
+    position whose constant suffix has length 1 (stable_from the last index)
+    never stabilized within the sweep.  The onset is the first index from
+    which every position is constant, None if a position never stabilized.
     """
     vecs = [tuple(v) for v in vectors]
     if len(vecs) < 2:
@@ -177,20 +152,13 @@ def detect_stabilization(vectors) -> StabilizationResult:
     vecs = [v + (Fraction(0),) * (width - len(v)) for v in vecs]
     last = len(vecs) - 1
     stable_from = []
-    stable_values = []
-    unstable = []
     for i in range(width):
-        final = vecs[last][i]
         start = last
-        while start > 0 and vecs[start - 1][i] == final:
+        while start > 0 and vecs[start - 1][i] == vecs[last][i]:
             start -= 1
         stable_from.append(start)
-        stable_values.append(final)
-        if start == last:
-            unstable.append(i)
-    onset = None if unstable else max(stable_from, default=0)
-    return StabilizationResult(tuple(stable_from), tuple(stable_values),
-                               tuple(unstable), onset)
+    onset = None if last in stable_from else max(stable_from, default=0)
+    return tuple(stable_from), vecs[last], onset
 
 
 # ---------------------------------------------------------------------------
@@ -198,72 +166,13 @@ def detect_stabilization(vectors) -> StabilizationResult:
 # ---------------------------------------------------------------------------
 
 
-class SweepPoint(Record):
-    __slots__ = {"d": "the degree vector", "topdim": "the top dimension",
-                 "samples": "((q, total), ...)",
-                 "coefficients": "interpolant, low-to-high",
-                 "normalized": "c_0 .. c_topdim"}
+def _strs(values) -> list:
+    return [str(v) for v in values]
 
 
-class SeriesSide(Record):
-    __slots__ = {"truncation": "T",
-                 "coefficients": "((i, c_i stable), ...) for stabilized i <= T",
-                 "skipped": "positions <= T that never stabilized",
-                 "partial_sums": "((q, value), ...)"}
-
-
-class StabilityReport(Record):
-    __slots__ = {
-        "m": "columns", "n": "threshold", "poly": "the statistic",
-        "d_values": "t per sweep entry", "q_list": "the sampled q",
-        "points": "SweepPoint per d",
-        "stabilization": "StabilizationResult of the normalized vectors",
-        "onset_d": "the t from which every requested position has settled, or None",
-        "lhs": "per d: ((q, lhs value), ...)",
-        "series": "SeriesSide, or None when not computed",
-        "series_note": "whether and why the series was computed",
-        "residuals": "per d: ((q, lhs - partial sum), ...)",
-        "tail_note": "the convergence note on the series tail",
-    }
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "n": self.n,
-            "poly": str(self.poly),
-            "d_values": list(self.d_values),
-            "q_list": list(self.q_list),
-            "points": [
-                {
-                    "d": list(pt.d),
-                    "topdim": pt.topdim,
-                    "samples": [[q, str(v)] for q, v in pt.samples],
-                    "coefficients": [str(c) for c in pt.coefficients],
-                    "normalized": [str(c) for c in pt.normalized],
-                }
-                for pt in self.points
-            ],
-            "stabilization": {
-                "stable_from_d": [self.d_values[i] for i in self.stabilization.stable_from],
-                "stable_values": [str(v) for v in self.stabilization.stable_values],
-                "unstable_positions": list(self.stabilization.unstable_positions),
-                "onset_d": self.onset_d,
-            },
-            "lhs": [[list(pt.d), [[q, str(v)] for q, v in row]]
-                    for pt, row in zip(self.points, self.lhs)],
-            "series_note": self.series_note,
-            "tail_note": self.tail_note,
-        }
-        if self.series is not None:
-            out["series"] = {
-                "truncation": self.series.truncation,
-                "coefficients": [[i, str(c)] for i, c in self.series.coefficients],
-                "skipped_positions": list(self.series.skipped),
-                "partial_sums": [[q, str(v)] for q, v in self.series.partial_sums],
-            }
-            out["residuals"] = [[list(pt.d), [[q, str(v)] for q, v in row]]
-                                for pt, row in zip(self.points, self.residuals)]
-        return out
+def _pairs(rows) -> list:
+    """[[q, "value"], ...] from ((q, value), ...)."""
+    return [[q, str(v)] for q, v in rows]
 
 
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
@@ -297,8 +206,9 @@ def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
                      truncation: int | None = None,
-                     guards: Guards = DEFAULT, factor_seed: int = 0) -> StabilityReport:
-    """Assemble the degree sweep d = (t,...,t) for t in d_values.
+                     guards: Guards = DEFAULT, factor_seed: int = 0) -> dict:
+    """The report payload of the degree sweep d = (t,...,t), t in d_values,
+    with every rational written as a string.
 
     Per degree: exact unordered totals at q = 1 and at each q of q_list from
     the Euler product (the series guard bounds its work, checked for every
@@ -307,7 +217,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     coefficients.  Stabilization is detected coefficient-wise across the
     sweep.  For n = 1, m = 2 the truncated series with the stable
     coefficients is evaluated and exact residuals against each left side are
-    reported; otherwise the series side is marked not computed.  One sample
+    reported under "series" and "residuals"; otherwise the series side is
+    marked not computed and those keys are absent.  One sample
     is recounted through the record tables (`_recount`), within the point
     and record guards, with `factor_seed`.
     """
@@ -346,7 +257,8 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         check_series_guard((t,) * m, poly, qs, guards.series)
 
     points = []
-    lhs_rows = []
+    vectors = []
+    lhs_rows = []  # per d: [(q, total / q^topdim), ...]
     totals = {}
     for t in d_values:
         topdim = m * t
@@ -354,47 +266,47 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         for q, result in zip(qs, euler_totals(d, n, poly, qs, guards.series)):
             totals[t, q] = result
         samples = [(q, totals[t, q][0]) for q in qs]
-        poly_q = interpolate_in_q(samples, expected_degree=topdim)
+        coeffs = interpolate_in_q(samples, expected_degree=topdim)
         del samples[0]  # the report lists the q_list's samples only
-        normalized = normalized_coefficients(poly_q, topdim)
-        points.append(SweepPoint(d=d, topdim=topdim, samples=tuple(samples),
-                                 coefficients=poly_q.coefficients,
-                                 normalized=normalized))
-        lhs_rows.append(tuple((q, total / Fraction(q) ** topdim)
-                              for q, total in samples))
+        vectors.append(normalized_coefficients(coeffs, topdim))
+        points.append({"d": list(d), "topdim": topdim, "samples": _pairs(samples),
+                       "coefficients": _strs(coeffs), "normalized": _strs(vectors[-1])})
+        lhs_rows.append([(q, total / Fraction(q) ** topdim) for q, total in samples])
 
     _recount(d_values, n, m, poly, q_list, totals, guards, factor_seed)
-    stab = detect_stabilization([pt.normalized for pt in points])
-    onset_d = d_values[stab.onset] if stab.onset is not None else None
-
-    series = None
-    residuals = None
+    stable_from, stable_values, onset = detect_stabilization(vectors)
+    last = len(d_values) - 1
+    report = {
+        "m": m,
+        "n": n,
+        "poly": str(poly),
+        "d_values": d_values,
+        "q_list": q_list,
+        "points": points,
+        "stabilization": {
+            "stable_from_d": [d_values[i] for i in stable_from],
+            "stable_values": _strs(stable_values),
+            "unstable_positions": [i for i, s in enumerate(stable_from) if s == last],
+            "onset_d": None if onset is None else d_values[onset],
+        },
+        "lhs": [[pt["d"], _pairs(row)] for pt, row in zip(points, lhs_rows)],
+        "series_note": "not computed (n≠1)" if n != 1 else "not computed (m≠2)",
+        "tail_note": TAIL_NOTE,
+    }
     if n == 1 and m == 2:
-        top = max(pt.topdim for pt in points)
+        top = m * max(d_values)
         T = top if truncation is None else min(int(truncation), top)
-        coeff_pairs = []
-        skipped = []
-        for i in range(T + 1):
-            v = stab.stable_value(i)
-            if v is None:
-                skipped.append(i)
-            else:
-                coeff_pairs.append((i, v))
-        partial = tuple(
-            (q, sum((c / Fraction(q) ** i for i, c in coeff_pairs), Fraction(0)))
-            for q in q_list)
-        series = SeriesSide(truncation=T, coefficients=tuple(coeff_pairs),
-                            skipped=tuple(skipped), partial_sums=partial)
-        psum = dict(partial)
-        residuals = tuple(
-            tuple((q, lhs - psum[q]) for q, lhs in row) for row in lhs_rows)
-        note = "computed (hyperplane case n=1, m=2)"
-    else:
-        note = "not computed (n≠1)" if n != 1 else "not computed (m≠2)"
-
-    return StabilityReport(
-        m=m, n=n, poly=poly, d_values=tuple(d_values), q_list=tuple(q_list),
-        points=tuple(points), stabilization=stab, onset_d=onset_d,
-        lhs=tuple(lhs_rows), series=series, series_note=note,
-        residuals=residuals, tail_note=TAIL_NOTE)
-
+        stable = [(i, stable_values[i]) for i in range(T + 1) if stable_from[i] < last]
+        partial = {q: sum((c / Fraction(q) ** i for i, c in stable), Fraction(0))
+                   for q in q_list}
+        report["series"] = {
+            "truncation": T,
+            "coefficients": _pairs(stable),
+            "skipped_positions": [i for i in range(T + 1) if stable_from[i] == last],
+            "partial_sums": _pairs(partial.items()),
+        }
+        report["residuals"] = [
+            [pt["d"], [[q, str(lhs - partial[q])] for q, lhs in row]]
+            for pt, row in zip(points, lhs_rows)]
+        report["series_note"] = "computed (hyperplane case n=1, m=2)"
+    return report

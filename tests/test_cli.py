@@ -865,6 +865,28 @@ def test_record_heavy_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of report and interpolate runs the benchmark does not make:
+# unsorted samples and degrees, a truncation, two statistics, csv, and m = 3
+@pytest.mark.parametrize("argv, digest", [
+    ("interpolate --samples 5=20,2=2,3=6 --topdim 3",
+     "ffa8071d5b48a844dc46e8b9b48fe2e93a32803c549c3e1176012965232f2d69"),
+    ("interpolate --samples 5=20,2=2,3=6 --topdim 3 --format csv",
+     "f64641012789b652d4d619ed9b4d57efff0d5e9f943bc00de1f3b23c2657906f"),
+    ("report --m 2 --n 1 --d-list 3,1,2 --q-list 2,3,5,7,11,13,17 --polys X[1,1];1 "
+     "--truncation 2",
+     "25a1a5beec7ba1b8009edb05c84dbf9bb90d2dd7df8626c641d9c5a944335a80"),
+    ("report --m 2 --n 1 --d-list 3,1,2 --q-list 2,3,5,7,11,13,17 --polys X[1,1];1 "
+     "--truncation 2 --format csv",
+     "5c3df00206b5337fc52b9adf40367b0ff12a68e8d1e19191db68a9f3bc2ce320"),
+    ("report --m 3 --n 1 --d-list 0,1 --q-list 2,3,5,7",
+     "9f6b0bd3ad3bbb4a0a3fcc0e9388f52fac6febd449b4e5083d4e6e0d2ccb285c"),
+])
+def test_report_and_interpolate_stdout_pinned(capsys, argv, digest):
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("key", [key for key in table("workloads.py", "DIGESTS")
                                  if key.startswith(("report", "verify"))])
 def test_sweep_and_verify_stdout_pinned(capsys, tmp_path, key):

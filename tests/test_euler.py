@@ -141,10 +141,10 @@ def test_report_samples_equal_the_record_tables(job):
     for text in texts:
         P = parse_charpoly(text, m=m)
         rep = lefschetz_report(d_list, n, m, P, q_list)
-        for pt in rep.points:
-            for q, total in pt.samples:
-                cen = _census_total(pt.d, n, _field(q), P, DEFAULT, 0)
-                assert total == cen.total, (pt.d, q, text)
+        for pt in rep["points"]:
+            for q, total in pt["samples"]:
+                cen = _census_total(tuple(pt["d"]), n, _field(q), P, DEFAULT, 0)
+                assert total == str(cen.total), (pt["d"], q, text)
 
 
 def test_report_recounts_the_largest_sample_within_budget(monkeypatch):

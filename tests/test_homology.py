@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from zcc import homology
 from zcc.errors import GuardError, StructureError, ValidationError
-from zcc.homology import (codimension, complement_contributions,
+from zcc.cli import run
+from zcc.homology import (WITNESS_PRIMES, codimension, complement_contributions,
                           exact_rank, interval_face_counts, interval_homology,
-                          order_complex, product_rule, rank_mod2,
+                          order_complex, product_rule, rank_mod2, rank_mod_p,
                           reduced_homology_ranks)
 from zcc.nlattice import (block_shapes, build_lattice, lower_interval, mobius,
                           point_count_polynomial)
@@ -178,6 +179,17 @@ def test_exact_rank_matches_sympy(nrows, ncols, values, data):
         rows.append({c: data.draw(st.sampled_from(values)) for c in sorted(cols)})
     dense = Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
     assert exact_rank(rows) == dense.rank()
+    # every minor of a 7 x 7 matrix with entries of size <= 3 is below
+    # 3^7 * 7^(7/2) < 2^21 (Hadamard), so no witness prime divides one
+    for p in WITNESS_PRIMES:
+        assert rank_mod_p(rows, p) == dense.rank()
+
+
+def test_rank_mod_p_small():
+    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([{0: 2, 1: 4}, {0: 1, 1: 2}], 7) == 1
+    assert rank_mod_p([{0: 3}, {1: 1}], 3) == 1  # 3 vanishes modulo 3
+    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == 1
 
 
 # -- anchors and assembly --------------------------------------------------------
@@ -228,10 +240,11 @@ def test_conf_betti_are_stirling_numbers():
 
 
 def test_characteristic_polynomial_identity_hyperplane_case():
-    # n=1, m=2: N(q) = sum_i (-1)^i b_i q^(|d|-i), exact for |d| <= 6
-    for dv in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (3, 3), (4, 2),
-               (5, 1)]:
-        L = build_lattice(dv, 1)
+    # n * m <= 2: N(q) = sum_i (-1)^i b_i q^(|d|-i), exact for |d| <= 6
+    for dv, n in [((1, 1), 1), ((2, 1), 1), ((2, 2), 1), ((3, 1), 1), ((3, 2), 1),
+                  ((4, 1), 1), ((3, 3), 1), ((4, 2), 1), ((5, 1), 1), ((3,), 2),
+                  ((5,), 2), ((4,), 1), ((0, 2), 1)]:
+        L = build_lattice(dv, n)
         b = complement_betti(L, 1)
         coeffs = point_count_polynomial(L, 1)
         total = sum(dv)
@@ -266,6 +279,42 @@ def test_wrong_rank_is_caught(monkeypatch):
             patch.setattr(homology, name, lambda rows, original=original: original(rows) + 1)
             with pytest.raises(StructureError, match="negative Betti"):
                 run()
+
+
+def test_overcounted_exact_rank_exits_2(capsys, monkeypatch):
+    # one more than the true rank leaves every Betti number of (7)/3
+    # nonnegative and the Euler characteristic unchanged; both witness
+    # primes rank the boundary lower
+    original = exact_rank
+    monkeypatch.setattr(homology, "exact_rank", lambda rows: original(rows) + 1)
+    assert run(["betti", "--d", "7", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a boundary of rank ")
+
+
+def test_euler_preserving_corruption_fails_orlik_solomon(capsys, monkeypatch):
+    # one more rank in each of the top two degrees below the top element of
+    # (3,3)/1 keeps its Euler characteristic, so Philip Hall's check passes,
+    # but the Betti numbers are no longer those of a hyperplane arrangement
+    original = interval_homology
+
+    def bumped(L, idx):
+        ranks = dict(original(L, idx))
+        if idx == L.size - 1:
+            top = max(ranks)
+            for t in (top, top - 1):
+                ranks[t] = ranks.get(t, 0) + 1
+        return ranks
+
+    monkeypatch.setattr(homology, "interval_homology", bumped)
+    assert run(["betti", "--d", "3,3", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Betti numbers [1, 9, 36, 75, 78, 32, 1], but "
+                            "Orlik-Solomon gives [1, 9, 36, 75, 78, 31] from the "
+                            "Mobius function\n")
 
 
 def _direct_contributions(L, ranks, dim_x):

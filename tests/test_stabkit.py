@@ -8,7 +8,7 @@ from zcc.census import CensusSpec, enumerate_ordered
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
-from zcc.nlattice import build_lattice, point_count_polynomial
+from zcc.nlattice import build_lattice, eval_int_poly, point_count_polynomial
 from zcc.stabkit import (detect_stabilization, interpolate_in_q,
                          lefschetz_report, normalized_coefficients)
 
@@ -20,19 +20,20 @@ X11 = parse_charpoly("X[1,1]")
 
 def test_interpolate_examples():
     p = interpolate_in_q([(2, 2), (3, 6), (5, 20)], expected_degree=2)
-    assert p.coefficients == (0, -1, 1)
+    assert p == (0, -1, 1)
     p = interpolate_in_q([(2, 1), (3, 1), (5, 1)], expected_degree=0)
-    assert p.coefficients == (1,)
+    assert p == (1,)
     with pytest.raises(InconsistencyError, match="expected degree"):
         interpolate_in_q([(2, 2), (3, 6), (5, 21)], expected_degree=2)
 
 
 def test_interpolate_zero_polynomial():
     p = interpolate_in_q([(2, 0), (3, 0), (5, 0)])
-    assert p.coefficients == (Fraction(0),) and p.degree == 0
-    assert p(7) == 0 and isinstance(p(7), Fraction)
+    assert p == (Fraction(0),) and isinstance(p[0], Fraction)
+    assert eval_int_poly(p, 7) == 0 and isinstance(eval_int_poly(p, 7), Fraction)
     p = interpolate_in_q([(2, 2), (3, 6), (5, 20)], expected_degree=2)
-    assert p(Fraction(1, 2)) == Fraction(-1, 4)
+    assert all(isinstance(c, Fraction) for c in p)
+    assert eval_int_poly(p, Fraction(1, 2)) == Fraction(-1, 4)
 
 
 def test_interpolate_validation():
@@ -46,13 +47,13 @@ def test_interpolate_validation():
 
 def test_interpolate_overdetermined_path():
     good = interpolate_in_q([(2, 2), (3, 6), (5, 20), (7, 42)], expected_degree=2)
-    assert good.coefficients == (0, -1, 1)
+    assert good == (0, -1, 1)
     with pytest.raises(InconsistencyError):
         interpolate_in_q([(2, 2), (3, 6), (5, 20), (7, 43)], expected_degree=2)
     # non-monic polynomials are fine on the overdetermined path
     half = interpolate_in_q(
         [(q, Fraction(q ** 2, 2)) for q in (2, 3, 5, 7)], expected_degree=2)
-    assert half.coefficients == (0, 0, Fraction(1, 2))
+    assert half == (0, 0, Fraction(1, 2))
 
 
 def test_interpolate_monic_assumption_caught_when_wrong():
@@ -106,13 +107,13 @@ def test_fitted_points_are_bounded_before_any_arithmetic(monkeypatch):
     # an expected degree fits only its first D + 1 points, and checks the rest
     monkeypatch.undo()
     line = interpolate_in_q(many, expected_degree=1)
-    assert line.coefficients == (0, 1)
+    assert line == (0, 1)
 
 
 def test_interpolate_without_expected_degree():
     p = interpolate_in_q([(2, 4), (3, 9), (5, 25)])
-    assert p.coefficients == (0, 0, 1)
-    assert p(7) == 49
+    assert p == (0, 0, 1)
+    assert eval_int_poly(p, 7) == 49
 
 
 def test_interpolation_reproduces_samples_and_is_stable_under_extra_prime():
@@ -125,9 +126,9 @@ def test_interpolation_reproduces_samples_and_is_stable_under_extra_prime():
         deg = sum(dv)
         base = interpolate_in_q(samples[:deg + 2], expected_degree=deg)
         more = interpolate_in_q(samples, expected_degree=deg)
-        assert base.coefficients == more.coefficients
+        assert base == more
         for q, v in samples:
-            assert base(q) == v
+            assert eval_int_poly(base, q) == v
 
 
 def test_interpolated_ordered_count_equals_lattice_polynomial():
@@ -142,7 +143,7 @@ def test_interpolated_ordered_count_equals_lattice_polynomial():
                 CensusSpec(dv, 1, F, ONE, "ordered")).total))
         poly = interpolate_in_q(samples, expected_degree=deg)
         lattice_coeffs = point_count_polynomial(build_lattice(dv, 1), 1)
-        assert tuple(poly.coefficients) == tuple(
+        assert poly == tuple(
             Fraction(c) for c in lattice_coeffs)
 
 
@@ -162,16 +163,18 @@ def test_normalized_coefficients_examples():
 
 
 def test_detect_stabilization_constant():
-    r = detect_stabilization([(1, -1, 0), (1, -1, 0, 0, 0), (1, -1) + (0,) * 5])
-    assert r.onset == 0
-    assert r.unstable_positions == ()
+    stable_from, stable_values, onset = detect_stabilization(
+        [(1, -1, 0), (1, -1, 0, 0, 0), (1, -1) + (0,) * 5])
+    assert onset == 0
+    assert stable_from == (0,) * 7  # the shorter vectors are zero-padded
+    assert stable_values == (1, -1) + (0,) * 5
 
 
 def test_detect_stabilization_flags_moving_tail():
-    r = detect_stabilization([(1, 1), (1, 2), (1, 3)])
-    assert r.stable_from == (0, 2)
-    assert r.unstable_positions == (1,)
-    assert r.onset is None
+    stable_from, stable_values, onset = detect_stabilization([(1, 1), (1, 2), (1, 3)])
+    assert stable_from == (0, 2)  # position 1 starts its run at the last index
+    assert stable_values == (1, 3)
+    assert onset is None
 
 
 def test_detect_stabilization_requires_two_vectors():
@@ -184,18 +187,19 @@ def test_detect_stabilization_requires_two_vectors():
 
 def test_report_rational_maps_p1():
     rep = lefschetz_report([1, 2, 3], 1, 2, ONE, [2, 3, 5, 7, 11, 13, 17])
-    assert rep.onset_d == 1
-    for pt in rep.points:
-        assert pt.normalized[:2] == (1, -1)
-        assert all(c == 0 for c in pt.normalized[2:])
+    assert rep["stabilization"]["onset_d"] == 1
+    for pt in rep["points"]:
+        assert pt["normalized"][:2] == ["1", "-1"]
+        assert all(c == "0" for c in pt["normalized"][2:])
     # the spec's worked example: d=(1,1), q=3 gives LHS 6/9 = 2/3 and a
     # vanishing residual against 1 - 1/3
-    lhs_d1 = dict(rep.lhs[0])
-    assert lhs_d1[3] == Fraction(2, 3)
-    res_d1 = dict(rep.residuals[0])
-    assert res_d1[3] == 0
-    assert all(v == 0 for _q, v in rep.residuals[-1])
-    assert rep.series.coefficients[:2] == ((0, 1), (1, -1))
+    assert rep["lhs"][0][0] == [1, 1]
+    lhs_d1 = dict(rep["lhs"][0][1])
+    assert lhs_d1[3] == "2/3"
+    res_d1 = dict(rep["residuals"][0][1])
+    assert res_d1[3] == "0"
+    assert all(v == "0" for _q, v in rep["residuals"][-1][1])
+    assert rep["series"]["coefficients"][:2] == [[0, "1"], [1, "-1"]]
 
 
 def test_report_sums_over_no_class_of_the_symmetric_group(monkeypatch):
@@ -206,34 +210,34 @@ def test_report_sums_over_no_class_of_the_symmetric_group(monkeypatch):
     monkeypatch.setattr(charpoly, "cycle_types_of", refuse)
     for m, n, poly in ((2, 1, X11), (1, 1, ONE), (2, 2, parse_charpoly("2"))):
         rep = lefschetz_report([1, 2], n, m, poly, [2, 3, 4, 5, 7])
-        assert [pt.samples[0][0] for pt in rep.points] == [2, 2]
+        assert [pt["samples"][0][0] for pt in rep["points"]] == [2, 2]
 
 
 def test_report_weighted_rational_maps():
     rep = lefschetz_report([1, 2, 3], 1, 2, X11, [2, 3, 5, 7, 11, 13, 17])
-    vec2 = rep.points[1].normalized
-    vec3 = rep.points[2].normalized
-    assert vec2[:3] == vec3[:3] == (1, -2, 2)
-    stab = rep.stabilization
-    assert all(stab.stable_from[i] <= 1 for i in range(3))
+    vec2 = rep["points"][1]["normalized"]
+    vec3 = rep["points"][2]["normalized"]
+    assert vec2[:3] == vec3[:3] == ["1", "-2", "2"]
+    assert all(t <= 2 for t in rep["stabilization"]["stable_from_d"][:3])
 
 
 def test_report_weighted_lhs_nonnegative_and_leading_constant():
     # the fixed-point statistic averages a nonnegative class function, so
     # every left side is >= 0; its stable leading coefficient is 1
     rep = lefschetz_report([1, 2, 3], 1, 2, X11, [2, 3, 5, 7, 11, 13, 17])
-    for row in rep.lhs:
-        assert all(v >= 0 for _q, v in row)
-    assert rep.stabilization.stable_value(0) == 1
+    for _d, row in rep["lhs"]:
+        assert all(Fraction(v) >= 0 for _q, v in row)
+    assert 0 not in rep["stabilization"]["unstable_positions"]
+    assert rep["stabilization"]["stable_values"][0] == "1"
 
 
 def test_report_non_hyperplane_gate():
     rep = lefschetz_report([1, 2, 3], 2, 1, ONE, [2, 3, 5, 7])
-    assert rep.series is None
-    assert rep.residuals is None
-    assert "n" in rep.series_note and "not computed" in rep.series_note
+    assert "series" not in rep
+    assert "residuals" not in rep
+    assert "n" in rep["series_note"] and "not computed" in rep["series_note"]
     # UConf_1 is all of A^1 (vector (1, 0)); q^d - q^(d-1) holds from d = 2
-    assert rep.onset_d == 2
+    assert rep["stabilization"]["onset_d"] == 2
 
 
 def test_report_validation():
@@ -253,5 +257,5 @@ def test_report_refuses_negative_truncation():
 def test_report_json_round_trip():
     import json
     rep = lefschetz_report([1, 2], 1, 2, ONE, [2, 3, 5, 7, 11])
-    blob = json.dumps(rep.to_json_dict(), sort_keys=True)
+    blob = json.dumps(rep, sort_keys=True)
     assert json.loads(blob)["stabilization"]["onset_d"] == 1
