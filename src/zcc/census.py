@@ -33,7 +33,6 @@ class itself, so the agreement of the two routes is a genuine cross-check.
 from __future__ import annotations
 
 import random
-import time
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -43,10 +42,10 @@ from math import prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
-from .ffield import FieldSpec, packing
+from .ffield import FieldSpec, make_field, packing
 from .guards import DEFAULT, Guards
 from .polyarith import factorize
-from .record import Record, Value
+from .record import Value
 
 BURNSIDE_DEGREE_GUARD = 8
 _EMPTY = frozenset()
@@ -70,25 +69,6 @@ class CensusSpec(Value):
             raise ValidationError(
                 f"statistic uses column {max(used)} but d has {len(d)} columns")
         super().__init__(d, n, field, poly, mode)
-
-
-class WeightedCensus(Record):
-    __slots__ = ("spec", "total", "point_count", "method", "elapsed")
-
-    def to_json_dict(self) -> dict:
-        # elapsed is deliberately omitted: persisted output is byte-deterministic
-        return {
-            "d": list(self.spec.d),
-            "n": self.spec.n,
-            "q": self.spec.field.q,
-            "p": self.spec.field.p,
-            "e": self.spec.field.e,
-            "poly": str(self.spec.poly),
-            "mode": self.spec.mode,
-            "method": self.method,
-            "point_count": self.point_count,
-            "total": str(self.total),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +358,22 @@ def _member_histogram(field, d, n, seed=0) -> Counter:
 
 
 def _weigh(P: CharPolynomial, histogram) -> tuple:
-    """(member count, exact sum of P over the members) of a histogram of
+    """(exact sum of P over the members, member count) of a histogram of
     per-column signature tuples: P is applied once per signature tuple."""
-    count = sum(histogram.values())
     total = sum((c * averaged_class_value(P, sigs) for sigs, c in histogram.items()),
                 Fraction(0))
-    return count, total
+    return total, sum(histogram.values())
 
 
 def enumerate_unordered(spec: CensusSpec, guards: Guards = DEFAULT,
-                        factor_seed: int = 0) -> WeightedCensus:
-    """Iterate all m-tuples of monic polynomials of degrees d over F_q."""
+                        factor_seed: int = 0) -> tuple:
+    """(total, point count) over all m-tuples of monic polynomials of
+    degrees d over F_q."""
     if spec.mode != "unordered":
         raise ValidationError("spec mode must be 'unordered'")
     _check_point_guard(spec.field.q, sum(spec.d), guards.points, "; try burnside mode")
     _check_record_guard(spec.field, spec.d, guards.records)
-    t0 = time.perf_counter()
-    histogram = _member_histogram(spec.field, spec.d, spec.n, factor_seed)
-    count, total = _weigh(spec.poly, histogram)
-    return WeightedCensus(spec, total, count, "unordered-enumeration",
-                          time.perf_counter() - t0)
+    return _weigh(spec.poly, _member_histogram(spec.field, spec.d, spec.n, factor_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +381,15 @@ def enumerate_unordered(spec: CensusSpec, guards: Guards = DEFAULT,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_ordered(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
-    """Count F_q-points of the ordered space; the statistic must be 1."""
+def enumerate_ordered(spec: CensusSpec, guards: Guards = DEFAULT) -> tuple:
+    """(total, point count) of the ordered space's F_q-points; the statistic
+    must be 1, so the total is the count."""
     if spec.mode != "ordered":
         raise ValidationError("spec mode must be 'ordered'")
     if not spec.poly.is_one():
         raise ValidationError("ordered census is unweighted")
     _check_point_guard(spec.field.q, sum(spec.d), guards.points)
     q = spec.field.q
-    t0 = time.perf_counter()
     columns = []
     for dk in spec.d:
         # tally a column's tuples by sorted values, then by n-fold value set
@@ -423,8 +399,7 @@ def enumerate_ordered(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCen
             column[frozenset(v for v in values if values.count(v) >= spec.n)] += mult
         columns.append({None: column})
     count = sum(_fold(columns).values())
-    return WeightedCensus(spec, Fraction(count), count, "ordered-enumeration",
-                          time.perf_counter() - t0)
+    return Fraction(count), count
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +428,10 @@ def _twisted_column(field: FieldSpec, lam: tuple, n: int) -> Counter:
     permutation of cycle type lam permutes: the choices take one element of
     F_{q^j} per j-cycle, and the key set holds the minimal polynomials of
     multiplicity >= n in the divisor the choice defines, each tuple of
-    table entries weighted by the product of their counts."""
+    table entries weighted by the product of their counts.
+
+    Checked: the choices make up all q^|lam| of them.
+    """
     column = Counter()
     for choice in product(*(_twisted_choice_table(field, j) for j in lam)):
         mults: dict = {}
@@ -462,6 +440,10 @@ def _twisted_column(field: FieldSpec, lam: tuple, n: int) -> Counter:
             mults[key] = mults.get(key, 0) + mult
             ways *= count
         column[frozenset(key for key, c in mults.items() if c >= n)] += ways
+    if (total := sum(column.values())) != field.q ** sum(lam):
+        raise InconsistencyError(
+            f"{total} choices for a column of cycle type {lam} over F_{field.q}, "
+            f"not q^{sum(lam)}")
     return column
 
 
@@ -481,8 +463,8 @@ def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
                  for ctype, weight in cycle_types_of(d))
 
 
-def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
-    """Weighted count via Frobenius-twisted fixed points, class by class.
+def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> tuple:
+    """(total, point count) via Frobenius-twisted fixed points, class by class.
 
     A j-cycle's choices come from the record tables of the unordered route
     (degrees up to max(d)), so the record guard is checked before any is
@@ -497,15 +479,13 @@ def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus
             f"|d| = {total_deg} exceeds burnside guard {BURNSIDE_DEGREE_GUARD}")
     _check_point_guard(spec.field.q, total_deg, guards.points)
     _check_record_guard(spec.field, spec.d, guards.records)
-    t0 = time.perf_counter()
     classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
     count = sum((w * fixed for _ctype, w, fixed in classes), Fraction(0))
     total = sum((w * evaluate(spec.poly, ctype) * fixed
                  for ctype, w, fixed in classes), Fraction(0))
     if count.denominator != 1:
         raise InconsistencyError("burnside point count is not an integer")
-    return WeightedCensus(spec, total, int(count), "burnside-frobenius",
-                          time.perf_counter() - t0)
+    return total, int(count)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +495,9 @@ def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus
 
 def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
                         P: CharPolynomial, factor_seed: int = 0,
-                        guards: Guards = DEFAULT) -> WeightedCensus:
-    """Exact unordered census for m = 2, n = 1 with a single-column statistic.
+                        guards: Guards = DEFAULT) -> tuple:
+    """(total, point count) of the unordered census for m = 2, n = 1 with a
+    single-column statistic.
 
     Counts pairs of monic polynomials with no common irreducible factor by
     inclusion-exclusion over the distinct factors of the statistic-bearing
@@ -530,7 +511,6 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
         raise ValidationError("fast path requires a single-column statistic")
     col = (used.pop() - 1) if used else 0
     _check_record_guard(field, (d[col],), guards.records)
-    t0 = time.perf_counter()
     q = field.q
     d_other = d[1 - col]
     poly_records(field, d[col], factor_seed)
@@ -542,17 +522,37 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
         histogram[(sig, ()) if col == 0 else ((), sig)] = mult * sum(
             (-1) ** r * q ** (d_other - s) for r in range(len(sig) + 1)
             for s in map(sum, combinations([j for j, _e in sig], r)) if s <= d_other)
-    count, total = _weigh(P, histogram)
-    spec = CensusSpec(d=tuple(d), n=n, field=field, poly=P, mode="unordered")
-    return WeightedCensus(spec, total, count, "coprime-inclusion-exclusion",
-                          time.perf_counter() - t0)
+    return _weigh(P, histogram)
+
+
+# --mode euler recounts q = 2 through the record tables up to this |d|, so
+# at most 2^10 points there
+EULER_RECOUNT_DEGREE = 10
 
 
 def run_census(spec: CensusSpec, guards: Guards = DEFAULT,
-               factor_seed: int = 0) -> WeightedCensus:
+               factor_seed: int = 0) -> tuple:
+    """(total, point count) of the spec by its mode's route.
+
+    The Euler route also gives the pair at q = 2 when |d| is at most
+    EULER_RECOUNT_DEGREE, and it must equal the unordered route's there:
+    K_r and the binomial weights do not depend on q, so one small q
+    certifies them, and the member-count check covers the pass at q.
+    """
     if spec.mode == "euler":  # imported here: only this mode loads the route
-        from .euler import euler_count
-        return euler_count(spec, guards)
+        from .euler import euler_totals
+        spare = (2,) if sum(spec.d) <= EULER_RECOUNT_DEGREE else ()
+        [pair, *recount] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q],
+                                        guards.series, spare=spare)
+        if recount:
+            want = enumerate_unordered(
+                CensusSpec(spec.d, spec.n, make_field(2), spec.poly, "unordered"),
+                guards, factor_seed)
+            if recount[0] != want:
+                raise InconsistencyError(
+                    f"Euler product gives {recount[0]} at d = {spec.d}, q = 2; "
+                    f"the record tables give {want}")
+        return pair
     if spec.mode == "ordered":
         return enumerate_ordered(spec, guards)
     if spec.mode == "unordered":

@@ -3,8 +3,7 @@
 A class function on S_{d_1} x ... x S_{d_m} is written as an exact-rational
 polynomial in the variables X[k,j], where X[k,j] evaluated at a conjugacy
 class counts the j-cycles in the k-th factor.  One polynomial defines a
-compatible family of class functions for every degree vector d, which is what
-makes stable inner products meaningful.
+compatible family of class functions for every degree vector d.
 
 Partitions are plain descending tuples of positive ints; a cycle type is an
 m-tuple of partitions (one per column); a degree vector is an m-tuple of
@@ -19,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .errors import StabilizationCapError, ValidationError
+from .errors import ValidationError
 from .record import Value
 
 Partition = tuple  # descending tuple of positive ints
@@ -183,9 +182,6 @@ class CharPolynomial(Value):
 
     def total_degree(self) -> int:
         return max((sum(e for _, e in mono) for mono, _ in self.terms), default=0)
-
-    def max_cycle_length(self) -> int:
-        return max((j for mono, _ in self.terms for (_, j), _e in mono), default=1)
 
     def columns_used(self) -> set:
         return {k for mono, _ in self.terms for (k, _j), _e in mono}
@@ -388,30 +384,6 @@ def inner_product(P: CharPolynomial, Q: CharPolynomial, d: DegreeVector) -> Frac
     for c, w in cycle_types_of(d):
         total += w * evaluate(P, c) * evaluate(Q, c)
     return total
-
-
-def stable_inner_product(P: CharPolynomial, Q: CharPolynomial):
-    """Limit of <P,Q>_{S_d} along the diagonal sweep d = (t,...,t).
-
-    Stability is declared once the value is unchanged across m consecutive
-    unit increments in every coordinate (m+1 equal consecutive values);
-    returns (value, first degree vector of the final constant run).  The
-    sweep aborts at t = 4 * maxj * (deg P + deg Q) if no window appears.
-    """
-    m = max(P.m, Q.m)
-    maxj = max(P.max_cycle_length(), Q.max_cycle_length())
-    cap = 4 * max(1, maxj * max(1, P.total_degree() + Q.total_degree()))
-    values = []
-    run_start = 0
-    for t in range(cap + 1):
-        v = inner_product(P, Q, (t,) * m)
-        if values and v != values[-1]:
-            run_start = t
-        values.append(v)
-        if t - run_start >= m:
-            return values[-1], (run_start,) * m
-    raise StabilizationCapError(
-        f"no stabilization up to diagonal degree {cap}", trace=values)
 
 
 # ---------------------------------------------------------------------------

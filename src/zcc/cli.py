@@ -20,8 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .charpoly import ONE, parse_charpoly
-from .errors import (GuardError, InconsistencyError, StabilizationCapError,
-                     StructureError, ValidationError)
+from .errors import GuardError, InconsistencyError, StructureError, ValidationError
 from .ffield import make_field, prime_power
 from .guards import DEFAULT, UNSAFE
 from .nlattice import (DIMENSION_GUARD, build_lattice, classify_edges,
@@ -204,15 +203,14 @@ def _emit(args, payload, csv_rows=None) -> None:
         raise ValidationError(f"cannot write {target}: {exc.strerror}") from exc
 
 
-def _census_csv(result) -> list:
-    d = result.to_json_dict()
-    header = sorted(d)
-    return [header, [d[k] for k in header]]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+
+# the name each census mode prints under "method"
+METHODS = {"unordered": "unordered-enumeration", "ordered": "ordered-enumeration",
+           "burnside": "burnside-frobenius", "euler": "euler-product"}
 
 
 def _cmd_census(args) -> int:
@@ -222,8 +220,12 @@ def _cmd_census(args) -> int:
     d = _parse_d(args.d)
     poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
     spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
-    result = run_census(spec, args.guards, factor_seed=args.factor_seed)
-    _emit(args, result.to_json_dict(), _census_csv(result))
+    total, count = run_census(spec, args.guards, factor_seed=args.factor_seed)
+    payload = {"d": list(d), "n": args.n, "q": field.q, "p": field.p, "e": field.e,
+               "poly": str(poly), "mode": args.mode, "method": METHODS[args.mode],
+               "point_count": count, "total": str(total)}
+    header = sorted(payload)
+    _emit(args, payload, [header, [payload[key] for key in header]])
     return 0
 
 
@@ -415,13 +417,12 @@ def _cmd_verify(args) -> int:
         for d in VERIFY_GRID["d_vectors"]:
             for n in VERIFY_GRID["n_values"]:
                 params = f"d={d} n={n} q={q}"
-                ordered = enumerate_ordered(
+                _total, ordered = enumerate_ordered(
                     CensusSpec(d, n, field, ONE, "ordered"), args.guards)
                 if not (len(d) == 1 and n == 1):
                     lattice = build_lattice(d, n)
                     nq = eval_int_poly(point_count_polynomial(lattice, 1), q)
-                    add("ordered=lattice", params,
-                        ordered.point_count == nq, ordered.point_count, nq)
+                    add("ordered=lattice", params, ordered == nq, ordered, nq)
                 for text in VERIFY_GRID["polys"]:
                     poly = parse_charpoly(text, m=len(d))
                     unordered = enumerate_unordered(
@@ -430,9 +431,7 @@ def _cmd_verify(args) -> int:
                     burnside = burnside_count(
                         CensusSpec(d, n, field, poly, "burnside"), args.guards)
                     add("unordered=burnside", params + f" P={text}",
-                        (unordered.total, unordered.point_count)
-                        == (burnside.total, burnside.point_count),
-                        unordered.total, burnside.total)
+                        unordered == burnside, unordered[0], burnside[0])
     payload = {"all_pass": all_pass, "checks": checks}
     _emit(args, payload)
     return 0 if all_pass else 2
@@ -530,8 +529,7 @@ def run(argv) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (GuardError, InconsistencyError, StructureError,
-            StabilizationCapError) as exc:
+    except (GuardError, InconsistencyError, StructureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,18 +21,6 @@ class GuardError(ZccError):
 class InconsistencyError(ZccError):
     """An exact cross-check failed (interpolation slack sample, oracle mismatch)."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class StructureError(ZccError):
     """A structural invariant that should hold mathematically was violated."""
-
-
-class StabilizationCapError(ZccError):
-    """A stabilization search hit its hard cap without settling."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace

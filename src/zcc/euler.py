@@ -41,15 +41,14 @@ recurrences divide exactly; every division is checked.  For P = 1, D = 1.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isqrt, prod
 
-from .census import CensusSpec, WeightedCensus, necklace_count
+from .census import necklace_count
 from .errors import GuardError, InconsistencyError
-from .guards import DEFAULT, Guards
+from .guards import DEFAULT
 
 
 class _Box:
@@ -230,12 +229,15 @@ def _exp_pass(K: dict, states: list, box: _Box, scale: int) -> dict:
     return G
 
 
-def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series) -> list:
+def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series,
+                 spare=()) -> list:
     """[(sum of P over the members, member count)] of the unordered space of
-    degrees d and threshold n, one pair per q in qs; d, n and P are taken as
-    validated (CensusSpec, lefschetz_report).
+    degrees d and threshold n, one pair per q in qs, then one per q in
+    spare; d, n and P are taken as validated (CensusSpec, lefschetz_report).
 
-    The series guard runs before any series exists.  Checked at run time:
+    The series guard runs before any series exists.  It counts the passes
+    of qs only: a spare q is at most max(qs), so its pass costs no more
+    than one of those.  Checked at run time:
     the exact divisions by D and by |a|, L_r's constant term, and the member
     count against q^|d| - q^(|d| - mn + 1) (q^|d| when some d_k < n).
     """
@@ -257,7 +259,7 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series) -> list:
     size = sum(d)
     full_size = all(dk >= n for dk in d)
     out = []
-    for q in qs:
+    for q in (*qs, *spare):
         K: dict = {}
         for r, K_r in logs:
             m_r = necklace_count(q, r)
@@ -273,12 +275,3 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series) -> list:
                 f"Euler product counts {count} members, not {expected}")
         out.append((total, count))
     return out
-
-
-def euler_count(spec: CensusSpec, guards: Guards = DEFAULT) -> WeightedCensus:
-    """The census of an 'euler' spec from the Euler product; only q is read
-    from its field, and only the series guard bounds it."""
-    t0 = time.perf_counter()
-    [(total, count)] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q],
-                                    guards.series)
-    return WeightedCensus(spec, total, count, "euler-product", time.perf_counter() - t0)

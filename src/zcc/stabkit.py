@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .census import (CensusSpec, WeightedCensus, coprime_pair_census,
-                     enumerate_unordered)
+from .census import CensusSpec, coprime_pair_census, enumerate_unordered
 from .charpoly import CharPolynomial
 from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
@@ -77,9 +76,12 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
     D+1 (by increasing q), with every remaining sample checked exactly.
     With exactly N = D+1 samples the coefficient of q^D is taken to be 1
     (as for every unweighted point count: the top cell contributes
-    q^topdim), leaving one slack sample as the consistency check.  Any
-    violated check raises "not polynomial of expected degree".  More than
-    FIT_GUARD fitted points are refused before any arithmetic.
+    q^topdim), leaving one slack sample as the consistency check.  With no
+    expected degree every sample is fitted, and the fit is evaluated again
+    at the last one, a witness of the fit itself.  Any violated check raises
+    "not polynomial of expected degree", then the fitted degree or the
+    first sample that disagrees.  More than FIT_GUARD fitted points are
+    refused before any arithmetic.
     """
     pts = [(int(q), Fraction(v)) for q, v in samples]
     if len({q for q, _v in pts}) != len(pts):
@@ -90,12 +92,12 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
     if fitted > FIT_GUARD:
         raise GuardError(f"{fitted} fitted points exceed guard {FIT_GUARD}")
     pts.sort()
-    if expected_degree is None:
-        return _trim(_newton(pts))
-    D = int(expected_degree)
+    D = len(pts) - 1 if expected_degree is None else int(expected_degree)
     if D < 0:
         raise ValidationError("expected degree must be >= 0")
-    if len(pts) >= D + 2:
+    if expected_degree is None:  # every sample is fitted; the last is checked again
+        coeffs, check_pts = _trim(_newton(pts)), pts[-1:]
+    elif len(pts) >= D + 2:
         fit_pts, check_pts = pts[:D + 1], pts[D + 1:]
         coeffs = _trim(_newton(fit_pts))
     elif len(pts) == D + 1:  # D >= 1, as there are at least 2 samples
@@ -106,13 +108,13 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
         raise ValidationError(
             f"need at least {D + 1} samples for expected degree {D}")
     if len(coeffs) - 1 > D:
-        raise InconsistencyError("not polynomial of expected degree",
-                                 trace={"degree": len(coeffs) - 1, "expected": D})
-    bad = [(q, v, value) for q, v in check_pts
-           if (value := eval_int_poly(coeffs, q)) != v]
-    if bad:
-        raise InconsistencyError("not polynomial of expected degree",
-                                 trace={"mismatches": bad})
+        raise InconsistencyError(
+            f"not polynomial of expected degree: the fit has degree {len(coeffs) - 1}")
+    for q, v in check_pts:
+        if (value := eval_int_poly(coeffs, q)) != v:
+            raise InconsistencyError(
+                f"not polynomial of expected degree: the sample at q = {q} is {v}, "
+                f"the fit gives {value}")
     return coeffs
 
 
@@ -176,7 +178,7 @@ def _pairs(rows) -> list:
 
 
 def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
-                  guards, factor_seed) -> WeightedCensus:
+                  guards, factor_seed) -> tuple:
     single_column = len(poly.columns_used()) <= 1
     if n == 1 and len(d) == 2 and single_column:
         return coprime_pair_census(d, n, field, poly, factor_seed, guards)
@@ -196,12 +198,12 @@ def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     if not fits:
         return
     _records, t, q = max(fits)
-    cen = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guards,
-                        factor_seed)
-    if (cen.total, cen.point_count) != totals[t, q]:
+    recount = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guards,
+                            factor_seed)
+    if recount != totals[t, q]:
         raise InconsistencyError(
             f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
-            f"the record tables give {(cen.total, cen.point_count)}")
+            f"the record tables give {recount}")
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,

@@ -4,14 +4,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcc.errors import StabilizationCapError, ValidationError
+from zcc.errors import ValidationError
 from zcc.charpoly import (MAX_DEGREE, MAX_TERM_PRODUCTS, ONE, CharPolynomial,
                           all_partitions,
                           decompose_into_irreducibles, evaluate,
                           free_module_character, inner_product,
                           irreducible_character_value, irreducible_dimension,
-                          pad_partition, parse_charpoly, partitions_of,
-                          stable_inner_product, z_of)
+                          pad_partition, parse_charpoly, partitions_of, z_of)
 
 X11 = parse_charpoly("X[1,1]")
 X12 = parse_charpoly("X[1,2]")
@@ -107,19 +106,6 @@ def test_inner_product_factorizes_over_columns():
         assert left == right
 
 
-def test_stable_inner_product_examples():
-    assert stable_inner_product(X11, X11) == (2, (2,))
-    assert stable_inner_product(ONE, ONE) == (1, (0,))
-    prod = parse_charpoly("X[1,1]*X[2,1]")
-    assert stable_inner_product(prod, prod) == (4, (2, 2))
-
-
-def test_stable_inner_product_symmetric_on_free_modules():
-    for a, b in (((1,), (2,)), ((2,), (3,)), ((1, 1), (2, 1))):
-        fa, fb = free_module_character(a), free_module_character(b)
-        assert stable_inner_product(fa, fb) == stable_inner_product(fb, fa)
-
-
 def test_free_module_character_examples():
     assert free_module_character((1,)) == X11
     assert free_module_character((2,)) == parse_charpoly("X[1,1]^2-X[1,1]")
@@ -199,22 +185,6 @@ def test_decompose_examples():
 def test_decompose_rational_statistic():
     dec = decompose_into_irreducibles(CharPolynomial.constant(Fraction(1, 2)), (2,))
     assert dec == {((2,),): Fraction(1, 2)}
-
-
-def test_stabilization_cap_error_carries_trace(monkeypatch):
-    # every genuine statistic stabilizes, so fake a drifting inner product to
-    # check the cap aborts with the value trace attached
-    import zcc.charpoly as cp
-    calls = {"t": 0}
-
-    def drifting(P, Q, d):
-        calls["t"] += 1
-        return Fraction(calls["t"])
-
-    monkeypatch.setattr(cp, "inner_product", drifting)
-    with pytest.raises(StabilizationCapError) as err:
-        cp.stable_inner_product(X11, X11)
-    assert len(err.value.trace) >= 2
 
 
 @given(st.integers(0, 8))

@@ -37,14 +37,18 @@ def test_count_example(capsys):
 
 
 def test_count_modes_agree(capsys):
-    results = {}
-    for mode in ("ordered", "unordered", "burnside"):
+    results, methods = {}, {}
+    for mode in ("ordered", "unordered", "burnside", "euler"):
         rc, payload = run_json(capsys, ["count", "--d", "2,1", "--n", "1",
                                         "--q", "3", "--mode", mode])
         assert rc == 0
         results[mode] = payload["point_count"]
-    assert results["unordered"] == results["burnside"] == 18
+        methods[mode] = payload["method"]
+    assert results["unordered"] == results["burnside"] == results["euler"] == 18
     assert results["ordered"] == 12  # the ordered space is a different count
+    assert methods == {"ordered": "ordered-enumeration",
+                       "unordered": "unordered-enumeration",
+                       "burnside": "burnside-frobenius", "euler": "euler-product"}
 
 
 def test_weighted(capsys):
@@ -91,6 +95,12 @@ def test_betti(capsys):
 def test_interpolate_inconsistency_exit_code(capsys):
     rc = run(["interpolate", "--samples", "2=2,3=6,5=21", "--expected-degree", "2"])
     assert rc == 2
+    assert capsys.readouterr().err == ("error: not polynomial of expected degree: "
+                                       "the sample at q = 5 is 21, the fit gives 20\n")
+    rc = run(["interpolate", "--samples", "2=2,3=6,5=20,7=41", "--expected-degree", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: not polynomial of expected degree: "
+                                       "the sample at q = 7 is 41, the fit gives 42\n")
     rc, payload = run_json(capsys, ["interpolate", "--samples", "2=2,3=6,5=20",
                                     "--expected-degree", "2", "--topdim", "2"])
     assert rc == 0
@@ -860,6 +870,26 @@ def test_topology_stdout_pinned(capsys, argv, digest):
      "2f62b246938eabeff3f6c6245e879da276c76e909590780a46da0159d94d6152"),
 ])
 def test_record_heavy_stdout_pinned(capsys, argv, digest):
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout of census runs the benchmark does not make: csv, the ordered,
+# burnside and euler modes on small inputs, and a weighted census over F_9
+@pytest.mark.parametrize("argv, digest", [
+    ("count --d 2,2 --n 1 --q 3 --format csv",
+     "05bbe77f318e45a4e9dfa4e25ca5d09b7cf560cac5c135cc36027f7b387b8e8b"),
+    ("count --d 2,1 --n 1 --q 4 --mode ordered",
+     "f93fb04d49cc82d5fb406021d8fe6a7be1037f427fc8e99858ca23e97ff95861"),
+    ("weighted --d 2,2 --n 1 --q 3 --mode burnside --poly X[1,1]*X[2,1]",
+     "ae6fa42ed71df8f7f7ef753ab8371aa24867fbd910a1c333deb3e2d4a4f43cf9"),
+    ("weighted --d 3,3 --n 1 --q 5 --mode euler --poly X[1,1]^2",
+     "f64b3cf2c3781ba71f79de5c76544245bc85074df37ec3009be28fe9e9019492"),
+    ("weighted --d 2,1 --n 2 --q 9 --poly X[1,1]^2-X[1,2]",
+     "0a41c4ed0576767dacf7feab2030f2269566106e65ed1373474347ab08517eef"),
+])
+def test_census_stdout_pinned(capsys, argv, digest):
     assert run(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from zcc import euler, stabkit
-from zcc.census import (CensusSpec, WeightedCensus, burnside_count,
-                        enumerate_unordered, run_census)
+from zcc import census, euler, stabkit
+from zcc.census import CensusSpec, burnside_count, enumerate_unordered, run_census
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.cli import run
 from zcc.errors import GuardError, InconsistencyError, ValidationError
@@ -40,11 +39,10 @@ def test_multi_column_rational_statistics_match_both_routes(q):
                 P = parse_charpoly(text, m=2)
                 want = enumerate_unordered(CensusSpec(d, n, field, P, "unordered"))
                 got = _euler(d, n, q, P)
-                assert (got.total, got.point_count) == (want.total, want.point_count)
+                assert got == want
                 if sum(d) <= 6:
                     other = burnside_count(CensusSpec(d, n, field, P, "burnside"))
-                    assert got.total == other.total, (d, n, q, text)
-                assert got.method == "euler-product"
+                    assert got == other, (d, n, q, text)
 
 
 def test_three_columns_match_enumeration():
@@ -54,7 +52,7 @@ def test_three_columns_match_enumeration():
             for q in (2, 3):
                 want = enumerate_unordered(CensusSpec(d, n, _field(q), P, "unordered"))
                 got = _euler(d, n, q, P)
-                assert (got.total, got.point_count) == (want.total, want.point_count)
+                assert got == want
 
 
 def test_one_call_serves_every_q():
@@ -96,6 +94,34 @@ def test_series_guard_counts_reachable_states_and_every_q():
     euler.check_series_guard((1,) * 7, P, qs, work)
     with pytest.raises(GuardError, match=r"series work of 2187\^2 states x 9 passes x 1 words"):
         euler.check_series_guard((1,) * 7, P, qs, work - 1)
+
+
+def test_euler_mode_recounts_q_2_up_to_its_bound(monkeypatch):
+    calls = []
+    real = census.enumerate_unordered
+
+    def counting(spec, *rest):
+        calls.append((spec.d, spec.field.q))
+        return real(spec, *rest)
+
+    monkeypatch.setattr(census, "enumerate_unordered", counting)
+    assert census.EULER_RECOUNT_DEGREE == 10
+    _euler((5, 5), 1, 7, ONE)
+    _euler((6, 5), 1, 7, ONE)
+    assert calls == [((5, 5), 2)]
+
+
+def test_euler_recount_leaves_the_series_guard_alone():
+    # 9 states: 81 x 2 passes is within the guard, 81 x 3 would not be, so
+    # the q = 2 pass is not counted and the run still goes through
+    P = parse_charpoly("X[1,1]*X[2,1]", m=2)
+    limited = Guards(field=DEFAULT.field, points=DEFAULT.points,
+                     records=DEFAULT.records, series=200)
+    with pytest.raises(GuardError, match=r"9\^2 states x 3 passes"):
+        euler.check_series_guard((1, 1), P, [3, 2], limited.series)
+    spec = CensusSpec((1, 1), 1, _field(3), P, "euler")
+    assert run_census(spec, limited) == enumerate_unordered(
+        CensusSpec((1, 1), 1, _field(3), P, "unordered"))
 
 
 def test_report_refuses_n_below_1():
@@ -144,7 +170,7 @@ def test_report_samples_equal_the_record_tables(job):
         for pt in rep["points"]:
             for q, total in pt["samples"]:
                 cen = _census_total(tuple(pt["d"]), n, _field(q), P, DEFAULT, 0)
-                assert total == str(cen.total), (pt["d"], q, text)
+                assert total == str(cen[0]), (pt["d"], q, text)
 
 
 def test_report_recounts_the_largest_sample_within_budget(monkeypatch):
@@ -171,9 +197,8 @@ def test_report_recounts_the_largest_sample_within_budget(monkeypatch):
 def test_report_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch,
                                                             total_shift, count_shift):
     def off_by_one(d, n, field, poly, *rest):
-        cen = _census_total(d, n, field, poly, *rest)
-        return WeightedCensus(cen.spec, cen.total + total_shift,
-                              cen.point_count + count_shift, cen.method, cen.elapsed)
+        total, count = _census_total(d, n, field, poly, *rest)
+        return total + total_shift, count + count_shift
 
     monkeypatch.setattr(stabkit, "_census_total", off_by_one)
     argv = "report --m 2 --n 1 --d-list 1,2 --q-list 2,3,5,7,11 --polys X[1,1]"

@@ -33,9 +33,9 @@ ALLOWED = {
     # the representation-theory half of charpoly, reserved for a command that
     # reads multiplicities of irreducibles off the census
     "charpoly.decompose_into_irreducibles": "charpoly: representation stability",
+    "charpoly.inner_product": "charpoly: representation stability",
     "charpoly.pad_partition": "charpoly: representation stability",
     "charpoly.free_module_character": "charpoly: representation stability",
-    "charpoly.stable_inner_product": "charpoly: representation stability",
     "charpoly.irreducible_dimension": "charpoly: representation stability",
 }
 
