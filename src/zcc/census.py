@@ -45,30 +45,9 @@ from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, packing
 from .guards import DEFAULT, Guards
 from .polyarith import factorize
-from .record import Value
 
 BURNSIDE_DEGREE_GUARD = 8
 _EMPTY = frozenset()
-
-
-class CensusSpec(Value):
-    """One census question, validated on construction; immutable and hashable."""
-
-    __slots__ = ("d", "n", "field", "poly", "mode")
-
-    def __init__(self, d: tuple, n: int, field: FieldSpec, poly: CharPolynomial,
-                 mode: str):
-        if n < 1:
-            raise ValidationError("threshold n must be >= 1")
-        if not d or any(x < 0 for x in d):
-            raise ValidationError(f"bad degree vector {d}")
-        if mode not in ("ordered", "unordered", "burnside", "euler"):
-            raise ValidationError(f"unknown census mode {mode!r}")
-        used = poly.columns_used()
-        if used and max(used) > len(d):
-            raise ValidationError(
-                f"statistic uses column {max(used)} but d has {len(d)} columns")
-        super().__init__(d, n, field, poly, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +199,20 @@ def _spot_slot(seed: int, size: int) -> int:
 
 @lru_cache(maxsize=None)
 def poly_records(field: FieldSpec, degree: int, seed: int = 0) -> tuple:
-    """The record of every monic polynomial of the given degree, its factors:
+    """(records, signatures) of every monic polynomial of the given degree:
     the factor table, built once per (field, degree) by multiplying out the
-    multisets of irreducibles, not by factoring, and shared by every seed.
+    multisets of irreducibles, not by factoring, and the same object for
+    every seed.
 
     Run-time checks: no two products coincide, each degree j has M_j(q)
     irreducibles (so every polynomial gets exactly one record), and the
     record that `seed` picks equals its factorization by `factorize`.  The
-    seed never changes the records, only which one is checked.
+    seed never changes the table, only which record is checked.
     """
-    table = _factor_table(field, degree)[0]
-    slot = _spot_slot(seed, len(table))
+    table = _factor_table(field, degree)
+    slot = _spot_slot(seed, len(table[0]))
     coeffs = _slot_coeffs(slot, field.q, degree)
-    if factorize(field, coeffs, seed=seed) != table[slot]:
+    if factorize(field, coeffs, seed=seed) != table[0][slot]:
         raise InconsistencyError(
             f"record of the monic polynomial with coefficients {coeffs} "
             f"disagrees with its factorization")
@@ -352,8 +332,7 @@ def _fold(columns) -> Counter:
 def _member_histogram(field, d, n, seed=0) -> Counter:
     """Per-column signature tuple -> number of member tuples; columns of
     equal degree share one grouping of their record table."""
-    groups = {dk: _column_groups(poly_records(field, dk, seed),
-                                 _factor_table(field, dk)[1], n) for dk in set(d)}
+    groups = {dk: _column_groups(*poly_records(field, dk, seed), n) for dk in set(d)}
     return _fold([groups[dk] for dk in d])
 
 
@@ -365,15 +344,13 @@ def _weigh(P: CharPolynomial, histogram) -> tuple:
     return total, sum(histogram.values())
 
 
-def enumerate_unordered(spec: CensusSpec, guards: Guards = DEFAULT,
-                        factor_seed: int = 0) -> tuple:
+def enumerate_unordered(d: tuple, n: int, field: FieldSpec, poly: CharPolynomial,
+                        guards: Guards = DEFAULT, factor_seed: int = 0) -> tuple:
     """(total, point count) over all m-tuples of monic polynomials of
-    degrees d over F_q."""
-    if spec.mode != "unordered":
-        raise ValidationError("spec mode must be 'unordered'")
-    _check_point_guard(spec.field.q, sum(spec.d), guards.points, "; try burnside mode")
-    _check_record_guard(spec.field, spec.d, guards.records)
-    return _weigh(spec.poly, _member_histogram(spec.field, spec.d, spec.n, factor_seed))
+    degrees d over F_q; the inputs are taken as validated (run_census)."""
+    _check_point_guard(field.q, sum(d), guards.points, "; try burnside mode")
+    _check_record_guard(field, d, guards.records)
+    return _weigh(poly, _member_histogram(field, d, n, factor_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +358,20 @@ def enumerate_unordered(spec: CensusSpec, guards: Guards = DEFAULT,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_ordered(spec: CensusSpec, guards: Guards = DEFAULT) -> tuple:
-    """(total, point count) of the ordered space's F_q-points; the statistic
-    must be 1, so the total is the count."""
-    if spec.mode != "ordered":
-        raise ValidationError("spec mode must be 'ordered'")
-    if not spec.poly.is_one():
-        raise ValidationError("ordered census is unweighted")
-    _check_point_guard(spec.field.q, sum(spec.d), guards.points)
-    q = spec.field.q
+def enumerate_ordered(d: tuple, n: int, field: FieldSpec,
+                      guards: Guards = DEFAULT) -> tuple:
+    """(total, point count) of the ordered space's F_q-points, unweighted,
+    so the total is the count; the inputs are taken as validated
+    (run_census)."""
+    _check_point_guard(field.q, sum(d), guards.points)
+    q = field.q
     columns = []
-    for dk in spec.d:
+    for dk in d:
         # tally a column's tuples by sorted values, then by n-fold value set
         column = Counter()
         tuples = product(range(q), repeat=dk)
         for values, mult in Counter(map(tuple, map(sorted, tuples))).items():
-            column[frozenset(v for v in values if values.count(v) >= spec.n)] += mult
+            column[frozenset(v for v in values if values.count(v) >= n)] += mult
         columns.append({None: column})
     count = sum(_fold(columns).values())
     return Fraction(count), count
@@ -463,25 +438,25 @@ def _burnside_fixed(field: FieldSpec, d: tuple, n: int) -> tuple:
                  for ctype, weight in cycle_types_of(d))
 
 
-def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> tuple:
-    """(total, point count) via Frobenius-twisted fixed points, class by class.
+def burnside_count(d: tuple, n: int, field: FieldSpec, poly: CharPolynomial,
+                   guards: Guards = DEFAULT) -> tuple:
+    """(total, point count) via Frobenius-twisted fixed points, class by
+    class; the inputs are taken as validated (run_census).
 
     A j-cycle's choices come from the record tables of the unordered route
     (degrees up to max(d)), so the record guard is checked before any is
     built.  The fixed-point table carries no statistic; the statistic is
     evaluated at each class's cycle type and paired with it.
     """
-    if spec.mode != "burnside":
-        raise ValidationError("spec mode must be 'burnside'")
-    total_deg = sum(spec.d)
+    total_deg = sum(d)
     if total_deg > BURNSIDE_DEGREE_GUARD:
         raise GuardError(
             f"|d| = {total_deg} exceeds burnside guard {BURNSIDE_DEGREE_GUARD}")
-    _check_point_guard(spec.field.q, total_deg, guards.points)
-    _check_record_guard(spec.field, spec.d, guards.records)
-    classes = _burnside_fixed(spec.field, tuple(spec.d), spec.n)
+    _check_point_guard(field.q, total_deg, guards.points)
+    _check_record_guard(field, d, guards.records)
+    classes = _burnside_fixed(field, tuple(d), n)
     count = sum((w * fixed for _ctype, w, fixed in classes), Fraction(0))
-    total = sum((w * evaluate(spec.poly, ctype) * fixed
+    total = sum((w * evaluate(poly, ctype) * fixed
                  for ctype, w, fixed in classes), Fraction(0))
     if count.denominator != 1:
         raise InconsistencyError("burnside point count is not an integer")
@@ -493,9 +468,8 @@ def burnside_count(spec: CensusSpec, guards: Guards = DEFAULT) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
-                        P: CharPolynomial, factor_seed: int = 0,
-                        guards: Guards = DEFAULT) -> tuple:
+def coprime_pair_census(d: tuple, n: int, field: FieldSpec, poly: CharPolynomial,
+                        guards: Guards = DEFAULT, factor_seed: int = 0) -> tuple:
     """(total, point count) of the unordered census for m = 2, n = 1 with a
     single-column statistic.
 
@@ -506,23 +480,31 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
     """
     if len(d) != 2 or n != 1:
         raise ValidationError("fast path requires m = 2 and n = 1")
-    used = P.columns_used()
+    used = poly.columns_used()
     if len(used) > 1:
         raise ValidationError("fast path requires a single-column statistic")
     col = (used.pop() - 1) if used else 0
     _check_record_guard(field, (d[col],), guards.records)
     q = field.q
     d_other = d[1 - col]
-    poly_records(field, d[col], factor_seed)
     histogram = Counter()
-    for sig, mult in Counter(_factor_table(field, d[col])[1]).items():
+    for sig, mult in Counter(poly_records(field, d[col], factor_seed)[1]).items():
         # inclusion-exclusion over the sets of distinct factors, one factor
         # per (degree, multiplicity) pair of the signature; the other column
         # enters the signature tuple as `()`, since P does not read it
         histogram[(sig, ()) if col == 0 else ((), sig)] = mult * sum(
             (-1) ** r * q ** (d_other - s) for r in range(len(sig) + 1)
             for s in map(sum, combinations([j for j, _e in sig], r)) if s <= d_other)
-    return _weigh(P, histogram)
+    return _weigh(poly, histogram)
+
+
+def check_recount(d: tuple, q: int, euler: tuple, recount: tuple) -> None:
+    """Raise unless the Euler product's (total, point count) at d and q
+    equals the record tables' recount there."""
+    if euler != recount:
+        raise InconsistencyError(
+            f"Euler product gives ({euler[0]}, {euler[1]}) at d = {d}, q = {q}; "
+            f"the record tables give ({recount[0]}, {recount[1]})")
 
 
 # --mode euler recounts q = 2 through the record tables up to this |d|, so
@@ -530,31 +512,39 @@ def coprime_pair_census(d: tuple, n: int, field: FieldSpec,
 EULER_RECOUNT_DEGREE = 10
 
 
-def run_census(spec: CensusSpec, guards: Guards = DEFAULT,
-               factor_seed: int = 0) -> tuple:
-    """(total, point count) of the spec by its mode's route.
+def run_census(d: tuple, n: int, field: FieldSpec, poly: CharPolynomial, mode: str,
+               guards: Guards = DEFAULT, factor_seed: int = 0) -> tuple:
+    """(total, point count) of the census by the mode's route.
 
-    The Euler route also gives the pair at q = 2 when |d| is at most
-    EULER_RECOUNT_DEGREE, and it must equal the unordered route's there:
-    K_r and the binomial weights do not depend on q, so one small q
-    certifies them, and the member-count check covers the pass at q.
+    The inputs are validated here, before any record table or series is
+    built, and the routes take them as validated.  The Euler route also
+    gives the pair at q = 2 when |d| is at most EULER_RECOUNT_DEGREE, and
+    it must equal the unordered route's there: K_r and the binomial
+    weights do not depend on q, so one small q certifies them, and the
+    member-count check covers the pass at q.
     """
-    if spec.mode == "euler":  # imported here: only this mode loads the route
+    if n < 1:
+        raise ValidationError("threshold n must be >= 1")
+    if not d or any(x < 0 for x in d):
+        raise ValidationError(f"bad degree vector {d}")
+    if mode not in ("ordered", "unordered", "burnside", "euler"):
+        raise ValidationError(f"unknown census mode {mode!r}")
+    used = poly.columns_used()
+    if used and max(used) > len(d):
+        raise ValidationError(
+            f"statistic uses column {max(used)} but d has {len(d)} columns")
+    if mode == "ordered" and not poly.is_one():
+        raise ValidationError("ordered census is unweighted")
+    if mode == "euler":  # imported here: only this mode loads the route
         from .euler import euler_totals
-        spare = (2,) if sum(spec.d) <= EULER_RECOUNT_DEGREE else ()
-        [pair, *recount] = euler_totals(spec.d, spec.n, spec.poly, [spec.field.q],
-                                        guards.series, spare=spare)
+        spare = (2,) if sum(d) <= EULER_RECOUNT_DEGREE else ()
+        [pair, *recount] = euler_totals(d, n, poly, [field.q], guards.series, spare=spare)
         if recount:
-            want = enumerate_unordered(
-                CensusSpec(spec.d, spec.n, make_field(2), spec.poly, "unordered"),
-                guards, factor_seed)
-            if recount[0] != want:
-                raise InconsistencyError(
-                    f"Euler product gives {recount[0]} at d = {spec.d}, q = 2; "
-                    f"the record tables give {want}")
+            check_recount(d, 2, recount[0], enumerate_unordered(
+                d, n, make_field(2), poly, guards, factor_seed))
         return pair
-    if spec.mode == "ordered":
-        return enumerate_ordered(spec, guards)
-    if spec.mode == "unordered":
-        return enumerate_unordered(spec, guards, factor_seed=factor_seed)
-    return burnside_count(spec, guards)
+    if mode == "ordered":
+        return enumerate_ordered(d, n, field, guards)
+    if mode == "unordered":
+        return enumerate_unordered(d, n, field, poly, guards, factor_seed)
+    return burnside_count(d, n, field, poly, guards)

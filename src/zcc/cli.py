@@ -215,12 +215,12 @@ METHODS = {"unordered": "unordered-enumeration", "ordered": "ordered-enumeration
 
 def _cmd_census(args) -> int:
     """count (the statistic 1) and weighted (the statistic --poly)."""
-    from .census import CensusSpec, run_census
+    from .census import run_census
     field = _parse_q(args.q, args.guards.field)
     d = _parse_d(args.d)
     poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
-    spec = CensusSpec(d=d, n=args.n, field=field, poly=poly, mode=args.mode)
-    total, count = run_census(spec, args.guards, factor_seed=args.factor_seed)
+    total, count = run_census(d, args.n, field, poly, args.mode, args.guards,
+                              args.factor_seed)
     payload = {"d": list(d), "n": args.n, "q": field.q, "p": field.p, "e": field.e,
                "poly": str(poly), "mode": args.mode, "method": METHODS[args.mode],
                "point_count": count, "total": str(total)}
@@ -397,8 +397,7 @@ VERIFY_GRID = {
 
 
 def _cmd_verify(args) -> int:
-    from .census import (CensusSpec, burnside_count, enumerate_ordered,
-                         enumerate_unordered)
+    from .census import burnside_count, enumerate_ordered, enumerate_unordered
     checks = []
     all_pass = True
 
@@ -417,19 +416,16 @@ def _cmd_verify(args) -> int:
         for d in VERIFY_GRID["d_vectors"]:
             for n in VERIFY_GRID["n_values"]:
                 params = f"d={d} n={n} q={q}"
-                _total, ordered = enumerate_ordered(
-                    CensusSpec(d, n, field, ONE, "ordered"), args.guards)
+                _total, ordered = enumerate_ordered(d, n, field, args.guards)
                 if not (len(d) == 1 and n == 1):
                     lattice = build_lattice(d, n)
                     nq = eval_int_poly(point_count_polynomial(lattice, 1), q)
                     add("ordered=lattice", params, ordered == nq, ordered, nq)
                 for text in VERIFY_GRID["polys"]:
                     poly = parse_charpoly(text, m=len(d))
-                    unordered = enumerate_unordered(
-                        CensusSpec(d, n, field, poly, "unordered"), args.guards,
-                        factor_seed=args.factor_seed)
-                    burnside = burnside_count(
-                        CensusSpec(d, n, field, poly, "burnside"), args.guards)
+                    unordered = enumerate_unordered(d, n, field, poly, args.guards,
+                                                    args.factor_seed)
+                    burnside = burnside_count(d, n, field, poly, args.guards)
                     add("unordered=burnside", params + f" P={text}",
                         unordered == burnside, unordered[0], burnside[0])
     payload = {"all_pass": all_pass, "checks": checks}

@@ -233,7 +233,7 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series,
                  spare=()) -> list:
     """[(sum of P over the members, member count)] of the unordered space of
     degrees d and threshold n, one pair per q in qs, then one per q in
-    spare; d, n and P are taken as validated (CensusSpec, lefschetz_report).
+    spare; d, n and P are taken as validated (run_census, lefschetz_report).
 
     The series guard runs before any series exists.  It counts the passes
     of qs only: a spare q is at most max(qs), so its pass costs no more

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .census import CensusSpec, coprime_pair_census, enumerate_unordered
+from .census import check_recount, coprime_pair_census, enumerate_unordered
 from .charpoly import CharPolynomial
 from .errors import GuardError, InconsistencyError, ValidationError
 from .ffield import FieldSpec, make_field, prime_power
@@ -79,9 +79,9 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
     q^topdim), leaving one slack sample as the consistency check.  With no
     expected degree every sample is fitted, and the fit is evaluated again
     at the last one, a witness of the fit itself.  Any violated check raises
-    "not polynomial of expected degree", then the fitted degree or the
-    first sample that disagrees.  More than FIT_GUARD fitted points are
-    refused before any arithmetic.
+    "not polynomial of expected degree" and the first sample that
+    disagrees.  More than FIT_GUARD fitted points are refused before any
+    arithmetic.
     """
     pts = [(int(q), Fraction(v)) for q, v in samples]
     if len({q for q, _v in pts}) != len(pts):
@@ -107,9 +107,6 @@ def interpolate_in_q(samples, expected_degree: int | None = None) -> tuple:
     else:
         raise ValidationError(
             f"need at least {D + 1} samples for expected degree {D}")
-    if len(coeffs) - 1 > D:
-        raise InconsistencyError(
-            f"not polynomial of expected degree: the fit has degree {len(coeffs) - 1}")
     for q, v in check_pts:
         if (value := eval_int_poly(coeffs, q)) != v:
             raise InconsistencyError(
@@ -181,9 +178,8 @@ def _census_total(d, n, field: FieldSpec, poly: CharPolynomial,
                   guards, factor_seed) -> tuple:
     single_column = len(poly.columns_used()) <= 1
     if n == 1 and len(d) == 2 and single_column:
-        return coprime_pair_census(d, n, field, poly, factor_seed, guards)
-    spec = CensusSpec(d=tuple(d), n=n, field=field, poly=poly, mode="unordered")
-    return enumerate_unordered(spec, guards, factor_seed=factor_seed)
+        return coprime_pair_census(d, n, field, poly, guards, factor_seed)
+    return enumerate_unordered(d, n, field, poly, guards, factor_seed)
 
 
 def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
@@ -198,12 +194,8 @@ def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     if not fits:
         return
     _records, t, q = max(fits)
-    recount = _census_total((t,) * m, n, make_field(*prime_power(q)), poly, guards,
-                            factor_seed)
-    if recount != totals[t, q]:
-        raise InconsistencyError(
-            f"Euler product gives {totals[t, q]} at d = {(t,) * m}, q = {q}; "
-            f"the record tables give {recount}")
+    check_recount((t,) * m, q, totals[t, q], _census_total(
+        (t,) * m, n, make_field(*prime_power(q)), poly, guards, factor_seed))
 
 
 def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,

@@ -9,8 +9,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from zcc.census import (CensusSpec, burnside_count, enumerate_ordered,
-                        enumerate_unordered, run_census)
+from zcc.census import (burnside_count, enumerate_ordered, enumerate_unordered,
+                        run_census)
 from zcc.charpoly import (ONE, all_partitions, evaluate, free_module_character,
                           inner_product, irreducible_character_value,
                           parse_charpoly, partitions_of)
@@ -44,7 +44,7 @@ def test_criterion_1_oracle_triangle():
         field = make_field(q)
         for dv in _degree_vectors():
             for n in (1, 2, 3):
-                ordered = enumerate_ordered(CensusSpec(dv, n, field, ONE, "ordered"))
+                ordered = enumerate_ordered(dv, n, field)
                 if not (len(dv) == 1 and n == 1):
                     # the m = n = 1 corner has an empty space but a nonempty
                     # lattice (no proper subspace cuts out the big diagonal
@@ -56,22 +56,20 @@ def test_criterion_1_oracle_triangle():
                     checks += 1
                 polys = [ONE, X11, X12] + ([X11X21] if len(dv) == 2 else [])
                 for P in polys:
-                    unordered = enumerate_unordered(
-                        CensusSpec(dv, n, field, P, "unordered"))
-                    burnside = burnside_count(
-                        CensusSpec(dv, n, field, P, "burnside"))
+                    unordered = enumerate_unordered(dv, n, field, P)
+                    burnside = burnside_count(dv, n, field, P)
                     assert unordered == burnside, (dv, n, q, str(P))
-                    euler = run_census(CensusSpec(dv, n, field, P, "euler"))
+                    euler = run_census(dv, n, field, P, "euler")
                     assert euler == unordered, (dv, n, q, str(P))
                     checks += 1
     # the degenerate corner still satisfies the census triangle (empty space)
     for q in ACCEPTANCE_QS:
         field = make_field(q)
         for d in range(1, 7):
-            o = enumerate_ordered(CensusSpec((d,), 1, field, ONE, "ordered"))
-            u = enumerate_unordered(CensusSpec((d,), 1, field, ONE, "unordered"))
-            b = burnside_count(CensusSpec((d,), 1, field, ONE, "burnside"))
-            e = run_census(CensusSpec((d,), 1, field, ONE, "euler"))
+            o = enumerate_ordered((d,), 1, field)
+            u = enumerate_unordered((d,), 1, field, ONE)
+            b = burnside_count((d,), 1, field, ONE)
+            e = run_census((d,), 1, field, ONE, "euler")
             assert o[1] == u[1] == b[1] == e[1] == 0
             checks += 1
     print(f"\nPASS criterion 1: oracle triangle and Euler route exact on {checks} checks "
@@ -84,7 +82,7 @@ def test_criterion_2_configuration_space_regression():
     for q in ACCEPTANCE_QS:
         field = make_field(q)
         for d in (2, 3, 4):
-            w = enumerate_unordered(CensusSpec((d,), 2, field, ONE, "unordered"))
+            w = enumerate_unordered((d,), 2, field, ONE)
             assert w[1] == q ** d - q ** (d - 1), (q, d)
     print("PASS criterion 2: unordered configuration counts equal "
           "q^d - q^(d-1) for d in {2,3,4}, q in {2,3,5}")
@@ -119,8 +117,7 @@ def test_criterion_4_hyperplane_lefschetz_identity():
         total_deg = sum(dv)
         for q in ACCEPTANCE_QS:
             field = make_field(q)
-            count = enumerate_ordered(
-                CensusSpec(dv, 1, field, ONE, "ordered"))[1]
+            count = enumerate_ordered(dv, 1, field)[1]
             lhs = Fraction(count, q ** total_deg)
             rhs = sum(Fraction((-1) ** i * b, q ** i) for i, b in enumerate(betti))
             assert lhs == rhs, (dv, q, lhs, rhs)

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from field_reference import decode, encode
-from zcc import census, ffield
-from zcc.census import (CensusSpec, averaged_class_value, burnside_count,
-                        coprime_pair_census, enumerate_ordered,
-                        enumerate_unordered, necklace_count,
+from zcc import census, euler, ffield
+from zcc.census import (averaged_class_value, burnside_count, coprime_pair_census,
+                        enumerate_ordered, enumerate_unordered, necklace_count,
                         poly_records, run_census)
 from zcc.charpoly import ONE, parse_charpoly, partitions_of
 from zcc.cli import run as cli_run
@@ -37,52 +36,48 @@ def guards(**bounds):
                      for name in Guards.__slots__})
 
 
-def spec(d, n, field, poly, mode):
-    return CensusSpec(d=d, n=n, field=field, poly=poly, mode=mode)
-
-
 # -- spec examples ----------------------------------------------------------------
 
 
 def test_unordered_examples():
-    assert enumerate_unordered(spec((2,), 2, F3, ONE, "unordered"))[1] == 6
-    assert enumerate_unordered(spec((1, 1), 1, F2, ONE, "unordered"))[1] == 2
-    assert enumerate_unordered(spec((2,), 2, F3, X11, "unordered"))[0] == 6
+    assert enumerate_unordered((2,), 2, F3, ONE)[1] == 6
+    assert enumerate_unordered((1, 1), 1, F2, ONE)[1] == 2
+    assert enumerate_unordered((2,), 2, F3, X11)[0] == 6
 
 
 def test_ordered_examples():
-    assert enumerate_ordered(spec((1, 1), 1, F3, ONE, "ordered"))[1] == 6
-    assert enumerate_ordered(spec((2,), 2, F3, ONE, "ordered"))[1] == 6
+    assert enumerate_ordered((1, 1), 1, F3)[1] == 6
+    assert enumerate_ordered((2,), 2, F3)[1] == 6
     L = build_lattice((2, 2), 2)
     n_poly = point_count_polynomial(L, 1)
-    assert enumerate_ordered(spec((2, 2), 2, F2, ONE, "ordered"))[1] == \
+    assert enumerate_ordered((2, 2), 2, F2)[1] == \
         eval_int_poly(n_poly, 2)
 
 
 def test_ordered_refuses_weights():
     with pytest.raises(ValidationError, match="unweighted"):
-        enumerate_ordered(spec((2,), 2, F3, X11, "ordered"))
+        run_census((2,), 2, F3, X11, "ordered")
 
 
 def test_burnside_examples():
-    assert burnside_count(spec((2,), 2, F3, ONE, "burnside"))[1] == 6
-    assert burnside_count(spec((1, 1), 1, F2, ONE, "burnside"))[1] == 2
-    assert burnside_count(spec((2,), 2, F3, X12, "burnside"))[0] == 3
-    assert enumerate_unordered(spec((2,), 2, F3, X12, "unordered"))[0] == 3
+    assert burnside_count((2,), 2, F3, ONE)[1] == 6
+    assert burnside_count((1, 1), 1, F2, ONE)[1] == 2
+    assert burnside_count((2,), 2, F3, X12)[0] == 3
+    assert enumerate_unordered((2,), 2, F3, X12)[0] == 3
 
 
 def test_point_count_always_filled():
-    w = enumerate_unordered(spec((2,), 2, F3, X11, "unordered"))
+    w = enumerate_unordered((2,), 2, F3, X11)
     assert w == (6, 6)
-    _total, count = burnside_count(spec((2,), 3, F3, X11, "burnside"))
+    _total, count = burnside_count((2,), 3, F3, X11)
     assert count == 9
 
 
 def test_repeated_factor_weighting():
     # (x+1)^2 over F_3 is a member at n=3 and its coset-averaged fixed-point
     # count is 1, not 2: the class average over S_2 of the 1-cycle count
-    u = enumerate_unordered(spec((2,), 3, F3, X11, "unordered"))
-    b = burnside_count(spec((2,), 3, F3, X11, "burnside"))
+    u = enumerate_unordered((2,), 3, F3, X11)
+    b = burnside_count((2,), 3, F3, X11)
     assert u[0] == b[0] == 9
     assert averaged_class_value(X11, (((1, 2),),)) == 1
     assert averaged_class_value(X11, (((1, 3),),)) == 1
@@ -104,14 +99,14 @@ def test_oracle_triangle_small_grid():
         F = make_field(q)
         for dv in [(2,), (3,), (1, 1), (2, 1), (2, 2)]:
             for n in (1, 2, 3):
-                o = enumerate_ordered(spec(dv, n, F, ONE, "ordered"))
+                o = enumerate_ordered(dv, n, F)
                 if not (len(dv) == 1 and n == 1):
                     L = build_lattice(dv, n)
                     assert o[1] == eval_int_poly(
                         point_count_polynomial(L, 1), q)
                 for P in [ONE, X11, X12] + ([X11X21] if len(dv) == 2 else []):
-                    u = enumerate_unordered(spec(dv, n, F, P, "unordered"))
-                    b = burnside_count(spec(dv, n, F, P, "burnside"))
+                    u = enumerate_unordered(dv, n, F, P)
+                    b = burnside_count(dv, n, F, P)
                     assert u == b
     # three and four columns, on prime and extension fields
     stats = [ONE, X11, parse_charpoly("X[1,1]*X[3,1] - X[2,2]")]
@@ -120,8 +115,8 @@ def test_oracle_triangle_small_grid():
                    (2, 1, 1, 1), (2, 2, 2)]:
             for n in (1, 2):
                 for P in stats:
-                    b = burnside_count(spec(dv, n, F, P, "burnside"))
-                    u = enumerate_unordered(spec(dv, n, F, P, "unordered"))
+                    b = burnside_count(dv, n, F, P)
+                    u = enumerate_unordered(dv, n, F, P)
                     assert u == b, (F.q, dv, n, str(P))
 
 
@@ -172,7 +167,7 @@ WALK_DEGREES = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 2), (1, 1, 1),
 def test_fold_routes_match_tuple_walks(field):
     for dv in WALK_DEGREES:
         for n in (1, 2, 3):
-            ordered = enumerate_ordered(spec(dv, n, field, ONE, "ordered"))
+            ordered = enumerate_ordered(dv, n, field)
             assert ordered[1] == ordered_walk(dv, n, field), (field.q, dv, n)
             assert census._burnside_fixed(field, dv, n) == burnside_walk(field, dv, n), (
                 field.q, dv, n)
@@ -272,7 +267,7 @@ def test_twisted_table_per_orbit_matches_element_walk(field):
 def test_burnside_table_shared_across_statistics():
     census._burnside_fixed.cache_clear()
     for P in (ONE, X11):
-        burnside_count(spec((2, 1, 1), 1, F3, P, "burnside"))
+        burnside_count((2, 1, 1), 1, F3, P)
     info = census._burnside_fixed.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -281,9 +276,9 @@ def test_degenerate_corner_all_zero():
     for q in (2, 3):
         F = make_field(q)
         for d in (1, 2, 3):
-            assert enumerate_ordered(spec((d,), 1, F, ONE, "ordered"))[1] == 0
-            assert enumerate_unordered(spec((d,), 1, F, ONE, "unordered"))[1] == 0
-            assert burnside_count(spec((d,), 1, F, ONE, "burnside"))[1] == 0
+            assert enumerate_ordered((d,), 1, F)[1] == 0
+            assert enumerate_unordered((d,), 1, F, ONE)[1] == 0
+            assert burnside_count((d,), 1, F, ONE)[1] == 0
 
 
 def test_extension_field_burnside():
@@ -292,14 +287,14 @@ def test_extension_field_burnside():
     for F in (F4, F9):
         for dv, n in [((2,), 2), ((1, 1), 1), ((2, 1), 1)]:
             for P in (ONE, X11):
-                u = enumerate_unordered(spec(dv, n, F, P, "unordered"))
-                b = burnside_count(spec(dv, n, F, P, "burnside"))
+                u = enumerate_unordered(dv, n, F, P)
+                b = burnside_count(dv, n, F, P)
                 assert u == b
 
 
 def test_monotone_in_n():
     for dv in [(3,), (2, 1)]:
-        counts = [enumerate_unordered(spec(dv, n, F3, ONE, "unordered"))[1]
+        counts = [enumerate_unordered(dv, n, F3, ONE)[1]
                   for n in (1, 2, 3)]
         assert counts[0] <= counts[1] <= counts[2]
 
@@ -308,16 +303,16 @@ def test_squarefree_specialization():
     for q in (2, 3, 5):
         F = make_field(q)
         for d in (2, 3, 4):
-            w = enumerate_unordered(spec((d,), 2, F, ONE, "unordered"))
+            w = enumerate_unordered((d,), 2, F, ONE)
             assert w[1] == q ** d - q ** (d - 1)
 
 
 def test_guards():
     with pytest.raises(GuardError, match="burnside"):
-        enumerate_unordered(spec((10,), 2, F5, ONE, "unordered"), guards(points=1000))
+        enumerate_unordered((10,), 2, F5, ONE, guards(points=1000))
     # the record guard counts one table per distinct degree: 5^4 + 5^1
     with pytest.raises(GuardError, match="630 polynomial records"):
-        enumerate_unordered(spec((4, 4, 1), 1, F5, ONE, "unordered"),
+        enumerate_unordered((4, 4, 1), 1, F5, ONE,
                             guards(records=629))
     with pytest.raises(GuardError, match="625 polynomial records"):
         coprime_pair_census((4, 4), 1, F5, X11, guards=guards(records=624))
@@ -325,26 +320,45 @@ def test_guards():
         lefschetz_report([1, 4], 2, 1, ONE, [2, 3, 5, 7, 11],
                          guards=guards(records=624))
     with pytest.raises(GuardError):
-        enumerate_ordered(spec((10,), 2, F5, ONE, "ordered"), guards(points=1000))
+        enumerate_ordered((10,), 2, F5, guards(points=1000))
     with pytest.raises(GuardError):
-        burnside_count(spec((9,), 2, F2, ONE, "burnside"))
+        burnside_count((9,), 2, F2, ONE)
 
 
-def test_mode_validation():
-    with pytest.raises(ValidationError):
-        enumerate_unordered(spec((2,), 2, F3, ONE, "ordered"))
-    with pytest.raises(ValidationError):
-        CensusSpec(d=(2,), n=2, field=F3, poly=ONE, mode="random")
-    with pytest.raises(ValidationError):
-        CensusSpec(d=(2,), n=2, field=F3, poly=X11X21, mode="unordered")
-    with pytest.raises(ValidationError, match="threshold n must be >= 1"):
-        CensusSpec(d=(1,), n=0, field=F3, poly=ONE, mode="unordered")
+MODES = ("ordered", "unordered", "burnside", "euler")
+
+# (d, n, poly, the modes tried, the message): each case fails only the
+# checks from its message on, so the first case of a pair pins their order
+BAD_INPUTS = [
+    ((2,), 0, ONE, MODES, "threshold n must be >= 1"),
+    ((-1,), 0, X11X21, ("random",), "threshold n must be >= 1"),
+    ((), 1, ONE, MODES, "bad degree vector ()"),
+    ((2, -1), 1, ONE, MODES, "bad degree vector (2, -1)"),
+    ((-1,), 1, X11X21, ("random",), "bad degree vector (-1,)"),
+    ((2,), 1, X11X21, ("random",), "unknown census mode 'random'"),
+    ((2,), 1, X11X21, MODES, "statistic uses column 2 but d has 1 columns"),
+    ((2,), 1, X11, ("ordered",), "ordered census is unweighted"),
+]
+
+
+def test_run_census_refuses_bad_input_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the input was validated")
+
+    monkeypatch.setattr(census, "_factor_table", refuse)
+    monkeypatch.setattr(census, "_fold", refuse)
+    monkeypatch.setattr(euler, "euler_totals", refuse)
+    for d, n, poly, modes, message in BAD_INPUTS:
+        for mode in modes:
+            with pytest.raises(ValidationError) as raised:
+                run_census(d, n, F3, poly, mode)
+            assert str(raised.value) == message, (d, n, mode)
 
 
 def test_threads_and_seed_invariance():
-    base = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"))
+    base = enumerate_unordered((2, 2), 1, F3, X11)
     for seed in (1, 7, 9001, 2 ** 31 - 1):
-        seeded = enumerate_unordered(spec((2, 2), 1, F3, X11, "unordered"),
+        seeded = enumerate_unordered((2, 2), 1, F3, X11,
                                      factor_seed=seed)
         assert base == seeded
         assert poly_records(F3, 2, seed) == poly_records(F3, 2)
@@ -356,7 +370,7 @@ def test_coprime_fast_path_matches_enumeration():
         for dv in [(1, 1), (2, 1), (2, 2), (3, 2)]:
             for P in (ONE, X11, parse_charpoly("X[2,1]"), X12,
                       parse_charpoly("X[2,2]*X[2,1]")):
-                slow = enumerate_unordered(spec(dv, 1, F, P, "unordered"))
+                slow = enumerate_unordered(dv, 1, F, P)
                 fast = coprime_pair_census(dv, 1, F, P)
                 assert slow == fast
 
@@ -369,7 +383,7 @@ def test_coprime_fast_path_validation():
 
 
 def test_run_census_dispatch_and_json(capsys):
-    assert run_census(spec((2,), 2, F3, ONE, "unordered")) == (6, 6)
+    assert run_census((2,), 2, F3, ONE, "unordered") == (6, 6)
     assert cli_run(["count", "--d", "2", "--n", "2", "--q", "3"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["point_count"] == 6
@@ -405,7 +419,7 @@ def mobius_number(n):
 def test_records_match_factorization(field):
     degree = 0
     while field.q ** degree <= 5000:
-        assert poly_records(field, degree) == factored_records(field, degree)
+        assert poly_records(field, degree)[0] == factored_records(field, degree)
         degree += 1
 
 
@@ -523,7 +537,7 @@ def test_burnside_record_guard_before_any_table(monkeypatch):
         monkeypatch.setattr(census, name, refuse)
     with pytest.raises(GuardError,
                        match="^390625 polynomial records exceed guard 262144$"):
-        burnside_count(spec((8,), 1, F5, ONE, "burnside"))
+        burnside_count((8,), 1, F5, ONE)
 
 
 def test_record_guard_never_forms_the_power():
@@ -541,7 +555,7 @@ def test_fractional_burnside_count_is_an_inconsistency(monkeypatch, capsys):
     monkeypatch.setattr(census, "_burnside_fixed", fractional)
     with pytest.raises(InconsistencyError,
                        match="^burnside point count is not an integer$"):
-        burnside_count(spec((2,), 1, F3, ONE, "burnside"))
+        burnside_count((2,), 1, F3, ONE)
     assert cli_run(["count", "--d", "2", "--n", "1", "--q", "3", "--mode", "burnside"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zcc import census, euler, stabkit
-from zcc.census import CensusSpec, burnside_count, enumerate_unordered, run_census
+from zcc.census import burnside_count, enumerate_unordered, run_census
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.cli import run
 from zcc.errors import GuardError, InconsistencyError, ValidationError
@@ -27,7 +27,7 @@ def _field(q):
 
 
 def _euler(d, n, q, P):
-    return run_census(CensusSpec(tuple(d), n, _field(q), P, "euler"))
+    return run_census(tuple(d), n, _field(q), P, "euler")
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -37,11 +37,11 @@ def test_multi_column_rational_statistics_match_both_routes(q):
         for n in (1, 2):
             for text in STATISTICS:
                 P = parse_charpoly(text, m=2)
-                want = enumerate_unordered(CensusSpec(d, n, field, P, "unordered"))
+                want = enumerate_unordered(d, n, field, P)
                 got = _euler(d, n, q, P)
                 assert got == want
                 if sum(d) <= 6:
-                    other = burnside_count(CensusSpec(d, n, field, P, "burnside"))
+                    other = burnside_count(d, n, field, P)
                     assert got == other, (d, n, q, text)
 
 
@@ -50,7 +50,7 @@ def test_three_columns_match_enumeration():
     for d in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]:
         for n in (1, 2):
             for q in (2, 3):
-                want = enumerate_unordered(CensusSpec(d, n, _field(q), P, "unordered"))
+                want = enumerate_unordered(d, n, _field(q), P)
                 got = _euler(d, n, q, P)
                 assert got == want
 
@@ -100,9 +100,9 @@ def test_euler_mode_recounts_q_2_up_to_its_bound(monkeypatch):
     calls = []
     real = census.enumerate_unordered
 
-    def counting(spec, *rest):
-        calls.append((spec.d, spec.field.q))
-        return real(spec, *rest)
+    def counting(d, n, field, poly, *rest):
+        calls.append((d, field.q))
+        return real(d, n, field, poly, *rest)
 
     monkeypatch.setattr(census, "enumerate_unordered", counting)
     assert census.EULER_RECOUNT_DEGREE == 10
@@ -119,9 +119,8 @@ def test_euler_recount_leaves_the_series_guard_alone():
                      records=DEFAULT.records, series=200)
     with pytest.raises(GuardError, match=r"9\^2 states x 3 passes"):
         euler.check_series_guard((1, 1), P, [3, 2], limited.series)
-    spec = CensusSpec((1, 1), 1, _field(3), P, "euler")
-    assert run_census(spec, limited) == enumerate_unordered(
-        CensusSpec((1, 1), 1, _field(3), P, "unordered"))
+    assert run_census((1, 1), 1, _field(3), P, "euler", limited) == enumerate_unordered(
+        (1, 1), 1, _field(3), P)
 
 
 def test_report_refuses_n_below_1():
@@ -205,7 +204,33 @@ def test_report_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch,
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: Euler product gives")
+    # the recount is d = (2, 2) at q = 11
+    want = _census_total((2, 2), 1, _field(11), parse_charpoly("X[1,1]", m=2), DEFAULT, 0)
+    assert captured.err == (
+        f"error: Euler product gives ({want[0]}, {want[1]}) at d = (2, 2), q = 11; "
+        f"the record tables give ({want[0] + total_shift}, {want[1] + count_shift})\n")
+    assert "Fraction(" not in captured.err
+
+
+@pytest.mark.parametrize("total_shift, count_shift", [(1, 0), (0, 1)])
+def test_euler_mode_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch,
+                                                                total_shift, count_shift):
+    real = census.enumerate_unordered
+
+    def off_by_one(*args):
+        total, count = real(*args)
+        return total + total_shift, count + count_shift
+
+    monkeypatch.setattr(census, "enumerate_unordered", off_by_one)
+    argv = "weighted --d 3,3 --n 1 --q 5 --mode euler --poly X[1,1]"
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = real((3, 3), 1, _field(2), parse_charpoly("X[1,1]", m=2))
+    assert captured.err == (
+        f"error: Euler product gives ({want[0]}, {want[1]}) at d = (3, 3), q = 2; "
+        f"the record tables give ({want[0] + total_shift}, {want[1] + count_shift})\n")
+    assert "Fraction(" not in captured.err
 
 
 def test_report_runs_past_the_record_guard(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcc import charpoly, stabkit
-from zcc.census import CensusSpec, enumerate_ordered
+from zcc.census import enumerate_ordered
 from zcc.charpoly import ONE, parse_charpoly
 from zcc.errors import GuardError, InconsistencyError, ValidationError
 from zcc.ffield import make_field
@@ -121,7 +121,7 @@ def test_interpolation_reproduces_samples_and_is_stable_under_extra_prime():
         samples = []
         for q in (2, 3, 5, 7, 11):
             F = make_field(q)
-            w = enumerate_ordered(CensusSpec(dv, n, F, ONE, "ordered"))
+            w = enumerate_ordered(dv, n, F)
             samples.append((q, w[0]))
         deg = sum(dv)
         base = interpolate_in_q(samples[:deg + 2], expected_degree=deg)
@@ -139,8 +139,7 @@ def test_interpolated_ordered_count_equals_lattice_polynomial():
         samples = []
         for q in primes[:deg + 2]:
             F = make_field(q)
-            samples.append((q, enumerate_ordered(
-                CensusSpec(dv, 1, F, ONE, "ordered"))[0]))
+            samples.append((q, enumerate_ordered(dv, 1, F)[0]))
         poly = interpolate_in_q(samples, expected_degree=deg)
         lattice_coeffs = point_count_polynomial(build_lattice(dv, 1), 1)
         assert poly == tuple(

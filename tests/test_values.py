@@ -14,22 +14,19 @@ import pickle
 import pytest
 
 import zcc
-from zcc.census import CensusSpec
 from zcc.charpoly import ONE, CharPolynomial, parse_charpoly
-from zcc.ffield import FieldSpec, make_field
+from zcc.ffield import FieldSpec
 from zcc.guards import DEFAULT, UNSAFE, Guards
 from zcc.record import Record, Value
 
 SOURCE = pathlib.Path(zcc.__file__).resolve().parent
 
-F3 = make_field(3)
 X11 = parse_charpoly("X[1,1]")
 
 # class, its fields, the fields of an unequal instance
 CASES = [
     (FieldSpec, (3, 1, (0,)), (2, 2, (1, 1))),
     (CharPolynomial, (X11.m, X11.terms), (ONE.m, ONE.terms)),
-    (CensusSpec, ((2,), 1, F3, X11, "unordered"), ((2,), 1, F3, X11, "burnside")),
     (Guards, DEFAULT.__reduce__()[1], UNSAFE.__reduce__()[1]),
 ]
 
