@@ -101,39 +101,39 @@ class CharPolynomial(Value):
     """Exact-rational polynomial in the class functions X[k,j].  Immutable and
     hashable: statistics key the census's class-value cache."""
 
-    __slots__ = ("m", "terms")  # terms: sorted (Monomial, Fraction) pairs
+    __slots__ = ("terms",)  # sorted (Monomial, Fraction) pairs
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, m: int = 1) -> "CharPolynomial":
+    def constant(cls, value) -> "CharPolynomial":
         c = Fraction(value)
-        return cls(m, ((( ), c),) if c else ())
+        return cls((((), c),) if c else ())
 
     @classmethod
-    def variable(cls, k: int, j: int, m: int | None = None) -> "CharPolynomial":
+    def variable(cls, k: int, j: int) -> "CharPolynomial":
         if k < 1 or j < 1:
             raise ValidationError("variable indices are 1-based")
-        return cls(max(m or 0, k), (((((k, j), 1),), Fraction(1)),))
+        return cls((((((k, j), 1),), Fraction(1)),))
 
     # -- algebra ---------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CharPolynomial):
             return other
-        return CharPolynomial.constant(other, self.m)
+        return CharPolynomial.constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.terms)
         for mono, c in other.terms:
             out[mono] = out.get(mono, Fraction(0)) + c
-        return CharPolynomial(max(self.m, other.m), _merge(out))
+        return CharPolynomial(_merge(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CharPolynomial(self.m, tuple((mono, -c) for mono, c in self.terms))
+        return CharPolynomial(tuple((mono, -c) for mono, c in self.terms))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -155,7 +155,7 @@ class CharPolynomial(Value):
                     counts[var] = counts.get(var, 0) + e
                 mono = tuple(sorted(counts.items()))
                 out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return CharPolynomial(max(self.m, other.m), _merge(out))
+        return CharPolynomial(_merge(out))
 
     __rmul__ = __mul__
 
@@ -165,7 +165,7 @@ class CharPolynomial(Value):
         if k * max(1, self.total_degree()) > MAX_DEGREE:
             raise ValidationError(
                 f"power ^{k} exceeds the degree bound {MAX_DEGREE}")
-        acc = CharPolynomial.constant(1, self.m)
+        acc = ONE
         base = self
         while k:
             if k & 1:
@@ -349,18 +349,15 @@ class _Parser:
         self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
-def parse_charpoly(text: str, m: int | None = None) -> CharPolynomial:
-    """Parse the statistic DSL into canonical expanded form."""
+def parse_charpoly(text: str) -> CharPolynomial:
+    """Parse the statistic DSL into canonical expanded form.  Only the syntax
+    is checked: each caller that is given a degree vector, or a number of
+    columns, checks the columns the statistic reads against it."""
     parser = _Parser(text)
     poly = parser.expr()
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error(f"unexpected {text[parser.pos]!r}")
-    if m is not None:
-        used = max(poly.columns_used(), default=1)
-        if used > m:
-            raise ValidationError(f"column index {used} > declared m={m}")
-        poly = CharPolynomial(m, poly.terms)
     return poly
 
 
@@ -377,7 +374,7 @@ def inner_product(P: CharPolynomial, Q: CharPolynomial, d: DegreeVector) -> Frac
     normalization is applied anywhere in the package.
     """
     d = tuple(int(x) for x in d)
-    m = max(P.m, Q.m, len(d))
+    m = max(P.columns_used() | Q.columns_used(), default=0)
     if len(d) < m:
         raise ValidationError(f"degree vector has {len(d)} columns, need {m}")
     total = Fraction(0)
@@ -398,11 +395,9 @@ def free_module_character(a: DegreeVector) -> CharPolynomial:
     pointwise by sigma, which is the product of falling factorials
     X[k,1](X[k,1]-1)...(X[k,1]-a_k+1).
     """
-    a = tuple(int(x) for x in a)
-    m = max(1, len(a))
-    acc = CharPolynomial.constant(1, m)
-    for k, ak in enumerate(a, start=1):
-        x = CharPolynomial.variable(k, 1, m)
+    acc = ONE
+    for k, ak in enumerate(map(int, a), start=1):
+        x = CharPolynomial.variable(k, 1)
         for i in range(ak):
             acc = acc * (x - i)
     return acc

@@ -23,11 +23,12 @@ from .charpoly import ONE, parse_charpoly
 from .errors import GuardError, InconsistencyError, StructureError, ValidationError
 from .ffield import make_field, prime_power
 from .guards import DEFAULT, UNSAFE
-from .nlattice import (DIMENSION_GUARD, build_lattice, classify_edges,
-                       eval_int_poly, mobius, point_count_polynomial)
+from .nlattice import (build_lattice, classify_edges, eval_int_poly, mobius,
+                       point_count_polynomial)
 
 # The census, homology and stabkit layers are imported by the subcommands that
-# run them, so a command pays at start-up only for its own layers.
+# run them, so a command pays at start-up only for its own layers.  The flag
+# helpers only parse text; the library entry points check the values.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,12 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_d(text: str) -> tuple:
     try:
-        d = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad degree vector {text!r}") from exc
-    if not d or any(x < 0 for x in d):
-        raise ValidationError(f"bad degree vector {text!r}")
-    return d
 
 
 def _parse_q(text: str, size_guard: int):
@@ -78,18 +76,6 @@ def _parse_samples(text: str) -> list:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad sample {item!r}") from exc
     return out
-
-
-def _lattice_input(args) -> tuple:
-    """(lattice, dim_x) for lattice and betti, refused before any lattice is
-    built when dim_x is below 1 or dim_x * |d| exceeds DIMENSION_GUARD."""
-    if args.dimx < 1:
-        raise ValidationError("dim_x must be >= 1")
-    d = _parse_d(args.d)
-    if (dimension := args.dimx * sum(d)) > DIMENSION_GUARD:
-        raise GuardError(
-            f"dim_x * |d| = {dimension} exceeds the dimension guard {DIMENSION_GUARD}")
-    return build_lattice(d, args.n), args.dimx
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +204,7 @@ def _cmd_census(args) -> int:
     from .census import run_census
     field = _parse_q(args.q, args.guards.field)
     d = _parse_d(args.d)
-    poly = ONE if args.poly is None else parse_charpoly(args.poly, m=len(d))
+    poly = ONE if args.poly is None else parse_charpoly(args.poly)
     total, count = run_census(d, args.n, field, poly, args.mode, args.guards,
                               args.factor_seed)
     payload = {"d": list(d), "n": args.n, "q": field.q, "p": field.p, "e": field.e,
@@ -230,10 +216,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    lattice, dim_x = _lattice_input(args)
+    lattice = build_lattice(_parse_d(args.d), args.n, args.dimx)
     mob = mobius(lattice)
     edges = classify_edges(lattice)
-    coeffs = point_count_polynomial(lattice, dim_x, mob)
+    coeffs = point_count_polynomial(lattice, mob)
     payload = {
         "d": lattice.d,
         "n": lattice.n,
@@ -257,13 +243,13 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_betti(args) -> int:
     from .homology import betti_from_contributions, complement_contributions
-    lattice, dim_x = _lattice_input(args)
-    contribs = complement_contributions(lattice, dim_x)
+    lattice = build_lattice(_parse_d(args.d), args.n, args.dimx)
+    contribs = complement_contributions(lattice)
     betti = betti_from_contributions(contribs)
     payload = {
         "d": lattice.d,
         "n": lattice.n,
-        "dim_x": dim_x,
+        "dim_x": lattice.dim_x,
         "betti": betti,
         "contributions": [
             {
@@ -370,16 +356,10 @@ def _cmd_report(args) -> int:
         q_list = _parse_int_list(args.q_list)
         poly_texts = (args.polys or "1").split(";")
         truncation = args.truncation
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    if truncation is not None and truncation < 0:
-        raise ValidationError("truncation must be >= 0")
-    reports = {}
-    for text in poly_texts:
-        poly = parse_charpoly(text, m=m)
-        reports[text] = lefschetz_report(d_list, n, m, poly, q_list,
-                                         truncation=truncation, guards=args.guards,
-                                         factor_seed=args.factor_seed)
+    polys = {text: parse_charpoly(text) for text in poly_texts}  # before any sweep
+    reports = {text: lefschetz_report(d_list, n, m, poly, q_list, truncation=truncation,
+                                      guards=args.guards, factor_seed=args.factor_seed)
+               for text, poly in polys.items()}
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
         for pt in reports[text]["points"]:
@@ -419,10 +399,10 @@ def _cmd_verify(args) -> int:
                 _total, ordered = enumerate_ordered(d, n, field, args.guards)
                 if not (len(d) == 1 and n == 1):
                     lattice = build_lattice(d, n)
-                    nq = eval_int_poly(point_count_polynomial(lattice, 1), q)
+                    nq = eval_int_poly(point_count_polynomial(lattice), q)
                     add("ordered=lattice", params, ordered == nq, ordered, nq)
                 for text in VERIFY_GRID["polys"]:
-                    poly = parse_charpoly(text, m=len(d))
+                    poly = parse_charpoly(text)
                     unordered = enumerate_unordered(d, n, field, poly, args.guards,
                                                     args.factor_seed)
                     burnside = burnside_count(d, n, field, poly, args.guards)
@@ -459,8 +439,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d", required=True, help="degree vector, e.g. 2,2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True, help="field size p or p^e")
-    p.add_argument("--mode", choices=("ordered", "unordered", "burnside", "euler"),
-                   default="unordered")
+    p.add_argument("--mode", default="unordered",
+                   help="ordered, unordered (the default), burnside or euler")
     _add_common(p)
     p.set_defaults(func=_cmd_census, poly=None)
 
@@ -469,8 +449,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--poly", required=True, help='statistic, e.g. "X[1,1]^2-2"')
-    p.add_argument("--mode", choices=("unordered", "burnside", "euler"),
-                   default="unordered")
+    p.add_argument("--mode", default="unordered",
+                   help="unordered (the default), burnside or euler")
     _add_common(p)
     p.set_defaults(func=_cmd_census)
 

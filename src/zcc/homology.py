@@ -261,9 +261,9 @@ def interval_homology(L: NEqualsLattice, idx: int) -> dict:
     return reduced_homology_ranks(order_complex(lower_interval(L, idx)))
 
 
-def codimension(L: NEqualsLattice, idx: int, dim_x: int) -> int:
+def codimension(L: NEqualsLattice, idx: int) -> int:
     """Real codimension in (C^dim_x)^d of the subspace indexed by I."""
-    return 2 * dim_x * (L.ground_size - len(L.elements[idx]))
+    return 2 * L.dim_x * (L.ground_size - len(L.elements[idx]))
 
 
 def interval_face_counts(L: NEqualsLattice) -> list:
@@ -295,7 +295,7 @@ def product_rule(factors) -> dict:
     return ranks
 
 
-def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
+def complement_contributions(L: NEqualsLattice) -> list:
     """Per-element Betti contributions: (index, cd, {cohomological degree: rank}).
 
     The face guard is checked on every interval before any homology runs.
@@ -309,8 +309,6 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
     Orlik-Solomon, which catches an error that keeps every Euler
     characteristic.
     """
-    if dim_x < 1:
-        raise ValidationError("dim_x must be >= 1")
     if max(interval_face_counts(L)) > FACE_GUARD:
         raise GuardError(f"face count exceeds guard {FACE_GUARD}")
     mu = mobius(L)
@@ -338,7 +336,7 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
             raise StructureError(
                 f"interval below element {idx} has reduced Euler "
                 f"characteristic {euler} but mu(0-hat, I) = {mu[idx]}")
-        cd = codimension(L, idx, dim_x)
+        cd = codimension(L, idx)
         contrib = {}
         for t, r in iv.items():
             i = cd - t - 2
@@ -348,11 +346,11 @@ def complement_contributions(L: NEqualsLattice, dim_x: int = 1) -> list:
                     f"lands in cohomological degree {i}")
             contrib[i] = contrib.get(i, 0) + r
         out.append((idx, cd, contrib))
-    if dim_x == 1 and L.m * L.n <= 2:
+    if L.dim_x == 1 and L.m * L.n <= 2:
         # every subspace is then an intersection of hyperplanes, whose Betti
         # numbers Orlik-Solomon read off the point count N(q) from mu:
         # b_c = (-1)^c [q^(|d| - c)] N(q)
-        N = point_count_polynomial(L, 1, mu)
+        N = point_count_polynomial(L, mu)
         expected = [(-1) ** c * N[-1 - c] for c in range(len(N))]
         while expected[-1] == 0:
             expected.pop()

@@ -78,6 +78,7 @@ def cover_pairs(below) -> list:
 class NEqualsLattice(Record):
     __slots__ = {
         "d": "the degree vector", "n": "the threshold",
+        "dim_x": "the dimension of the affine space X the points lie in",
         "elements": "canonical block tuples, bottom first, by rank: each "
                     "block a sorted tuple of (column, index) points, blocks "
                     "ordered by their least point",
@@ -103,19 +104,27 @@ class NEqualsLattice(Record):
 # ---------------------------------------------------------------------------
 
 
-def build_lattice(d, n: int) -> NEqualsLattice:
-    """Generate the n-equals partition lattice for the degree vector d.
+def build_lattice(d, n: int, dim_x: int = 1) -> NEqualsLattice:
+    """Generate the n-equals partition lattice for the degree vector d, of
+    the 0-cycles on affine dim_x-space.
 
-    Admissible partitions are assembled depth-first with canonical block
-    ordering (blocks indexed by their least element), pruning branches whose
-    deficient blocks can no longer collect n elements per column.
+    d, n and dim_x are checked, then the dimension and lattice guards, all
+    before any element is generated.  Admissible partitions are assembled
+    depth-first with canonical block ordering (blocks indexed by their least
+    element), pruning branches whose deficient blocks can no longer collect
+    n elements per column.
     """
     d = tuple(int(x) for x in d)
     if not d or any(x < 0 for x in d):
         raise ValidationError(f"bad degree vector {d}")
     if n < 1:
         raise ValidationError("threshold n must be >= 1")
+    if dim_x < 1:
+        raise ValidationError("dim_x must be >= 1")
     total = sum(d)
+    if (dimension := dim_x * total) > DIMENSION_GUARD:
+        raise GuardError(
+            f"dim_x * |d| = {dimension} exceeds the dimension guard {DIMENSION_GUARD}")
     if total > LATTICE_GUARD:  # the Bell number is cheap only for a small |d|
         bound = f"; up to ~{bell_number(total)} set partitions" if total <= 100 else ""
         raise GuardError(
@@ -190,8 +199,8 @@ def build_lattice(d, n: int) -> NEqualsLattice:
         kept = {pair for block in blocks_j for pair in combinations(block, 2)}
         below.append(everything ^ (1 << j) ^ reduce(
             or_, (mask for pair, mask in together.items() if pair not in kept), 0))
-    return NEqualsLattice(d=d, n=n, elements=tuple(found), below=tuple(below),
-                          covers=tuple(cover_pairs(below)))
+    return NEqualsLattice(d=d, n=n, dim_x=dim_x, elements=tuple(found),
+                          below=tuple(below), covers=tuple(cover_pairs(below)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +329,16 @@ def classify_edges(L: NEqualsLattice) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def point_count_polynomial(L: NEqualsLattice, dim_x: int = 1,
-                           mob: tuple | None = None) -> tuple:
+def point_count_polynomial(L: NEqualsLattice, mob: tuple | None = None) -> tuple:
     """N(q) = sum_I mu(0,I) q^(dim_x * #blocks(I)), low-to-high coefficients,
     from `mob`, L's Mobius values `mobius(L)`, when the caller has them.
 
     For every prime power q this is the number of F_q-points of the ordered
     0-cycle space over affine dim_x-space.
     """
-    if dim_x < 1:
-        raise ValidationError("dim_x must be >= 1")
     if mob is None:
         mob = mobius(L)
+    dim_x = L.dim_x
     # the top coefficient is mu(0-hat, 0-hat) = 1, so nothing needs trimming
     coeffs = [0] * (dim_x * L.ground_size + 1)
     for i, part in enumerate(L.elements):

@@ -51,7 +51,7 @@ def test_criterion_1_oracle_triangle():
                     # there); the arrangement identity is asserted wherever
                     # the complement is an arrangement complement, n*m >= 2
                     lattice = build_lattice(dv, n)
-                    predicted = eval_int_poly(point_count_polynomial(lattice, 1), q)
+                    predicted = eval_int_poly(point_count_polynomial(lattice), q)
                     assert ordered[1] == predicted, (dv, n, q)
                     checks += 1
                 polys = [ONE, X11, X12] + ([X11X21] if len(dv) == 2 else [])
@@ -113,7 +113,7 @@ def test_criterion_4_hyperplane_lefschetz_identity():
     """q^(-2d) |Ztilde(F_q)| = sum_i (-1)^i b_i q^(-i), exactly."""
     for dv in ((1, 1), (2, 2)):
         lattice = build_lattice(dv, 1)
-        betti = complement_betti(lattice, 1)
+        betti = complement_betti(lattice)
         total_deg = sum(dv)
         for q in ACCEPTANCE_QS:
             field = make_field(q)
@@ -157,8 +157,8 @@ def _oracle_ranks(num_vertices, facets):
 
 def test_criterion_5_homology_anchors():
     """Betti anchors, atom intervals, and the brute-force rank oracle."""
-    assert complement_betti(build_lattice((1, 1), 1), 1) == [1, 1]
-    assert complement_betti(build_lattice((3,), 2), 1) == [1, 3, 2]
+    assert complement_betti(build_lattice((1, 1), 1)) == [1, 1]
+    assert complement_betti(build_lattice((3,), 2)) == [1, 3, 2]
     for dv, n in [((4,), 2), ((2, 2), 1), ((3, 2), 1), ((2, 2), 2)]:
         lattice = build_lattice(dv, n)
         atoms = [hi for lo, hi in lattice.covers if lo == 0]

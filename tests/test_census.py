@@ -49,7 +49,7 @@ def test_ordered_examples():
     assert enumerate_ordered((1, 1), 1, F3)[1] == 6
     assert enumerate_ordered((2,), 2, F3)[1] == 6
     L = build_lattice((2, 2), 2)
-    n_poly = point_count_polynomial(L, 1)
+    n_poly = point_count_polynomial(L)
     assert enumerate_ordered((2, 2), 2, F2)[1] == \
         eval_int_poly(n_poly, 2)
 
@@ -103,7 +103,7 @@ def test_oracle_triangle_small_grid():
                 if not (len(dv) == 1 and n == 1):
                     L = build_lattice(dv, n)
                     assert o[1] == eval_int_poly(
-                        point_count_polynomial(L, 1), q)
+                        point_count_polynomial(L), q)
                 for P in [ONE, X11, X12] + ([X11X21] if len(dv) == 2 else []):
                     u = enumerate_unordered(dv, n, F, P)
                     b = burnside_count(dv, n, F, P)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zcc
-from zcc import census, cli, euler, homology, nlattice
+from zcc import census, cli, euler, homology, nlattice, stabkit
 from zcc.cli import _parse_q, run
 from zcc.ffield import is_prime
 from zcc.guards import DEFAULT, UNSAFE
@@ -694,22 +694,91 @@ def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_a
 ], ids=["flags-m", "config-m", "flags-truncation", "config-truncation"])
 def test_report_bounds_checked_before_any_statistic(capsys, monkeypatch, tmp_path,
                                                     make_argv, message):
-    def no_statistic(*_args, **_kwargs):
-        raise AssertionError("a statistic was parsed before the bounds check")
+    def no_series(*_args, **_kwargs):
+        raise AssertionError("a series was built before the bounds check")
 
-    monkeypatch.setattr(cli, "parse_charpoly", no_statistic)
+    monkeypatch.setattr(euler, "euler_totals", no_series)
+    monkeypatch.setattr(euler, "check_series_guard", no_series)
     assert run(make_argv(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["lattice", "betti"])
-def test_dimx_checked_before_the_lattice_is_built(capsys, monkeypatch, command):
-    def no_lattice(*_args, **_kwargs):
-        raise AssertionError("the lattice was built before the --dimx check")
+def _nlattice_calls(call) -> tuple:
+    """call()'s result and the names of the nlattice functions it entered."""
+    entered = set()
+    previous = sys.getprofile()
 
-    monkeypatch.setattr(cli, "build_lattice", no_lattice)
-    assert run([command, "--d", "4,4", "--n", "1", "--dimx", "0"]) == 1
-    assert capsys.readouterr().err == "error: dim_x must be >= 1\n"
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == nlattice.__file__:
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, entered
+
+
+@pytest.mark.parametrize("command", ["lattice", "betti"])
+def test_dimx_checked_before_the_lattice_is_built(capsys, command):
+    # build_lattice refuses dim_x = 0 and a tripped dimension guard before
+    # its generator `rec` makes an element; (5,5)/1 takes seconds to build
+    assert "rec" in _nlattice_calls(lambda: nlattice.build_lattice((2,), 1))[1]
+    for dimx, code, message in (
+            ("0", 1, "dim_x must be >= 1"),
+            ("100001", 2, "dim_x * |d| = 1000010 exceeds the dimension guard 1000000")):
+        argv = [command, "--d", "5,5", "--n", "1", "--dimx", dimx]
+        got, entered = _nlattice_calls(lambda: run(argv))
+        assert "build_lattice" in entered and "rec" not in entered
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, "", f"error: {message}\n")
+
+
+# inputs that only a library entry point refuses, the CLI having parsed
+# their text: each value is checked once, by its owner
+@pytest.mark.parametrize("argv, code, message", [
+    ("count --d=2,-1 --n 1 --q 3", 1, "bad degree vector (2, -1)"),
+    ("lattice --d=2,-1 --n 1", 1, "bad degree vector (2, -1)"),
+    ("betti --d=2,-1 --n 1", 1, "bad degree vector (2, -1)"),
+    ("weighted --d 2 --n 1 --q 3 --poly X[2,1]", 1,
+     "statistic uses column 2 but d has 1 columns"),
+    ("report --m 1 --n 1 --d-list 1,2 --q-list 2,3,5 --polys X[2,1]", 1,
+     "statistic uses column 2 > m = 1"),
+    ("count --d 2 --n 1 --q 3 --mode random", 1, "unknown census mode 'random'"),
+    ("weighted --d 2 --n 1 --q 3 --poly X[1,1] --mode random", 1,
+     "unknown census mode 'random'"),
+    ("weighted --d 2 --n 1 --q 3 --poly X[1,1] --mode ordered", 1,
+     "ordered census is unweighted"),
+    ("lattice --d 10 --n 0 --dimx 200000", 1, "threshold n must be >= 1"),
+    ("betti --d 10 --n 0 --dimx 200000", 1, "threshold n must be >= 1"),
+], ids=["count-negative-degree", "lattice-negative-degree", "betti-negative-degree",
+        "weighted-column", "report-column", "count-mode", "weighted-mode",
+        "weighted-ordered", "lattice-n-before-guards", "betti-n-before-guards"])
+def test_values_are_checked_by_the_library(capsys, argv, code, message):
+    assert run(argv.split()) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_weighted_ordered_census_of_the_statistic_one_is_the_count(capsys):
+    argv = ["--d", "2,1", "--n", "1", "--q", "3", "--mode", "ordered"]
+    assert run(["weighted", "--poly", "1"] + argv) == 0
+    weighted = capsys.readouterr().out
+    assert run(["count"] + argv) == 0
+    assert capsys.readouterr().out == weighted
+
+
+def test_every_statistic_parsed_before_the_first_report(capsys, monkeypatch):
+    def no_report(*_args, **_kwargs):
+        raise AssertionError("a report ran before every statistic was parsed")
+
+    monkeypatch.setattr(stabkit, "lefschetz_report", no_report)
+    primes = [q for q in range(2, 80) if is_prime(q)]  # 22 of them
+    assert run(["report", "--m", "2", "--n", "1", "--d-list", "2,4,6,8,10",
+                "--q-list", ",".join(map(str, primes)),
+                "--polys", "X[1,1];X[1,1"]) == 1
+    assert capsys.readouterr().err == "error: syntax error at position 5: expected ']'\n"
 
 
 def test_dropped_key_set_in_fold_index_exits_2(capsys, monkeypatch):

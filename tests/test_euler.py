@@ -36,7 +36,7 @@ def test_multi_column_rational_statistics_match_both_routes(q):
     for d in [(2, 1), (1, 2), (2, 2), (3, 2), (3, 3), (4, 2)]:
         for n in (1, 2):
             for text in STATISTICS:
-                P = parse_charpoly(text, m=2)
+                P = parse_charpoly(text)
                 want = enumerate_unordered(d, n, field, P)
                 got = _euler(d, n, q, P)
                 assert got == want
@@ -46,7 +46,7 @@ def test_multi_column_rational_statistics_match_both_routes(q):
 
 
 def test_three_columns_match_enumeration():
-    P = parse_charpoly("X[1,1]*X[2,1]*X[3,1] - 1/2*X[3,2]", m=3)
+    P = parse_charpoly("X[1,1]*X[2,1]*X[3,1] - 1/2*X[3,2]")
     for d in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]:
         for n in (1, 2):
             for q in (2, 3):
@@ -56,7 +56,7 @@ def test_three_columns_match_enumeration():
 
 
 def test_one_call_serves_every_q():
-    P = parse_charpoly("X[1,1]^2 - X[1,2]", m=2)
+    P = parse_charpoly("X[1,1]^2 - X[1,2]")
     qs = [2, 3, 4, 5, 7]
     together = euler.euler_totals((3, 2), 1, P, qs)
     assert together == [euler.euler_totals((3, 2), 1, P, [q])[0] for q in qs]
@@ -64,9 +64,9 @@ def test_one_call_serves_every_q():
 
 def test_zero_degrees_and_unread_marks():
     # d = 0: the one tuple of constants is a member; X[1,5] is 0 on degree 4
-    assert euler.euler_totals((0, 0), 1, parse_charpoly("X[1,1] + 3", m=2), [5]) == [
+    assert euler.euler_totals((0, 0), 1, parse_charpoly("X[1,1] + 3"), [5]) == [
         (Fraction(3), 1)]
-    got = euler.euler_totals((4,), 2, parse_charpoly("X[1,5]^2 + 1/2", m=1), [3])
+    got = euler.euler_totals((4,), 2, parse_charpoly("X[1,5]^2 + 1/2"), [3])
     assert got == [(Fraction(3 ** 4 - 3 ** 3, 2), 3 ** 4 - 3 ** 3)]
 
 
@@ -88,7 +88,7 @@ def test_series_guard_before_any_series(monkeypatch):
 
 def test_series_guard_counts_reachable_states_and_every_q():
     # each column has 3 states (t, b) with b <= t <= 1, not the box's 4
-    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, 8)), m=7)
+    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, 8)))
     qs = [2, 3, 4, 5, 7, 8, 9, 11]
     work = 3 ** 14 * (len(qs) + 1)
     euler.check_series_guard((1,) * 7, P, qs, work)
@@ -114,7 +114,7 @@ def test_euler_mode_recounts_q_2_up_to_its_bound(monkeypatch):
 def test_euler_recount_leaves_the_series_guard_alone():
     # 9 states: 81 x 2 passes is within the guard, 81 x 3 would not be, so
     # the q = 2 pass is not counted and the run still goes through
-    P = parse_charpoly("X[1,1]*X[2,1]", m=2)
+    P = parse_charpoly("X[1,1]*X[2,1]")
     limited = Guards(field=DEFAULT.field, points=DEFAULT.points,
                      records=DEFAULT.records, series=200)
     with pytest.raises(GuardError, match=r"9\^2 states x 3 passes"):
@@ -164,7 +164,7 @@ def _sweeps():
 def test_report_samples_equal_the_record_tables(job):
     m, n, d_list, q_list, texts = job
     for text in texts:
-        P = parse_charpoly(text, m=m)
+        P = parse_charpoly(text)
         rep = lefschetz_report(d_list, n, m, P, q_list)
         for pt in rep["points"]:
             for q, total in pt["samples"]:
@@ -205,7 +205,7 @@ def test_report_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     # the recount is d = (2, 2) at q = 11
-    want = _census_total((2, 2), 1, _field(11), parse_charpoly("X[1,1]", m=2), DEFAULT, 0)
+    want = _census_total((2, 2), 1, _field(11), parse_charpoly("X[1,1]"), DEFAULT, 0)
     assert captured.err == (
         f"error: Euler product gives ({want[0]}, {want[1]}) at d = (2, 2), q = 11; "
         f"the record tables give ({want[0] + total_shift}, {want[1] + count_shift})\n")
@@ -226,7 +226,7 @@ def test_euler_mode_recount_mismatch_exits_2_and_prints_nothing(capsys, monkeypa
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    want = real((3, 3), 1, _field(2), parse_charpoly("X[1,1]", m=2))
+    want = real((3, 3), 1, _field(2), parse_charpoly("X[1,1]"))
     assert captured.err == (
         f"error: Euler product gives ({want[0]}, {want[1]}) at d = (3, 3), q = 2; "
         f"the record tables give ({want[0] + total_shift}, {want[1] + count_shift})\n")
@@ -248,7 +248,7 @@ def test_report_checks_every_degree_before_any_sample(monkeypatch):
     monkeypatch.setattr(euler, "_states", fail)
     # 9 passes of 9^2 states admit t = 1; t = 2 has 25 states
     with pytest.raises(GuardError, match=r"series work of 25\^2 states x 9 passes"):
-        lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]", m=2),
+        lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]"),
                          [2, 3, 4, 5, 7, 8, 9],
                          guards=Guards(field=DEFAULT.field, points=DEFAULT.points,
                                        records=DEFAULT.records, series=9 ** 2 * 9))
@@ -261,7 +261,7 @@ def test_series_guard_admits_every_sweep_the_point_guard_admits(m, largest_q, gu
     # (<= 8 unsafe) and every coefficient fits one word; the most states
     # are 3^m, at t = 1 with X[k,1] read in every column, at every such q
     qs = [q for q in range(2, largest_q + 1) if len(_prime_divisors(q)) == 1]
-    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, m + 1)), m=m)
+    P = parse_charpoly("*".join(f"X[{k},1]" for k in range(1, m + 1)))
     euler.check_series_guard((1,) * m, P, [1] + qs, guard)  # as report passes them
 
 

@@ -123,13 +123,15 @@ def test_face_guard_runs_before_any_homology(monkeypatch):
 
 
 def test_bad_dim_x_refused_before_any_work(monkeypatch):
+    # complement_contributions reads L.dim_x, which build_lattice checks, so
+    # no lattice with a bad dim_x reaches the face counts
     def no_faces(*_args, **_kwargs):
         raise AssertionError("face counts ran before the dim_x check")
 
     monkeypatch.setattr(homology, "interval_face_counts", no_faces)
     for dim_x in (0, -1):
         with pytest.raises(ValidationError, match="dim_x must be >= 1"):
-            complement_contributions(build_lattice((2, 2), 1), dim_x)
+            complement_contributions(build_lattice((2, 2), 1, dim_x))
 
 
 def test_order_complex_examples():
@@ -197,17 +199,17 @@ def test_rank_mod_p_small():
 
 def test_anchor_single_hyperplane():
     L = build_lattice((1, 1), 1)
-    assert complement_betti(L, 1) == [1, 1]
+    assert complement_betti(L) == [1, 1]
 
 
 def test_anchor_conf3():
     L = build_lattice((3,), 2)
-    assert complement_betti(L, 1) == [1, 3, 2]
+    assert complement_betti(L) == [1, 3, 2]
 
 
 def test_anchor_conf2_c2():
-    L = build_lattice((2,), 2)
-    assert complement_betti(L, 2) == [1, 0, 0, 1]
+    L = build_lattice((2,), 2, 2)
+    assert complement_betti(L) == [1, 0, 0, 1]
 
 
 def test_interval_homology_examples():
@@ -236,7 +238,7 @@ def test_conf_betti_are_stirling_numbers():
     }
     for d, b in expected.items():
         L = build_lattice((d,), 2)
-        assert complement_betti(L, 1) == b
+        assert complement_betti(L) == b
 
 
 def test_characteristic_polynomial_identity_hyperplane_case():
@@ -245,8 +247,8 @@ def test_characteristic_polynomial_identity_hyperplane_case():
                   ((4, 1), 1), ((3, 3), 1), ((4, 2), 1), ((5, 1), 1), ((3,), 2),
                   ((5,), 2), ((4,), 1), ((0, 2), 1)]:
         L = build_lattice(dv, n)
-        b = complement_betti(L, 1)
-        coeffs = point_count_polynomial(L, 1)
+        b = complement_betti(L)
+        coeffs = point_count_polynomial(L)
         total = sum(dv)
         b += [0] * (total + 1 - len(b))
         signed = [(-1) ** i * b[i] for i in range(total + 1)]
@@ -263,7 +265,7 @@ def test_hall_theorem_checked_on_every_interval(monkeypatch):
 
     monkeypatch.setattr(homology, "mobius", wrong_mobius)
     with pytest.raises(StructureError, match="Euler characteristic"):
-        complement_contributions(build_lattice((3, 3), 1), 1)
+        complement_contributions(build_lattice((3, 3), 1))
 
 
 def test_wrong_rank_is_caught(monkeypatch):
@@ -273,7 +275,7 @@ def test_wrong_rank_is_caught(monkeypatch):
     # RP^2, whose 2-boundary is ranked again over Q
     for name, original, run in [
             ("rank_mod2", rank_mod2,
-             lambda: complement_contributions(build_lattice((3, 3), 1), 1)),
+             lambda: complement_contributions(build_lattice((3, 3), 1))),
             ("exact_rank", exact_rank, lambda: reduced_homology_ranks(RP2))]:
         with monkeypatch.context() as patch:
             patch.setattr(homology, name, lambda rows, original=original: original(rows) + 1)
@@ -317,12 +319,12 @@ def test_euler_preserving_corruption_fails_orlik_solomon(capsys, monkeypatch):
                             "Mobius function\n")
 
 
-def _direct_contributions(L, ranks, dim_x):
+def _direct_contributions(L, ranks):
     """The contributions of every element from its interval's directly
     computed ranks: what complement_contributions must reproduce."""
     out = []
     for idx in range(1, L.size):
-        cd = codimension(L, idx, dim_x)
+        cd = codimension(L, idx)
         contrib = {}
         for t, r in ranks[idx].items():
             contrib[cd - t - 2] = contrib.get(cd - t - 2, 0) + r
@@ -342,7 +344,8 @@ def test_product_rule_matches_every_interval(dv, n):
     for idx in range(1, L.size):
         assert product_rule([one_block[c] for c in shapes[idx]]) == ranks[idx], idx
     for dim_x in (1, 2):
-        assert complement_contributions(L, dim_x) == _direct_contributions(L, ranks, dim_x)
+        L = build_lattice(dv, n, dim_x)
+        assert complement_contributions(L) == _direct_contributions(L, ranks)
 
 
 def test_product_rule_degrees():
@@ -372,12 +375,12 @@ def test_product_rule_is_checked_directly(monkeypatch):
 
     monkeypatch.setattr(homology, "product_rule", shifted)
     with pytest.raises(StructureError, match="the product rule gives reduced homology"):
-        complement_contributions(build_lattice((3, 3), 1), 1)
+        complement_contributions(build_lattice((3, 3), 1))
 
 
 def test_contributions_degrees_positive():
     L = build_lattice((2, 2), 1)
-    for _idx, cd, contrib in complement_contributions(L, 1):
+    for _idx, cd, contrib in complement_contributions(L):
         assert cd >= 2
         assert all(i >= 1 for i in contrib)
 
@@ -473,9 +476,9 @@ def test_torsion_is_ranked_again_over_q(monkeypatch):
 
 def test_exact_rank_reached_only_between_two_mod2_degrees(monkeypatch):
     calls = _counting_exact_rank(monkeypatch)
-    complement_contributions(build_lattice((3, 3), 1), 1)
+    complement_contributions(build_lattice((3, 3), 1))
     assert calls == []
-    complement_contributions(build_lattice((7,), 3), 1)
+    complement_contributions(build_lattice((7,), 3))
     assert len(calls) == 2
 
 

@@ -159,7 +159,7 @@ def test_corrupted_below_mask_is_caught():
     below = list(L.below)
     below[j] &= ~1  # drop the bottom, whose Mobius value is 1
     with pytest.raises(StructureError, match="Mobius value"):
-        mobius(NEqualsLattice(L.d, L.n, L.elements, tuple(below), L.covers))
+        mobius(NEqualsLattice(L.d, L.n, L.dim_x, L.elements, tuple(below), L.covers))
 
 
 def test_classify_edges_examples():
@@ -196,7 +196,7 @@ def _partition(*blocks):
 ])
 def test_corrupt_cover_is_caught(lower, upper, message):
     elements = (_partition(*lower), _partition(*upper))
-    corrupt = NEqualsLattice((4,), 2, elements, (0, 0b1), ((0, 1),))
+    corrupt = NEqualsLattice((4,), 2, 1, elements, (0, 0b1), ((0, 1),))
     with pytest.raises(StructureError, match=message):
         classify_edges(corrupt)
 
@@ -211,7 +211,7 @@ def test_point_count_matches_brute_force():
     for dv, n in [((2,), 2), ((3,), 2), ((1, 1), 1), ((2, 1), 1), ((2, 2), 1),
                   ((2, 2), 2), ((3, 1), 2)]:
         L = build_lattice(dv, n)
-        coeffs = point_count_polynomial(L, 1)
+        coeffs = point_count_polynomial(L)
         for q in (2, 3, 5):
             count = 0
             for tup in product(range(q), repeat=sum(dv)):
@@ -227,8 +227,8 @@ def test_point_count_matches_brute_force():
 
 
 def test_point_count_dimx_scaling():
-    L = build_lattice((2,), 2)
-    assert point_count_polynomial(L, 2) == (0, 0, -1, 0, 1)  # q^4 - q^2
+    L = build_lattice((2,), 2, 2)
+    assert point_count_polynomial(L) == (0, 0, -1, 0, 1)  # q^4 - q^2
 
 
 def test_lower_interval_examples():

@@ -18,6 +18,9 @@ outside the definition's own body, resolves to its key:
 Tests do not count: a name only tests reach is API that no command calls.
 Dunders are called by the interpreter and are exempt, and so is a method
 that overrides one of a base class outside the package, which calls it.
+
+Every name an import binds in src/zcc is used in the scope that imports it:
+the module for a top-level import, else the function.
 """
 
 import ast
@@ -230,3 +233,46 @@ def test_every_definition_has_a_reference():
 def test_allowlist_names_real_definitions():
     defined, _methods, _bases, _scope = _definitions(_modules())
     assert not set(ALLOWED) - set(defined)
+
+
+def _names_used(scope) -> set:
+    """The names read in scope, annotations written as strings included."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        # an argument or an annotated assignment has an annotation, a function
+        # its return annotation
+        annotation = getattr(node, "annotation", getattr(node, "returns", None))
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _names_used(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def _unused_imports(modules) -> list:
+    unused = []
+    for module, tree in modules.items():
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            used = _names_used(scope)
+            for node in _own_nodes(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                        getattr(node, "module", None) != "__future__"):
+                    unused += [f"{module}.py:{node.lineno} {name}" for name in (
+                        alias.asname or alias.name.partition(".")[0]
+                        for alias in node.names) if name not in used]
+    return sorted(unused)
+
+
+def test_every_import_is_used():
+    unused = _unused_imports(_modules())
+    assert not unused, "imported and never used: " + ", ".join(unused)
+
+
+def test_unused_import_check_sees_code_and_annotations():
+    tree = ast.parse(
+        "import json\nfrom .a import b, c, d\nfrom .e import F, G\n"
+        "def f(x: 'F') -> 'G':\n    from .g import h\n    return b(x)\n"
+        "def g():\n    return c.attr\n")
+    assert _unused_imports({"m": tree}) == ["m.py:1 json", "m.py:2 d", "m.py:5 h"]

@@ -141,7 +141,7 @@ def test_interpolated_ordered_count_equals_lattice_polynomial():
             F = make_field(q)
             samples.append((q, enumerate_ordered(dv, 1, F)[0]))
         poly = interpolate_in_q(samples, expected_degree=deg)
-        lattice_coeffs = point_count_polynomial(build_lattice(dv, 1), 1)
+        lattice_coeffs = point_count_polynomial(build_lattice(dv, 1))
         assert poly == tuple(
             Fraction(c) for c in lattice_coeffs)
 

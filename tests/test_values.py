@@ -26,7 +26,7 @@ X11 = parse_charpoly("X[1,1]")
 # class, its fields, the fields of an unequal instance
 CASES = [
     (FieldSpec, (3, 1, (0,)), (2, 2, (1, 1))),
-    (CharPolynomial, (X11.m, X11.terms), (ONE.m, ONE.terms)),
+    (CharPolynomial, (X11.terms,), (ONE.terms,)),
     (Guards, DEFAULT.__reduce__()[1], UNSAFE.__reduce__()[1]),
 ]
 

@@ -54,7 +54,7 @@ def from_facets(num_vertices: int, facets) -> SimplicialComplex:
     return SimplicialComplex(num_vertices, tuple(maximal))
 
 
-def complement_betti(L: NEqualsLattice, dim_x: int = 1) -> list:
+def complement_betti(L: NEqualsLattice) -> list:
     """Betti numbers of the ordered 0-cycle space over complex affine space,
     from degree 0 to the top nonzero one."""
-    return betti_from_contributions(complement_contributions(L, dim_x))
+    return betti_from_contributions(complement_contributions(L))
