@@ -2,11 +2,12 @@
 
 Three routes are provided here and must agree: enumerate_unordered walks the
 monic polynomials of each degree, tallied per tuple of per-column factor
-signatures; enumerate_ordered walks the raw coordinate tuples of each column
-of the ordered space (always unweighted) and cross-checks the lattice
-point-count polynomial; burnside_count averages Frobenius-twisted fixed-point
-counts over the conjugacy classes of S_d, tallying a j-cycle's choices by
-their minimal polynomials, the irreducibles of degree dividing j.  The
+signatures; enumerate_ordered walks each column's multisets of values, each
+weighed by its number of orderings, and counts the ordered space (it takes
+no statistic), which `verify` checks against the lattice point-count
+polynomial; burnside_count averages Frobenius-twisted fixed-point counts
+over the conjugacy classes of S_d, tallying a j-cycle's choices by their
+minimal polynomials, the irreducibles of degree dividing j.  The
 fourth, euler.py, reads the unordered census off an Euler product over the
 irreducibles and needs only their numbers M_j(q).
 
@@ -37,8 +38,8 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, product
-from math import prod
+from itertools import combinations, combinations_with_replacement, compress, product
+from math import factorial, prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
@@ -354,7 +355,7 @@ def enumerate_unordered(d: tuple, n: int, field: FieldSpec, poly: CharPolynomial
 
 
 # ---------------------------------------------------------------------------
-# Ordered census (raw coordinate tuples)
+# Ordered census (multisets of values per column)
 # ---------------------------------------------------------------------------
 
 
@@ -367,11 +368,13 @@ def enumerate_ordered(d: tuple, n: int, field: FieldSpec,
     q = field.q
     columns = []
     for dk in d:
-        # tally a column's tuples by sorted values, then by n-fold value set
+        # tally a column's multisets of values, each weighed by its number of
+        # orderings dk! / prod c_v!, by n-fold value set
         column = Counter()
-        tuples = product(range(q), repeat=dk)
-        for values, mult in Counter(map(tuple, map(sorted, tuples))).items():
-            column[frozenset(v for v in values if values.count(v) >= n)] += mult
+        for values in combinations_with_replacement(range(q), dk):
+            counts = {v: values.count(v) for v in set(values)}
+            orderings = factorial(dk) // prod(map(factorial, counts.values()))
+            column[frozenset(v for v, c in counts.items() if c >= n)] += orderings
         columns.append({None: column})
     count = sum(_fold(columns).values())
     return Fraction(count), count

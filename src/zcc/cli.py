@@ -292,7 +292,7 @@ def _is_int_list(value) -> bool:
 
 
 def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    return isinstance(value, list) and value != [] and all(isinstance(s, str) for s in value)
 
 
 _REQUIRED = object()
@@ -300,7 +300,7 @@ _REQUIRED = object()
 _CONFIG_KEYS = (("m", 2, _is_int, "an integer"), ("n", 1, _is_int, "an integer"),
                 ("d_list", _REQUIRED, _is_int_list, "a list of integers"),
                 ("q_list", _REQUIRED, _is_int_list, "a list of integers"),
-                ("polys", ["1"], _is_str_list, "a list of strings"),
+                ("polys", ["1"], _is_str_list, "a non-empty list of strings"),
                 ("truncation", None, lambda v: v is None or _is_int(v), "an integer"))
 
 
@@ -354,7 +354,7 @@ def _cmd_report(args) -> int:
         m, n = args.m, args.n
         d_list = _parse_int_list(args.d_list)
         q_list = _parse_int_list(args.q_list)
-        poly_texts = (args.polys or "1").split(";")
+        poly_texts = ("1" if args.polys is None else args.polys).split(";")
         truncation = args.truncation
     polys = {text: parse_charpoly(text) for text in poly_texts}  # before any sweep
     reports = {text: lefschetz_report(d_list, n, m, poly, q_list, truncation=truncation,

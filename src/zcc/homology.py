@@ -5,12 +5,12 @@ matrix the rank over Q is at least the rank over GF(2), and every Betti
 number over Q is at least 0, so a degree whose mod-2 Betti number is 0 pins
 the ranks over Q of both its boundaries to their mod-2 ranks.  Only a
 boundary between two degrees with mod-2 homology is ranked again over Q, by
-incremental echelon reduction in integers with unit (+-1) pivots; Fractions
-enter only as a fallback, for a row with no unit entry left.  Each rank over
-Q is witnessed modulo two word-size primes: a rank mod p never exceeds it, so
-it is refuted when both primes give another rank.  The Betti numbers of the
-ordered 0-cycle space over complex affine space are assembled from the
-homology of the open lattice intervals (0-hat, I).
+elimination on each row's largest column, a pivot other than +-1 dividing its
+row into Fractions.  Each rank over Q is witnessed modulo two word-size
+primes by `rank_mod_p`, which shares no code with `exact_rank`: a rank mod p
+never exceeds it, so it is refuted when both primes give another rank.  The
+Betti numbers of the ordered 0-cycle space over complex affine space are
+assembled from the homology of the open lattice intervals (0-hat, I).
 
 Only a few intervals are computed directly: one per one-block column-count
 shape (the first element whose only non-singleton block has those counts),
@@ -39,7 +39,6 @@ are canonically trivial for affine space and are not tracked.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 from .errors import GuardError, StructureError, ValidationError
 from .nlattice import (NEqualsLattice, bits, block_shapes, cover_pairs,
@@ -101,47 +100,32 @@ def order_complex(below) -> SimplicialComplex:
 def exact_rank(rows: list) -> int:
     """Rank over Q of a sparse matrix given as row dicts {col: value}.
 
-    Incremental echelon reduction: rows are taken shortest first and each is
-    reduced against the stored pivot rows in the order the pivots were made.
-    A stored pivot row is scaled so its pivot entry is 1, and the pivot is
-    put on a +-1 entry when the row has one, so integer rows stay integer;
-    only a row with no +-1 entry left is divided into Fractions.
+    Elimination on each row's largest column: rows are taken shortest first,
+    their zero entries dropped, and each is reduced against the stored row
+    whose pivot is in its largest column.  A new pivot row is scaled so its
+    pivot entry is 1, negated for -1 and divided into Fractions otherwise.
     """
-    pivot_rows: list = []  # pivot row k, with its pivot entry equal to 1
-    pivot_cols: list = []  # the pivot column of row k
-    order_of: dict = {}    # pivot column -> k
-    for row in sorted((r for r in rows if r), key=len):
-        row = dict(row)
-        # every stored row is zero in the pivot columns made before it, so
-        # eliminating in pivot order never brings back an earlier column
-        todo = [order_of[c] for c in row if c in order_of]
-        heapify(todo)
-        while todo:
-            k = heappop(todo)
-            factor = row.get(pivot_cols[k])
-            if not factor:
-                continue  # cancelled by an earlier elimination
-            for c, v in pivot_rows[k].items():
+    pivots: dict = {}  # pivot column -> its row, scaled so that entry is 1
+    for row in sorted(({c: v for c, v in r.items() if v} for r in rows), key=len):
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                if row[col] == -1:
+                    row = {c: -v for c, v in row.items()}
+                elif row[col] != 1:
+                    scale = Fraction(1, row[col])
+                    row = {c: v * scale for c, v in row.items()}
+                pivots[col] = row
+                break
+            factor = row[col]
+            for c, v in pivot.items():
                 new = row.get(c, 0) - factor * v
                 if new:
-                    if c not in row and c in order_of:
-                        heappush(todo, order_of[c])
                     row[c] = new
                 else:
                     del row[c]
-        if not row:
-            continue
-        col = next((c for c, v in row.items() if v == 1 or v == -1), None)
-        if col is None:
-            col = next(iter(row))
-            scale = Fraction(1, row[col])
-            row = {c: v * scale for c, v in row.items()}
-        elif row[col] == -1:
-            row = {c: -v for c, v in row.items()}
-        order_of[col] = len(pivot_cols)
-        pivot_cols.append(col)
-        pivot_rows.append(row)
-    return len(pivot_cols)
+    return len(pivots)
 
 
 def rank_mod2(rows) -> int:

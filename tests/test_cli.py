@@ -608,12 +608,14 @@ _BAD_INPUT_ERRORS = {
     **{case: "error: bad config " for case in (
         "config-d-list-string", "config-q-list-float", "config-m-float",
         "config-n-bool", "config-truncation-float", "config-polys-string",
-        "config-misspelt-keys", "config-key-case")},
+        "config-misspelt-keys", "config-key-case", "config-polys-empty")},
     "interpolate-negative-topdim": "error: topdim must be >= 0",
+    "report-polys-empty": "error: syntax error at position 0: unexpected end of input",
 }
-# the end of the error line: the config's first unknown key
+# the end of the error line: the config's first unknown key, or the bad value
 _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
-                   "config-key-case": ": unknown key 'D_list'"}
+                   "config-key-case": ": unknown key 'D_list'",
+                   "config-polys-empty": ": polys must be a non-empty list of strings"}
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -660,6 +662,10 @@ _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
              '"poly": ["X[1,1]"]}')],
     lambda tmp: ["report", "--config", _config(
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "D_list": [1, 2]}')],
+    lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list", "1,2",
+                 "--q-list", "2,3,5,7,11", "--polys", ""],
+    lambda tmp: ["report", "--config", _config(
+        tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "polys": []}')],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
@@ -668,7 +674,8 @@ _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
         "report-m-zero", "config-negative-truncation", "report-negative-degree",
         "config-d-list-string", "config-q-list-float", "config-m-float",
         "config-n-bool", "config-truncation-float", "config-polys-string",
-        "interpolate-negative-topdim", "config-misspelt-keys", "config-key-case"])
+        "interpolate-negative-topdim", "config-misspelt-keys", "config-key-case",
+        "report-polys-empty", "config-polys-empty"])
 def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -767,6 +774,20 @@ def test_weighted_ordered_census_of_the_statistic_one_is_the_count(capsys):
     weighted = capsys.readouterr().out
     assert run(["count"] + argv) == 0
     assert capsys.readouterr().out == weighted
+
+
+def test_ordered_census_walks_multisets_of_values(capsys):
+    # a column of 3^16 tuples has only C(18, 16) = 153 multisets of values
+    t0 = time.perf_counter()
+    assert run("count --d 16 --n 2 --q 3 --mode ordered".split()) == 0
+    assert time.perf_counter() - t0 < 2
+    capsys.readouterr()
+    rc, ordered = run_json(capsys, "count --d 10 --n 5 --q 3 --mode ordered".split())
+    assert rc == 0
+    rc, lattice = run_json(capsys, "lattice --d 10 --n 5".split())
+    assert rc == 0
+    coeffs = lattice["point_count_coefficients"]
+    assert ordered["point_count"] == sum(c * 3 ** k for k, c in enumerate(coeffs)) == 22050
 
 
 def test_every_statistic_parsed_before_the_first_report(capsys, monkeypatch):

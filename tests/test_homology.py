@@ -168,12 +168,31 @@ def test_exact_rank_small():
     assert exact_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
 
 
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: -1}, {0: 2, 1: -1}],         # a largest-column entry of -1
+    [{0: 1, 1: -1}, {0: -1, 1: 1}],
+    [{0: 1, 1: 2}, {0: 2, 1: 4}],           # a largest-column entry of 2
+    [{0: 1, 1: 2}, {0: 3, 1: 2}],
+    [{0: 0, 1: 2}],                          # explicit zeros, on either side
+    [{0: 2, 1: 0}],
+    [{0: 2, 1: 0}, {0: 0, 1: 0}],
+    [{1: 2, 0: 1}, {1: 1, 0: 1}],           # the pivot 1/2 appears on elimination
+    [{2: 2, 1: 1}, {2: 1, 0: 1}, {1: 1, 0: 3}],
+], ids=["minus-one", "minus-one-dependent", "two-dependent", "two", "zero-first",
+        "zero-last", "zero-row", "fraction-pivot", "fraction-pivot-3x3"])
+def test_exact_rank_pivots_match_sympy(rows):
+    from sympy import Matrix
+    width = 1 + max(c for row in rows for c in row)
+    dense = Matrix([[row.get(c, 0) for c in range(width)] for row in rows])
+    assert exact_rank(rows) == dense.rank()
+
+
 @given(st.integers(1, 7), st.integers(1, 7),
        st.sampled_from([(-1, 1), (-3, -2, 2, 3), (-3, -2, -1, 1, 2, 3)]),
        st.data())
 @settings(max_examples=150, deadline=None)
 def test_exact_rank_matches_sympy(nrows, ncols, values, data):
-    # entries from {+-2, +-3} leave no unit pivot, so the Fraction fallback runs
+    # entries from {+-2, +-3} leave no unit pivot, so pivot rows become Fractions
     from sympy import Matrix
     rows = []
     for _ in range(nrows):

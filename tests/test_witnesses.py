@@ -10,6 +10,7 @@ listed in UNWITNESSED with the reason, and is run as well, to show that it
 still exits 0; no kernel or command is left out silently.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -35,8 +36,8 @@ KERNELS = {
         "    return len(pivots) + 1\n\n\ndef rank_mod_p",
         ("betti --d 2,2 --n 1", "betti --d 7 --n 3")),
     "exact_rank": (
-        "homology", "    return len(pivot_cols)\n", "    return len(pivot_cols) + 1\n",
-        ("betti --d 7 --n 3",)),
+        "homology", "    return len(pivots)\n\n\ndef rank_mod2",
+        "    return len(pivots) + 1\n\n\ndef rank_mod2", ("betti --d 7 --n 3",)),
     "mobius": (
         "nlattice", "    _check_multiplicative(L, values)\n",
         "    values[-1] += 1\n    _check_multiplicative(L, values)\n",
@@ -117,6 +118,16 @@ def test_every_kernel_is_in_the_matrix():
     assert {kernel for kernel, _argv in UNWITNESSED} <= set(KERNELS)
     for kernel, argv in UNWITNESSED:
         assert argv in KERNELS[kernel][3]
+
+
+def test_every_anchor_lies_in_its_kernel():
+    for kernel, (module, text, _corrupted, _commands) in KERNELS.items():
+        source = (SOURCE / f"{module}.py").read_text(encoding="utf-8")
+        assert source.count(text) == 1, f"the corruption's place is not unique in {module}"
+        line = source[:source.index(text)].count("\n") + 1
+        spans = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == kernel]
+        assert len(spans) == 1 and spans[0][0] <= line <= spans[0][1], (kernel, line, spans)
 
 
 def _run_corrupted(tmp_path, module, text, corrupted, commands) -> list:
