@@ -39,7 +39,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, compress, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .charpoly import CharPolynomial, cycle_types_of, evaluate, partitions_of
 from .errors import GuardError, InconsistencyError, ValidationError
@@ -363,9 +363,11 @@ def enumerate_ordered(d: tuple, n: int, field: FieldSpec,
                       guards: Guards = DEFAULT) -> tuple:
     """(total, point count) of the ordered space's F_q-points, unweighted,
     so the total is the count; the inputs are taken as validated
-    (run_census)."""
+    (run_census), and its walk is held to the record guard."""
     _check_point_guard(field.q, sum(d), guards.points)
     q = field.q
+    if (walk := sum(comb(q + dk - 1, dk) for dk in d)) > guards.records:
+        raise GuardError(f"{walk} column multisets exceed guard {guards.records}")
     columns = []
     for dk in d:
         # tally a column's multisets of values, each weighed by its number of

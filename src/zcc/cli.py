@@ -234,7 +234,7 @@ def _cmd_lattice(args) -> int:
         ],
         "covers": lattice.covers,
         "edge_counts": edges,
-        "mobius_top": mob[-1] if lattice.size else None,
+        "mobius_top": mob[-1],
         "point_count_coefficients": coeffs,
     }
     _emit(args, payload)
@@ -356,10 +356,10 @@ def _cmd_report(args) -> int:
         q_list = _parse_int_list(args.q_list)
         poly_texts = ("1" if args.polys is None else args.polys).split(";")
         truncation = args.truncation
-    polys = {text: parse_charpoly(text) for text in poly_texts}  # before any sweep
-    reports = {text: lefschetz_report(d_list, n, m, poly, q_list, truncation=truncation,
-                                      guards=args.guards, factor_seed=args.factor_seed)
-               for text, poly in polys.items()}
+    polys = {text: parse_charpoly(text) for text in poly_texts}
+    reports = dict(zip(polys, lefschetz_report(
+        d_list, n, m, polys.values(), q_list, truncation=truncation,
+        guards=args.guards, factor_seed=args.factor_seed)))
     rows = [["poly", "d", "c_i..."]]
     for text in sorted(reports):
         for pt in reports[text]["points"]:

@@ -127,19 +127,6 @@ def check_series_guard(d, P, qs, guard: int = DEFAULT.series) -> None:
                              f"x {words} words exceeds guard {guard}")
 
 
-def _states(box: _Box, marks: dict, d: tuple, r: int) -> list:
-    """Sorted (packed state, |a|) of the states whose t-exponents are
-    multiples of r and whose w sits on marks (k, j) with r | j."""
-    states = [(0, 0)]
-    for k, dk in enumerate(d):
-        unit = box.units[k]
-        column = [(key + r * e * unit, r * e)
-                  for key, size, _den in _wvectors(box, marks, k + 1, r, dk // r)
-                  for e in range(size, dk // r + 1)]
-        states = [(a + b, s + t) for a, s in states for b, t in column]
-    return sorted(states)
-
-
 def _exact(value: int, scale: int) -> int:
     quotient, rest = divmod(value, scale)
     if rest:
@@ -174,31 +161,34 @@ def _binomial_weights(P, marks: dict, box: _Box) -> dict:
 
 
 def _euler_factor(box: _Box, marks: dict, d: tuple, n: int, r: int,
-                  scales: list) -> dict:
-    """L_r, each coefficient times D; scales[k] is column k's share of D.
+                  scales: list) -> tuple:
+    """(L_r, states_r): L_r, each coefficient times D (scales[k] is column
+    k's share of D), and the sorted (packed state, |a|) of the states whose
+    t-exponents are multiples of r and whose w sits on marks (k, j) with
+    r | j, the terms of prod_k Z_k(r).
 
     The coefficient of prod_i w[k, ri]^b_i in h_e is the mean over S_e of
     prod_i binom(c_i, b_i), c_i the number of i-cycles: prod_i 1 / (i^b_i b_i!)
     when sum_i i b_i <= e, and 0 otherwise.  The columns share no variable,
     so their products never collide or leave the box.
     """
-    full = tail = {0: 1}
+    full, tail = {0: (1, 0)}, {0: 1}  # full: key -> (coefficient, |a|)
     for k, dk in enumerate(d):
         unit = box.units[k]
         column, column_tail = {}, {}
         for key, size, den in _wvectors(box, marks, k + 1, r, dk // r):
             c = _exact(scales[k], den)
             for e in range(size, dk // r + 1):
-                column[key + r * e * unit] = c
+                column[key + r * e * unit] = c, r * e
                 if e >= n:
                     column_tail[key + r * e * unit] = c
-        full = {a + b: x * y for a, x in full.items() for b, y in column.items()}
+        full = {a + b: (x * y, s + t) for a, (x, s) in full.items()
+                for b, (y, t) in column.items()}
         tail = {a + b: x * y for a, x in tail.items() for b, y in column_tail.items()}
-    for key, c in tail.items():
-        full[key] -= c
-    if full.get(0) != prod(scales):
+    L = {key: c for key, (x, _s) in full.items() if (c := x - tail.get(key, 0))}
+    if L.get(0) != prod(scales):
         raise InconsistencyError(f"L_{r} does not start with 1")
-    return {key: c for key, c in full.items() if c}
+    return L, sorted((key, s) for key, (_x, s) in full.items())
 
 
 def _log_derivative(L: dict, states: list, box: _Box, scale: int) -> dict:
@@ -249,12 +239,11 @@ def euler_totals(d, n: int, P, qs, guard: int = DEFAULT.series,
                    for (col, j), v in marks.items() if col == k)
               for k in range(1, len(d) + 1)]
     scale = prod(scales)
-    states = _states(box, marks, d, 1)
-    logs = []
-    for r in range(1, max(d) + 1):
-        L = _euler_factor(box, marks, d, n, r, scales)
+    states, logs = [(0, 0)], []
+    for r in range(max(d), 0, -1):  # r = 1 last: the passes run on its states
+        L, states = _euler_factor(box, marks, d, n, r, scales)
         if len(L) > 1:
-            logs.append((r, _log_derivative(L, _states(box, marks, d, r), box, scale)))
+            logs.append((r, _log_derivative(L, states, box, scale)))
     target = sum(dk * unit for dk, unit in zip(d, box.units))
     size = sum(d)
     full_size = all(dk >= n for dk in d)

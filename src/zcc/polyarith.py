@@ -53,8 +53,6 @@ def _sub(F: FieldSpec, a, b):
 
 
 def _scale(F: FieldSpec, a, c):
-    if c == 0:
-        return []
     return _trim([F.mul_raw(x, c) for x in a])
 
 

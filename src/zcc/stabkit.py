@@ -198,30 +198,31 @@ def _recount(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         (t,) * m, n, make_field(*prime_power(q)), poly, guards, factor_seed))
 
 
-def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
+def lefschetz_report(d_values, n: int, m: int, polys, q_list,
                      truncation: int | None = None,
-                     guards: Guards = DEFAULT, factor_seed: int = 0) -> dict:
-    """The report payload of the degree sweep d = (t,...,t), t in d_values,
-    with every rational written as a string.
+                     guards: Guards = DEFAULT, factor_seed: int = 0) -> list:
+    """The report payloads of the degree sweep d = (t,...,t), t in d_values,
+    one per statistic of the sequence `polys`, in order, with every rational
+    written as a string.
 
-    Per degree: exact unordered totals at q = 1 and at each q of q_list from
-    the Euler product (the series guard bounds its work, checked for every
-    degree before the first sample), an interpolated polynomial (expected
-    degree m*t, through m*t + 2 or more samples), and normalized
-    coefficients.  Stabilization is detected coefficient-wise across the
-    sweep.  For n = 1, m = 2 the truncated series with the stable
-    coefficients is evaluated and exact residuals against each left side are
-    reported under "series" and "residuals"; otherwise the series side is
-    marked not computed and those keys are absent.  One sample
-    is recounted through the record tables (`_recount`), within the point
-    and record guards, with `factor_seed`.
+    Every check runs before the first series is built: the degree values,
+    m, n, truncation, every statistic's columns, every q a prime power
+    within the field guard, the q_list's length per degree, and then the
+    series guard of every (statistic, degree) pair.  Per degree: exact
+    unordered totals at q = 1 and at each q of q_list from the Euler
+    product, an interpolated polynomial (expected degree m*t, through
+    m*t + 2 or more samples), and normalized coefficients.  Stabilization is
+    detected coefficient-wise across the sweep.  For n = 1, m = 2 the
+    truncated series with the stable coefficients is evaluated and exact
+    residuals against each left side are reported under "series" and
+    "residuals"; otherwise the series side is marked not computed and those
+    keys are absent.  One sample per statistic is recounted through the
+    record tables (`_recount`) with `factor_seed`.
     """
     # only report and --mode euler load the route
-    from .euler import check_series_guard, euler_totals
+    from .euler import check_series_guard
     d_values = [int(t) for t in d_values]
     q_list = sorted({int(q) for q in q_list})
-    if len(d_values) < 2:
-        raise ValidationError("sweep needs at least 2 degree values")
     if len(set(d_values)) < 2:
         raise ValidationError("sweep needs at least 2 distinct degree values")
     if min(d_values) < 0:
@@ -232,9 +233,10 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
         raise ValidationError("threshold n must be >= 1")
     if truncation is not None and truncation < 0:
         raise ValidationError("truncation must be >= 0")
-    used = poly.columns_used()
-    if used and max(used) > m:
-        raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
+    for poly in polys:
+        used = poly.columns_used()
+        if used and max(used) > m:
+            raise ValidationError(f"statistic uses column {max(used)} > m = {m}")
 
     for q in q_list:
         prime_power(q, guards.field)  # only the recounted q gets a field
@@ -247,9 +249,17 @@ def lefschetz_report(d_values, n: int, m: int, poly: CharPolynomial, q_list,
     # q = 1 is one more sample: there M_r(1) is the value of the necklace
     # polynomial, so the Euler product gives the census polynomial's value
     qs = (1, *q_list)
-    for t in sorted(set(d_values)):
-        check_series_guard((t,) * m, poly, qs, guards.series)
+    for poly in polys:
+        for t in sorted(set(d_values)):
+            check_series_guard((t,) * m, poly, qs, guards.series)
+    return [_sweep(d_values, n, m, poly, q_list, qs, truncation, guards, factor_seed)
+            for poly in polys]
 
+
+def _sweep(d_values, n: int, m: int, poly: CharPolynomial, q_list, qs,
+           truncation, guards: Guards, factor_seed: int) -> dict:
+    """lefschetz_report's payload for one statistic, its checks made."""
+    from .euler import euler_totals
     points = []
     vectors = []
     lhs_rows = []  # per d: [(q, total / q^topdim), ...]

@@ -91,7 +91,7 @@ def test_criterion_2_configuration_space_regression():
 def test_criterion_3_rational_maps_stabilization():
     """m=2, n=1 sweep: P=1 stabilizes immediately; X[1,1] from d=2 on c_0..c_2."""
     primes = [2, 3, 5, 7, 11, 13, 17]
-    rep = lefschetz_report([1, 2, 3], 1, 2, ONE, primes)
+    [rep] = lefschetz_report([1, 2, 3], 1, 2, [ONE], primes)
     vectors = [[Fraction(c) for c in pt["normalized"]] for pt in rep["points"]]
     width = max(map(len, vectors))
     padded = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
@@ -99,7 +99,7 @@ def test_criterion_3_rational_maps_stabilization():
     assert rep["stabilization"]["onset_d"] == 1
     assert padded[0][:2] == [1, -1]
 
-    rep_w = lefschetz_report([1, 2, 3], 1, 2, X11, primes)
+    [rep_w] = lefschetz_report([1, 2, 3], 1, 2, [X11], primes)
     vec2 = [Fraction(c) for c in rep_w["points"][1]["normalized"]]
     vec3 = [Fraction(c) for c in rep_w["points"][2]["normalized"]]
     assert vec2[:3] == vec3[:3]

@@ -317,7 +317,7 @@ def test_guards():
     with pytest.raises(GuardError, match="625 polynomial records"):
         coprime_pair_census((4, 4), 1, F5, X11, guards=guards(records=624))
     with pytest.raises(GuardError, match="polynomial records"):
-        lefschetz_report([1, 4], 2, 1, ONE, [2, 3, 5, 7, 11],
+        lefschetz_report([1, 4], 2, 1, [ONE], [2, 3, 5, 7, 11],
                          guards=guards(records=624))
     with pytest.raises(GuardError):
         enumerate_ordered((10,), 2, F5, guards(points=1000))

@@ -480,12 +480,18 @@ print(json.dumps([code, err.getvalue(), time.perf_counter() - t0]))
     ("interpolate --samples " + ",".join(f"{q}=0" for q in range(513)), 2,
      "513 fitted points exceed guard 512"),
     ("lattice --d 2000 --n 1 --unsafe-guard", 2, "|d| = 2000 exceeds the lattice guard 10"),
+    # within the point guard, but the walk would key 49735351 multisets
+    ("count --d 2 --n 1 --q 9973 --mode ordered", 2,
+     "49735351 column multisets exceed guard 262144"),
+    # one column's w-vectors alone pass the limit
+    ("weighted --d 40 --n 1 --q 2 --mode euler --poly X[1,1]^40*X[1,2]^20*X[1,3]^13*X[1,4]^10",
+     2, "series work of at least 4097^2 states x 2 passes x 2 words exceeds guard 67108864"),
 ], ids=["count", "count-ordered", "weighted", "count-20-digits", "lattice", "betti",
         "lattice-small", "burnside-records", "lattice-dimx", "betti-dimx", "report-m",
         "report-m-degree-0", "report-one-distinct-degree", "interpolate-topdim",
         "burnside-points", "euler-series", "euler-series-two-columns",
         "euler-series-large-q", "report-series-and-points", "interpolate-fitted-points",
-        "lattice-unsafe"])
+        "lattice-unsafe", "ordered-walk", "euler-series-one-column-marks"])
 def test_size_guards_never_form_the_size(argv, code, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zcc.__file__)))
     done = subprocess.run(
@@ -533,14 +539,14 @@ _SERIES_QS = ",".join(map(str, _LARGE_PRIMES[:121]))
      (census, "_burnside_fixed"),
      "weighted --d 8 --n 1 --q 7 --poly X[1,1] --mode burnside",
      "5764801 polynomial records exceed guard 1048576"),
-    ("series", "count --d 511 --n 2 --q 1048573 --mode euler", (euler, "_states"),
+    ("series", "count --d 511 --n 2 --q 1048573 --mode euler", (euler, "_euler_factor"),
      "count --d 1000000 --n 1 --q 2 --mode euler",
      "series work of 1000001^2 states x 2 passes x 31251 words exceeds guard 1073741824"),
     ("series", "weighted --d 511 --n 2 --q 1048573 --poly X[1,1] --mode euler",
-     (euler, "_states"), "weighted --d 1000000 --n 1 --q 2 --poly X[1,1] --mode euler",
+     (euler, "_euler_factor"), "weighted --d 1000000 --n 1 --q 2 --poly X[1,1] --mode euler",
      "series work of 2000001^2 states x 2 passes x 31251 words exceeds guard 1073741824"),
     ("series", f"report --m 1 --n 2 --d-list 119,120 --q-list {_SERIES_QS}",
-     (euler, "_states"),
+     (euler, "_euler_factor"),
      "report --m 1 --n 2 --d-list 510,511 --q-list " + ",".join(map(str, _LARGE_PRIMES)),
      "series work of 511^2 states x 514 passes x 160 words exceeds guard 1073741824"),
 ], ids=["field-count", "field-weighted", "field-report", "field-report-degree-0",
@@ -616,6 +622,21 @@ _BAD_INPUT_ERRORS = {
 _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
                    "config-key-case": ": unknown key 'D_list'",
                    "config-polys-empty": ": polys must be a non-empty list of strings"}
+# the whole error line, where a case pins it
+_BAD_INPUT_LINES = {
+    "d-not-int": "error: bad degree vector '2,x'",
+    "q-not-int": "error: bad field size 'x'",
+    "q-degree-zero": "error: extension degree must be >= 1, got 0",
+    "q-list-not-int": "error: bad integer list '2,x'",
+    "sample-no-value": "error: bad sample '2'; use q=value",
+    "sample-bad-value": "error: bad sample '2=x'",
+    "poly-zero-denominator": "error: syntax error at position 3: zero denominator",
+    "poly-unbalanced": "error: syntax error at position 6: unexpected ')'",
+    "interpolate-negative-degree": "error: expected degree must be >= 0",
+    "report-config-and-flag": "error: --config conflicts with --m",
+    "report-no-q-list": "error: --q-list is required without --config",
+    "report-one-degree": "error: sweep needs at least 2 distinct degree values",
+}
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -666,6 +687,19 @@ _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
                  "--q-list", "2,3,5,7,11", "--polys", ""],
     lambda tmp: ["report", "--config", _config(
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "polys": []}')],
+    lambda tmp: ["count", "--d", "2,x", "--n", "1", "--q", "3"],
+    lambda tmp: ["count", "--d", "2", "--n", "1", "--q", "x"],
+    lambda tmp: ["count", "--d", "2", "--n", "1", "--q", "2^0"],
+    lambda tmp: ["report", "--m", "1", "--n", "2", "--d-list", "1,2", "--q-list", "2,x"],
+    lambda tmp: ["interpolate", "--samples", "2"],
+    lambda tmp: ["interpolate", "--samples", "2=x"],
+    lambda tmp: ["weighted", "--d", "2", "--n", "1", "--q", "3", "--poly", "1/0"],
+    lambda tmp: ["weighted", "--d", "2", "--n", "1", "--q", "3", "--poly", "X[1,1])"],
+    lambda tmp: ["interpolate", "--samples", "2=2,3=6", "--expected-degree", "-1"],
+    lambda tmp: ["report", "--config", "F", "--m", "2"],
+    lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list", "1,2"],
+    lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list", "3",
+                 "--q-list", "2,3,5,7,11,13,17"],
 ], ids=["config-missing", "config-bad-json", "config-no-d-list",
         "config-no-q-list", "config-not-object", "config-bad-truncation",
         "output-dir-missing",
@@ -675,15 +709,18 @@ _BAD_INPUT_ENDS = {"config-misspelt-keys": ": unknown key 'trunaction'",
         "config-d-list-string", "config-q-list-float", "config-m-float",
         "config-n-bool", "config-truncation-float", "config-polys-string",
         "interpolate-negative-topdim", "config-misspelt-keys", "config-key-case",
-        "report-polys-empty", "config-polys-empty"])
+        "report-polys-empty", "config-polys-empty", *_BAD_INPUT_LINES])
 def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_argv):
     assert run(make_argv(tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    start = _BAD_INPUT_ERRORS.get(request.node.callspec.id, "error: ")
-    end = _BAD_INPUT_ENDS.get(request.node.callspec.id, "")
+    case = request.node.callspec.id
+    start = _BAD_INPUT_ERRORS.get(case, "error: ")
+    end = _BAD_INPUT_ENDS.get(case, "")
     assert len(lines) == 1 and lines[0].startswith(start) and lines[0].endswith(end)
+    if case in _BAD_INPUT_LINES:
+        assert lines == [_BAD_INPUT_LINES[case]]
 
 
 @pytest.mark.parametrize("make_argv, message", [
@@ -698,7 +735,11 @@ def test_bad_input_exits_1_with_one_error_line(capsys, request, tmp_path, make_a
     (lambda tmp: ["report", "--config", _config(
         tmp, '{"d_list": [1, 2], "q_list": [2, 3, 5, 7, 11], "truncation": -1}')],
      "truncation must be >= 0"),
-], ids=["flags-m", "config-m", "flags-truncation", "config-truncation"])
+    (lambda tmp: ["report", "--m", "2", "--n", "1", "--d-list", "1,2",
+                  "--q-list", "2,3,5,7,11", "--polys", "X[1,1];X[3,1]"],
+     "statistic uses column 3 > m = 2"),
+], ids=["flags-m", "config-m", "flags-truncation", "config-truncation",
+        "later-statistic-column"])
 def test_report_bounds_checked_before_any_statistic(capsys, monkeypatch, tmp_path,
                                                     make_argv, message):
     def no_series(*_args, **_kwargs):
@@ -708,6 +749,19 @@ def test_report_bounds_checked_before_any_statistic(capsys, monkeypatch, tmp_pat
     monkeypatch.setattr(euler, "check_series_guard", no_series)
     assert run(make_argv(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_guards_every_statistic_before_the_first_series(capsys, monkeypatch):
+    def no_series(*_args):
+        raise AssertionError("a series was built before every guard was checked")
+
+    monkeypatch.setattr(euler, "_euler_factor", no_series)
+    # the statistic 1 is within the series guard at d = (6, 6); the second is not
+    argv = ("report --m 2 --n 1 --d-list 1,6 --q-list 2,3,4,5,7,8,9,11,13,16,17,19,23 "
+            "--polys 1;X[1,1]^6*X[1,2]^3*X[2,1]^6*X[2,2]^3")
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == ("", "error: series work of 2500^2 states x 15 passes "
+                                       "x 1 words exceeds guard 67108864\n")
 
 
 def _nlattice_calls(call) -> tuple:

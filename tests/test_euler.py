@@ -74,7 +74,6 @@ def test_series_guard_before_any_series(monkeypatch):
     def fail(*_args):
         raise AssertionError("a series was built")
 
-    monkeypatch.setattr(euler, "_states", fail)
     monkeypatch.setattr(euler, "_euler_factor", fail)
     with pytest.raises(GuardError, match=r"series work of 1000001\^2 states x 2 passes "
                                          r"x 31251 words exceeds guard 67108864"):
@@ -125,7 +124,7 @@ def test_euler_recount_leaves_the_series_guard_alone():
 
 def test_report_refuses_n_below_1():
     with pytest.raises(ValidationError, match="threshold"):
-        lefschetz_report([1, 2], 0, 1, ONE, [2, 3, 5])
+        lefschetz_report([1, 2], 0, 1, [ONE], [2, 3, 5])
 
 
 def test_wrong_necklace_number_is_caught(monkeypatch):
@@ -165,7 +164,7 @@ def test_report_samples_equal_the_record_tables(job):
     m, n, d_list, q_list, texts = job
     for text in texts:
         P = parse_charpoly(text)
-        rep = lefschetz_report(d_list, n, m, P, q_list)
+        [rep] = lefschetz_report(d_list, n, m, [P], q_list)
         for pt in rep["points"]:
             for q, total in pt["samples"]:
                 cen = _census_total(tuple(pt["d"]), n, _field(q), P, DEFAULT, 0)
@@ -180,13 +179,13 @@ def test_report_recounts_the_largest_sample_within_budget(monkeypatch):
         return _census_total(d, n, field, poly, *rest)
 
     monkeypatch.setattr(stabkit, "_census_total", counting)
-    lefschetz_report([1, 2, 3], 1, 2, ONE, [2, 3, 5, 7, 11, 13, 17, 19])
+    lefschetz_report([1, 2, 3], 1, 2, [ONE], [2, 3, 5, 7, 11, 13, 17, 19])
     assert calls == [((2, 2), 19)]  # 19^2 = 361 records; 11^3 = 1331 is over
     calls.clear()
-    lefschetz_report([2, 3, 4], 2, 1, ONE, [2, 3, 5, 7, 11])
+    lefschetz_report([2, 3, 4], 2, 1, [ONE], [2, 3, 5, 7, 11])
     assert calls == [((4,), 5)]  # 625 records
     calls.clear()
-    lefschetz_report([3, 4], 1, 2, ONE, [2, 3, 5, 7, 11, 13, 17, 19, 23],
+    lefschetz_report([3, 4], 1, 2, [ONE], [2, 3, 5, 7, 11, 13, 17, 19, 23],
                      guards=Guards(field=DEFAULT.field, points=10 ** 5,
                                    records=DEFAULT.records, series=DEFAULT.series))
     assert calls == [((3, 3), 5)]  # 7^3 = 343 records, but 7^6 points > 10^5
@@ -245,10 +244,10 @@ def test_report_checks_every_degree_before_any_sample(monkeypatch):
     def fail(*_args):
         raise AssertionError("a sample was taken")
 
-    monkeypatch.setattr(euler, "_states", fail)
+    monkeypatch.setattr(euler, "_euler_factor", fail)
     # 9 passes of 9^2 states admit t = 1; t = 2 has 25 states
     with pytest.raises(GuardError, match=r"series work of 25\^2 states x 9 passes"):
-        lefschetz_report([1, 2], 2, 2, parse_charpoly("X[1,1]*X[2,1]"),
+        lefschetz_report([1, 2], 2, 2, [parse_charpoly("X[1,1]*X[2,1]")],
                          [2, 3, 4, 5, 7, 8, 9],
                          guards=Guards(field=DEFAULT.field, points=DEFAULT.points,
                                        records=DEFAULT.records, series=9 ** 2 * 9))
@@ -274,10 +273,10 @@ def test_report_makes_a_field_only_to_recount(monkeypatch):
         return real(p, e)
 
     monkeypatch.setattr(stabkit, "make_field", recording)
-    lefschetz_report([1, 2], 2, 1, ONE, [2, 3, 1048576])
+    lefschetz_report([1, 2], 2, 1, [ONE], [2, 3, 1048576])
     assert made == [3]  # the recount at d = (2,), q = 3
     with pytest.raises(ValidationError, match="6 is not a prime power"):
-        lefschetz_report([1, 2], 2, 1, ONE, [2, 3, 6])
+        lefschetz_report([1, 2], 2, 1, [ONE], [2, 3, 6])
 
 
 def test_many_column_statistic_report_runs(capsys):

@@ -185,7 +185,7 @@ def test_detect_stabilization_requires_two_vectors():
 
 
 def test_report_rational_maps_p1():
-    rep = lefschetz_report([1, 2, 3], 1, 2, ONE, [2, 3, 5, 7, 11, 13, 17])
+    [rep] = lefschetz_report([1, 2, 3], 1, 2, [ONE], [2, 3, 5, 7, 11, 13, 17])
     assert rep["stabilization"]["onset_d"] == 1
     for pt in rep["points"]:
         assert pt["normalized"][:2] == ["1", "-1"]
@@ -208,12 +208,12 @@ def test_report_sums_over_no_class_of_the_symmetric_group(monkeypatch):
 
     monkeypatch.setattr(charpoly, "cycle_types_of", refuse)
     for m, n, poly in ((2, 1, X11), (1, 1, ONE), (2, 2, parse_charpoly("2"))):
-        rep = lefschetz_report([1, 2], n, m, poly, [2, 3, 4, 5, 7])
+        [rep] = lefschetz_report([1, 2], n, m, [poly], [2, 3, 4, 5, 7])
         assert [pt["samples"][0][0] for pt in rep["points"]] == [2, 2]
 
 
 def test_report_weighted_rational_maps():
-    rep = lefschetz_report([1, 2, 3], 1, 2, X11, [2, 3, 5, 7, 11, 13, 17])
+    [rep] = lefschetz_report([1, 2, 3], 1, 2, [X11], [2, 3, 5, 7, 11, 13, 17])
     vec2 = rep["points"][1]["normalized"]
     vec3 = rep["points"][2]["normalized"]
     assert vec2[:3] == vec3[:3] == ["1", "-2", "2"]
@@ -223,7 +223,7 @@ def test_report_weighted_rational_maps():
 def test_report_weighted_lhs_nonnegative_and_leading_constant():
     # the fixed-point statistic averages a nonnegative class function, so
     # every left side is >= 0; its stable leading coefficient is 1
-    rep = lefschetz_report([1, 2, 3], 1, 2, X11, [2, 3, 5, 7, 11, 13, 17])
+    [rep] = lefschetz_report([1, 2, 3], 1, 2, [X11], [2, 3, 5, 7, 11, 13, 17])
     for _d, row in rep["lhs"]:
         assert all(Fraction(v) >= 0 for _q, v in row)
     assert 0 not in rep["stabilization"]["unstable_positions"]
@@ -231,7 +231,7 @@ def test_report_weighted_lhs_nonnegative_and_leading_constant():
 
 
 def test_report_non_hyperplane_gate():
-    rep = lefschetz_report([1, 2, 3], 2, 1, ONE, [2, 3, 5, 7])
+    [rep] = lefschetz_report([1, 2, 3], 2, 1, [ONE], [2, 3, 5, 7])
     assert "series" not in rep
     assert "residuals" not in rep
     assert "n" in rep["series_note"] and "not computed" in rep["series_note"]
@@ -241,20 +241,20 @@ def test_report_non_hyperplane_gate():
 
 def test_report_validation():
     with pytest.raises(ValidationError, match="at least"):
-        lefschetz_report([1], 1, 2, ONE, [2, 3, 5])
+        lefschetz_report([1], 1, 2, [ONE], [2, 3, 5])
     with pytest.raises(ValidationError, match="primes"):
-        lefschetz_report([1, 3], 1, 2, ONE, [2, 3, 5])
+        lefschetz_report([1, 3], 1, 2, [ONE], [2, 3, 5])
     with pytest.raises(ValidationError, match="column"):
-        lefschetz_report([1, 2], 1, 1, parse_charpoly("X[2,1]"), [2, 3, 5])
+        lefschetz_report([1, 2], 1, 1, [parse_charpoly("X[2,1]")], [2, 3, 5])
 
 
 def test_report_refuses_negative_truncation():
     with pytest.raises(ValidationError, match="truncation"):
-        lefschetz_report([1, 2], 1, 2, ONE, [2, 3, 5, 7, 11], truncation=-1)
+        lefschetz_report([1, 2], 1, 2, [ONE], [2, 3, 5, 7, 11], truncation=-1)
 
 
 def test_report_json_round_trip():
     import json
-    rep = lefschetz_report([1, 2], 1, 2, ONE, [2, 3, 5, 7, 11])
+    [rep] = lefschetz_report([1, 2], 1, 2, [ONE], [2, 3, 5, 7, 11])
     blob = json.dumps(rep, sort_keys=True)
     assert json.loads(blob)["stabilization"]["onset_d"] == 1
